@@ -54,11 +54,9 @@ from .sbm import (
     degrees,
     effective_sizes,
     expected_degrees,
-    load_matrix_csv,
     load_snapshot,
     normalized_laplacian,
     sample_adjacency,
-    save_matrix_csv,
     save_snapshot,
 )
 from .smoothing import (
@@ -67,13 +65,11 @@ from .smoothing import (
     TuningProfile,
     Uniform,
     WeightReport,
-    exp_smooth_run,
     exp_smooth_update,
     t_min_regime,
     t_min_weight_bound,
     t_min_weights,
     tuning_profile,
-    uniform_smooth,
     validate_weights,
     weighted_smooth,
     weights_of,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -105,20 +104,6 @@ class RateCard:
             out[name + "_ratio"] = ratio
             out[name + "_ok"] = ratio >= 1.0
         return out
-
-
-def rate_cards_to_csv(cards: Sequence[RateCard]) -> str:
-    """Rate cards as CSV rows (one per regime), for sweep aggregation."""
-    if not cards:
-        raise InvalidInputError("need at least one rate card")
-    keys = list(cards[0].to_kv())
-    lines = [",".join(keys)]
-    for card in cards:
-        kv = card.to_kv()
-        lines.append(",".join(
-            format(kv[k], ".12g") if isinstance(kv[k], float) else str(kv[k])
-            for k in keys))
-    return "\n".join(lines) + "\n"
 
 
 def rate_card(inp: RegimeInputs) -> RateCard:

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from . import bounds, dynamics, experiments, metrics, sbm, smoothing, spectral
+from . import bounds, dynamics, experiments, sbm, smoothing
 from .errors import DynscError, InvalidInputError
 from .util import dump_kv, parse_kv, subseed
 
@@ -102,15 +103,8 @@ def load_config(args) -> experiments.ExperimentConfig:
     kv = {}
     if args.config is not None:
         kv.update(parse_kv(Path(args.config).read_text()))
-    overrides = {
-        "mode": args.mode, "n": args.n, "k": args.k, "tau": args.tau,
-        "alpha": args.alpha, "alpha_log_scale": args.alpha_log_scale,
-        "alpha_inv_scale": args.alpha_inv_scale, "epsilon": args.epsilon,
-        "t_len": args.t_len, "n_min": args.n_min, "n_max": args.n_max,
-        "trials": args.trials, "seed": args.seed, "threads": args.threads,
-        "restarts": args.restarts, "lambda_grid": args.lambda_grid,
-        "r_grid": args.r_grid, "matrix": args.matrix,
-    }
+    # every config field has a flag of the same name
+    overrides = {f.name: getattr(args, f.name) for f in fields(experiments.ExperimentConfig)}
     for key, value in overrides.items():
         if value is not None:
             kv[key] = str(value)
@@ -159,39 +153,29 @@ def _parse_smoother(spec: str):
 
 def cmd_cluster(args) -> int:
     smoother = _parse_smoother(args.smoother)
+    cfg = load_config(args)
     if args.sequence is not None:
         seq, snaps, model, _manifest = dynamics.load_sequence(args.sequence)
         seed = args.seed if args.seed is not None else 0
-        k = model.k
     else:
-        cfg = load_config(args)
         seq, snaps = experiments.generate_trial_sequence(cfg, 0)
-        model, seed, k = cfg.model(), cfg.seed, cfg.k
+        model, seed = cfg.model(), cfg.seed
     matrix = args.matrix or "both"
     kinds = ("adjacency", "laplacian") if matrix == "both" else (matrix,)
 
     betas = smoothing.weights_of(smoother, seq.t_len).betas
     smoothed = smoothing.weighted_smooth(snaps.snapshots, betas)
     truth = seq.thetas[-1]
-    p_last = sbm.build_probability_matrix(truth, model)
+    refs = experiments.reference_matrices(truth, model, kinds)
     report: dict = {"t": seq.t_len, "smoother": args.smoother}
     for kidx, kind in enumerate(kinds):
-        if kind == "adjacency":
-            target, ref = smoothed, p_last
-        else:
-            target = sbm.normalized_laplacian(smoothed, zero_degree="zero-row")
-            ref = sbm.normalized_laplacian(p_last)
-        result = spectral.spectral_cluster(target, k, seed=subseed(seed, 91, kidx))
-        report[f"{kind}.spec_err"] = spectral.spectral_norm(target - ref)
-        report[f"{kind}.ari"] = metrics.adjusted_rand_index(result.labels, truth)
-        report[f"{kind}.e_value"] = metrics.misclassification_error(result.labels,
-                                                                    truth).e_value
-        report[f"{kind}.kmeans_cost"] = result.cost
-        report[f"{kind}.eigengap"] = result.eigengap
+        scores, labels = experiments.evaluate_cell(smoothed, kind, refs[kind], truth, model.k,
+                                                   seed=subseed(seed, 91, kidx),
+                                                   restarts=cfg.restarts)
+        report.update({f"{kind}.{name}": value for name, value in scores.items()})
         if args.out is not None:
-            out = _out_dir(args)
-            path = out / f"labels_{kind}.csv"
-            np.savetxt(path, result.labels.labels[None, :], delimiter=",", fmt="%d")
+            path = _out_dir(args) / f"labels_{kind}.csv"
+            np.savetxt(path, labels.labels[None, :], delimiter=",", fmt="%d")
             report[f"{kind}.labels_file"] = path
     _print_kv(report)
     return EXIT_OK
@@ -310,6 +294,9 @@ def _verify_degrees(args) -> dict:
 def _verify_bias(args) -> dict:
     cfg = load_config(args)
     model = cfg.model()
+    prof = sbm.effective_sizes(model, cfg.n, cfg.resolved_n_min, cfg.resolved_n_max)
+    tuning = smoothing.tuning_profile(cfg.n, cfg.resolved_alpha, cfg.epsilon, prof.nbar_max)
+    w = smoothing.weights_of(smoothing.Exponential(tuning.optimal_lambda), cfg.t_len)
     failures = 0
     ratios = []
     for trial in range(args.sequences):
@@ -318,10 +305,6 @@ def _verify_bias(args) -> dict:
             n_min=cfg.resolved_n_min, n_max=cfg.resolved_n_max,
             seed=subseed(cfg.seed, 31, trial))
         seq = dynamics.gen_deterministic_sequence(dcfg)
-        prof = sbm.effective_sizes(model, cfg.n, cfg.resolved_n_min, cfg.resolved_n_max)
-        tuning = smoothing.tuning_profile(cfg.n, cfg.resolved_alpha, cfg.epsilon,
-                                          prof.nbar_max)
-        w = smoothing.weights_of(smoothing.Exponential(tuning.optimal_lambda), seq.t_len)
         check = bounds.smoothing_bias_check(seq, model, w)
         if not check.frobenius_ok:
             failures += 1

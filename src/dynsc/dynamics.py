@@ -284,14 +284,25 @@ def save_sequence(directory, seq: MembershipSequence, snaps: SnapshotSequence,
 
 
 def load_sequence(directory):
-    """Load a persisted sequence; returns ``(membership, snapshots, model, manifest)``."""
+    """Load a persisted sequence; returns ``(membership, snapshots, model, manifest)``.
+
+    Labels and snapshots must match the manifest's ``n`` and ``t_len``: one
+    label row of ``n`` entries and one ``n``-node snapshot per step.
+    """
     directory = Path(directory)
     manifest = parse_kv((directory / _MANIFEST_NAME).read_text())
     model = _model_from_kv(manifest)
+    n, t_len = int(manifest["n"]), int(manifest["t_len"])
     labels = np.loadtxt(directory / _LABELS_NAME, delimiter=",", dtype=np.int64, ndmin=2)
+    if labels.shape != (t_len + 1, n):
+        raise InvalidInputError(
+            f"{directory / _LABELS_NAME}: {labels.shape[0]} rows of {labels.shape[1]} labels, "
+            f"but the manifest has t_len={t_len} and n={n}")
     thetas = tuple(CommunityLabels(row, model.k) for row in labels)
-    t_len = int(manifest["t_len"])
-    snaps = tuple(load_snapshot(directory / f"snapshot_{t:04d}.txt") for t in range(t_len + 1))
+    snaps = SnapshotSequence(tuple(load_snapshot(directory / f"snapshot_{t:04d}.txt")
+                                   for t in range(t_len + 1)))
+    if snaps.n != n:
+        raise InvalidInputError(f"snapshots have n={snaps.n}, but the manifest has n={n}")
     mode = manifest["mode"]
     seq = MembershipSequence(
         thetas,
@@ -301,4 +312,4 @@ def load_sequence(directory):
         n_min=int(manifest["n_min"]) if mode == "deterministic" else None,
         n_max=int(manifest["n_max"]) if mode == "deterministic" else None,
     )
-    return seq, SnapshotSequence(snaps), model, manifest
+    return seq, snaps, model, manifest

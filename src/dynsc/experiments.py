@@ -35,7 +35,13 @@ from .dynamics import (
 )
 from .errors import InvalidInputError
 from .metrics import adjusted_rand_index, misclassification_error
-from .sbm import ConnectivityModel, build_probability_matrix, normalized_laplacian
+from .sbm import (
+    CommunityLabels,
+    ConnectivityModel,
+    build_probability_matrix,
+    effective_sizes,
+    normalized_laplacian,
+)
 from .smoothing import Exponential, Uniform, weights_of, weighted_smooth
 from .spectral import spectral_cluster, spectral_norm
 from .util import subseed
@@ -49,6 +55,10 @@ _TAG_TRIAL_SNAPSHOTS = 12
 _TAG_CLUSTER = 13
 
 DEFAULT_LAMBDA_GRID = tuple(float(x) for x in np.geomspace(0.04, 1.0, 12))
+
+# text parsers by field annotation (annotations are strings in this module)
+_CASTS = {"int": int, "float": float, "str": str}
+_GRID_CASTS = {"lambda_grid": float, "r_grid": int}
 
 
 @dataclass(frozen=True)
@@ -138,20 +148,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_kv(cls, kv: dict) -> "ExperimentConfig":
+        types = {f.name: f.type.removesuffix(" | None") for f in fields(cls)}
         kwargs = {}
-        casts = {
-            "mode": str, "n": int, "k": int, "tau": float, "alpha": float,
-            "alpha_log_scale": float, "alpha_inv_scale": float, "epsilon": float,
-            "t_len": int, "n_min": int, "n_max": int, "matrix": str,
-            "trials": int, "seed": int, "threads": int, "restarts": int,
-        }
         for key, value in kv.items():
-            if key in casts:
-                kwargs[key] = casts[key](value)
-            elif key == "lambda_grid":
-                kwargs[key] = tuple(float(v) for v in value.split(",") if v.strip())
-            elif key == "r_grid":
-                kwargs[key] = tuple(int(v) for v in value.split(",") if v.strip())
+            if key in _GRID_CASTS:
+                kwargs[key] = tuple(_GRID_CASTS[key](v) for v in value.split(",") if v.strip())
+            elif key in types:
+                kwargs[key] = _CASTS[types[key]](value)
             else:
                 raise InvalidInputError(f"unknown config key {key!r}")
         if "alpha" in kwargs or "alpha_inv_scale" in kwargs:
@@ -197,31 +200,57 @@ def generate_trial_sequence(cfg: ExperimentConfig, trial: int):
     return seq, snaps
 
 
+def reference_matrices(truth: CommunityLabels, model: ConnectivityModel,
+                       kinds) -> dict[str, np.ndarray]:
+    """What each matrix kind is measured against: ``P_t``, and ``L(P_t)`` for the Laplacian."""
+    p_last = build_probability_matrix(truth, model)
+    refs = {"adjacency": p_last}
+    if "laplacian" in kinds:
+        refs["laplacian"] = normalized_laplacian(p_last)
+    return refs
+
+
+def evaluate_cell(smoothed: np.ndarray, kind: str, ref: np.ndarray, truth: CommunityLabels,
+                  k: int, *, seed: int, restarts: int) -> tuple[dict, CommunityLabels]:
+    """Evaluate one smoothed matrix as ``kind`` against the final labelling ``truth``.
+
+    The adjacency kind uses ``smoothed`` itself; the Laplacian kind uses
+    ``L(smoothed)`` with isolated nodes zeroed. ``ref`` is the matching entry
+    of :func:`reference_matrices`. Returns the scores, keyed by their
+    :class:`RunRecord` field names, and the predicted labels.
+    """
+    if kind == "adjacency":
+        target = smoothed
+    else:
+        target = normalized_laplacian(smoothed, zero_degree="zero-row")
+    spec_err = spectral_norm(target - ref)
+    result = spectral_cluster(target, k, restarts=restarts, seed=seed)
+    scores = {
+        "spec_err": spec_err,
+        "ari": adjusted_rand_index(result.labels, truth),
+        "e_value": misclassification_error(result.labels, truth).e_value,
+        "kmeans_cost": result.cost,
+        "eigengap": result.eigengap,
+    }
+    return scores, result.labels
+
+
 def evaluate_smoothed(cfg: ExperimentConfig, trial: int, seq: MembershipSequence,
                       snaps: SnapshotSequence) -> list[RunRecord]:
     """Evaluate every grid point and matrix kind on one realized sequence."""
-    model = cfg.model()
     truth = seq.thetas[-1]
-    p_last = build_probability_matrix(truth, model)
     kinds = cfg.matrix_kinds()
-    lap_p = normalized_laplacian(p_last) if "laplacian" in kinds else None
+    refs = reference_matrices(truth, cfg.model(), kinds)
     records = []
     for gidx, (gkind, gvalue) in enumerate(cfg.grid()):
         smoother = Exponential(gvalue) if gkind == "lambda" else Uniform(int(gvalue))
         betas = weights_of(smoother, seq.t_len).betas
         smoothed = weighted_smooth(snaps.snapshots, betas)
         for kidx, kind in enumerate(kinds):
-            start = time.perf_counter()
-            if kind == "adjacency":
-                target_err = spectral_norm(smoothed - p_last)
-                cluster_input = smoothed
-            else:
-                lap_a = normalized_laplacian(smoothed, zero_degree="zero-row")
-                target_err = spectral_norm(lap_a - lap_p)
-                cluster_input = lap_a
             cseed = subseed(cfg.seed, _TAG_CLUSTER, trial, gidx, kidx)
-            result = spectral_cluster(cluster_input, cfg.k, restarts=cfg.restarts,
-                                      seed=cseed)
+            start = time.perf_counter()
+            scores, _ = evaluate_cell(smoothed, kind, refs[kind], truth, cfg.k, seed=cseed,
+                                      restarts=cfg.restarts)
             wall_ms = (time.perf_counter() - start) * 1e3
             records.append(RunRecord(
                 trial=trial,
@@ -229,11 +258,7 @@ def evaluate_smoothed(cfg: ExperimentConfig, trial: int, seq: MembershipSequence
                 grid_param_kind=gkind,
                 grid_param_value=gvalue,
                 matrix_kind=kind,
-                spec_err=target_err,
-                ari=adjusted_rand_index(result.labels, truth),
-                e_value=misclassification_error(result.labels, truth).e_value,
-                kmeans_cost=result.cost,
-                eigengap=result.eigengap,
+                **scores,
                 seed=cseed,
                 wall_ms=wall_ms,
             ))
@@ -284,8 +309,6 @@ def _fit_rate_constant(med_err: dict[float, float], cfg: ExperimentConfig,
     ``sqrt(n a b) + a sqrt(n nbar eps / b)`` for the adjacency, scaled by
     ``mu_B / (nbar_min a)`` for the Laplacian.
     """
-    from .sbm import effective_sizes  # local import to keep module load light
-
     alpha = cfg.resolved_alpha
     prof = effective_sizes(cfg.model(), cfg.n, cfg.resolved_n_min, cfg.resolved_n_max)
     nbar_max = prof.nbar_max if cfg.mode == "deterministic" else float(cfg.n)
@@ -364,19 +387,8 @@ def write_records_csv(records: list[RunRecord], path) -> None:
 
 def read_records_csv(path) -> list[RunRecord]:
     lines = [ln for ln in Path(path).read_text().splitlines() if not ln.startswith("#")]
-    reader = csv.DictReader(lines)
-    records = []
-    for row in reader:
-        records.append(RunRecord(
-            trial=int(row["trial"]), t=int(row["t"]),
-            grid_param_kind=row["grid_param_kind"],
-            grid_param_value=float(row["grid_param_value"]),
-            matrix_kind=row["matrix_kind"], spec_err=float(row["spec_err"]),
-            ari=float(row["ari"]), e_value=float(row["e_value"]),
-            kmeans_cost=float(row["kmeans_cost"]), eigengap=float(row["eigengap"]),
-            seed=int(row["seed"]), wall_ms=float(row["wall_ms"]),
-        ))
-    return records
+    return [RunRecord(**{f.name: _CASTS[f.type](row[f.name]) for f in fields(RunRecord)})
+            for row in csv.DictReader(lines)]
 
 
 def plot_data_by_grid(records: list[RunRecord], cfg: ExperimentConfig) -> str:

@@ -153,9 +153,9 @@ class AdjacencySnapshot:
     def edge_count(self) -> int:
         return self.rows.size
 
-    def to_dense(self, dtype=np.float64) -> np.ndarray:
+    def to_dense(self) -> np.ndarray:
         """Full symmetric 0/1 matrix with zero diagonal."""
-        a = np.zeros((self.n, self.n), dtype=dtype)
+        a = np.zeros((self.n, self.n))
         a[self.rows, self.cols] = 1
         a[self.cols, self.rows] = 1
         return a
@@ -228,8 +228,6 @@ def normalized_laplacian(m: np.ndarray, zero_degree: str = "error") -> np.ndarra
     """
     if zero_degree not in ("error", "zero-row"):
         raise InvalidInputError(f"unknown zero_degree policy {zero_degree!r}")
-    if isinstance(m, AdjacencySnapshot):
-        m = m.to_dense()
     m = check_symmetric(np.asarray(m, dtype=float))
     d = m.sum(axis=1)
     if zero_degree == "error":
@@ -366,12 +364,3 @@ def load_snapshot(path) -> AdjacencySnapshot:
         rows.append(int(i))
         cols.append(int(j))
     return AdjacencySnapshot(n, np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))
-
-
-def save_matrix_csv(m: np.ndarray, path) -> None:
-    """Dense matrix as CSV, n rows of n comma-separated decimals."""
-    np.savetxt(path, np.asarray(m, dtype=float), delimiter=",", fmt="%.17g")
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)

@@ -100,7 +100,12 @@ def weights_of(kind: SmootherKind, t: int) -> SmoothingWeights:
     raise InvalidInputError(f"unknown smoother kind {kind!r}")
 
 
-def _as_snapshots(snapshots: Sequence[AdjacencySnapshot]) -> list[AdjacencySnapshot]:
+def weighted_smooth(snapshots: Sequence[AdjacencySnapshot], betas: np.ndarray) -> np.ndarray:
+    """General weighted sum ``sum_k betas[k] * A_{t-k}`` over the given history.
+
+    ``snapshots`` is ordered by time (oldest first); ``betas[k]`` weights the
+    snapshot ``k`` steps before the last one.
+    """
     snaps = list(snapshots)
     if not snaps:
         raise InvalidInputError("need at least one snapshot")
@@ -110,20 +115,9 @@ def _as_snapshots(snapshots: Sequence[AdjacencySnapshot]) -> list[AdjacencySnaps
             raise InvalidInputError("expected AdjacencySnapshot inputs")
         if s.n != n:
             raise InvalidInputError("snapshots must share n")
-    return snaps
-
-
-def weighted_smooth(snapshots: Sequence[AdjacencySnapshot], betas: np.ndarray) -> np.ndarray:
-    """General weighted sum ``sum_k betas[k] * A_{t-k}`` over the given history.
-
-    ``snapshots`` is ordered by time (oldest first); ``betas[k]`` weights the
-    snapshot ``k`` steps before the last one.
-    """
-    snaps = _as_snapshots(snapshots)
     betas = np.asarray(betas, dtype=float)
     if betas.size > len(snaps):
         raise InvalidInputError(f"{betas.size} weights but only {len(snaps)} snapshots")
-    n = snaps[0].n
     upper = np.zeros((n, n))
     for k, beta in enumerate(betas):
         if beta == 0.0:
@@ -131,25 +125,6 @@ def weighted_smooth(snapshots: Sequence[AdjacencySnapshot], betas: np.ndarray) -
         snap = snaps[len(snaps) - 1 - k]
         upper[snap.rows, snap.cols] += beta
     return upper + upper.T
-
-
-def uniform_smooth(snapshots: Sequence[AdjacencySnapshot], r: int, *,
-                   truncate: bool = False) -> np.ndarray:
-    """Entrywise mean of the last ``r`` snapshots.
-
-    If ``r`` exceeds the available history, ``truncate=True`` falls back to
-    the full history; the default is an error.
-    """
-    snaps = _as_snapshots(snapshots)
-    if r < 1:
-        raise InvalidInputError(f"window size must be >= 1, got {r}")
-    if r > len(snaps):
-        if not truncate:
-            raise InvalidInputError(f"window r={r} exceeds history of {len(snaps)} snapshots")
-        r = len(snaps)
-    betas = np.zeros(len(snaps))
-    betas[:r] = 1.0 / r
-    return weighted_smooth(snaps, betas)
 
 
 def exp_smooth_update(state: np.ndarray, a_t: AdjacencySnapshot, lam: float) -> np.ndarray:
@@ -166,15 +141,6 @@ def exp_smooth_update(state: np.ndarray, a_t: AdjacencySnapshot, lam: float) -> 
     state *= 1.0 - lam
     state[a_t.rows, a_t.cols] += lam
     state[a_t.cols, a_t.rows] += lam
-    return state
-
-
-def exp_smooth_run(snapshots: Sequence[AdjacencySnapshot], lam: float) -> np.ndarray:
-    """Fold :func:`exp_smooth_update` over a history, starting from the first snapshot."""
-    snaps = _as_snapshots(snapshots)
-    state = snaps[0].to_dense()
-    for snap in snaps[1:]:
-        exp_smooth_update(state, snap, lam)
     return state
 
 
@@ -224,18 +190,16 @@ class WeightReport:
         }
 
 
-def validate_weights(w: SmoothingWeights, epsilon_n: float,
-                     claimed: tuple[float, float, float] | None = None) -> WeightReport:
+def validate_weights(w: SmoothingWeights, epsilon_n: float) -> WeightReport:
     """Evaluate the weight conditions for ``w`` at regularity ``epsilon_n``.
 
-    ``claimed`` overrides the constants carried by ``w``. All comparisons use
-    a 1e-12 absolute slack: the weights are analytically exact, so only
+    The claimed constants are those carried by ``w``. All comparisons use a
+    1e-12 absolute slack: the weights are analytically exact, so only
     rounding noise is expected.
     """
     if not 0.0 < epsilon_n <= 1.0:
         raise InvalidInputError(f"epsilon_n must be in (0, 1], got {epsilon_n}")
-    beta_max, c_beta, c_beta_prime = claimed if claimed is not None else (
-        w.beta_max, w.c_beta, w.c_beta_prime)
+    beta_max, c_beta, c_beta_prime = w.beta_max, w.c_beta, w.c_beta_prime
     betas = w.betas
     ks = np.arange(betas.size, dtype=float)
     sum_beta = float(betas.sum())

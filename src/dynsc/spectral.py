@@ -1,9 +1,9 @@
 """Spectral clustering: leading eigenvectors, k-means on their rows, spectral norms.
 
-"Leading" eigenvectors are by default the ``k`` of largest magnitude: the
-rank-``k`` structure matrices this targets may have negative eigenvalues for
+"Leading" eigenvectors are the ``k`` of largest magnitude: the rank-``k``
+structure matrices this targets may have negative eigenvalues for
 disassortative kernels, and magnitude selection recovers their column space in
-all cases. An ``ordering="algebraic"`` switch is available.
+all cases.
 
 The k-means step uses distance-squared-weighted random seeding plus Lloyd
 iterations with restarts. It reports the achieved cost rather than certifying
@@ -26,6 +26,8 @@ DENSE_EIGEN_LIMIT = 512
 DENSE_FALLBACK_LIMIT = 4096
 _V0_SEED = 0x5EED
 _KMEANS_TAG = 77
+_KMEANS_MAX_ITER = 300
+_KMEANS_TOL = 1e-9  # centroid movement that ends a Lloyd run
 
 
 @dataclass(frozen=True)
@@ -33,13 +35,12 @@ class EigenBasis:
     """Selected eigenpairs: ``values[i]`` with orthonormal column ``vectors[:, i]``.
 
     ``gap`` is the magnitude gap ``|value_k| - |value_{k+1}|`` between the last
-    selected and the first discarded eigenvalue (by the active ordering);
-    ``gap_degenerate`` flags a numerically vanishing gap.
+    selected and the first discarded eigenvalue; ``gap_degenerate`` flags a
+    numerically vanishing gap.
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    selection: str
     gap: float
     gap_degenerate: bool
 
@@ -79,43 +80,50 @@ def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def top_k_eigenpairs(m: np.ndarray, k: int, ordering: str = "magnitude") -> EigenBasis:
-    """The ``k`` leading eigenpairs of a symmetric matrix.
+def _leading_eigs(m: np.ndarray, k: int, vectors: bool, tol: float = 0.0):
+    """Eigenvalues (and eigenvectors if ``vectors``) of symmetric ``m``, for magnitude selection.
 
-    Deterministic up to sign, with signs canonicalized. Matrices up to
-    ``DENSE_EIGEN_LIMIT`` are decomposed densely; larger ones use a Lanczos
-    solver with a fixed starting vector, falling back to the dense path (up to
-    ``DENSE_FALLBACK_LIMIT``) on non-convergence.
+    Matrices up to ``DENSE_EIGEN_LIMIT``, or with ``k > n - 2``, are
+    decomposed densely and all ``n`` pairs are returned. Larger ones use a
+    Lanczos solver for the ``k`` pairs of largest magnitude, with a fixed
+    starting vector and relative tolerance ``tol`` (0: machine precision),
+    falling back to the dense path (up to ``DENSE_FALLBACK_LIMIT``) on
+    non-convergence. Returns ``eigh``'s ``(values, vectors)`` or
+    ``eigvalsh``'s ``values``.
     """
-    if ordering not in ("magnitude", "algebraic"):
-        raise InvalidInputError(f"unknown ordering {ordering!r}")
+    n = m.shape[0]
+    dense = np.linalg.eigh if vectors else np.linalg.eigvalsh
+    if n <= DENSE_EIGEN_LIMIT or k > n - 2:
+        return dense(m)
+    v0 = np.random.default_rng(_V0_SEED).standard_normal(n)
+    try:
+        return scipy.sparse.linalg.eigsh(m, k=k, which="LM", v0=v0, tol=tol,
+                                         return_eigenvectors=vectors)
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        if n <= DENSE_FALLBACK_LIMIT:
+            return dense(m)
+        raise EigenSolverError(
+            f"eigensolver did not converge ({len(exc.eigenvalues)} of {k} pairs)") from exc
+
+
+def top_k_eigenpairs(m: np.ndarray, k: int) -> EigenBasis:
+    """The ``k`` eigenpairs of largest magnitude of a symmetric matrix.
+
+    Deterministic up to sign, with signs canonicalized. ``k + 1`` pairs are
+    computed so the gap to the first discarded eigenvalue can be reported.
+    """
     m = check_symmetric(np.asarray(m, dtype=float))
     n = m.shape[0]
     if not 1 <= k <= n:
         raise InvalidInputError(f"need 1 <= k <= n, got k={k}, n={n}")
+    values, vectors = _leading_eigs(m, k + 1, vectors=True)
 
-    if n <= DENSE_EIGEN_LIMIT or k + 1 > n - 1:
-        values, vectors = np.linalg.eigh(m)
-    else:
-        which = "LM" if ordering == "magnitude" else "LA"
-        v0 = np.random.default_rng(_V0_SEED).standard_normal(n)
-        try:
-            values, vectors = scipy.sparse.linalg.eigsh(m, k=k + 1, which=which, v0=v0)
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            if n <= DENSE_FALLBACK_LIMIT:
-                values, vectors = np.linalg.eigh(m)
-            else:
-                raise EigenSolverError(
-                    f"eigensolver did not converge ({len(exc.eigenvalues)} of {k + 1} pairs); "
-                    f"residual eigenvalues: {exc.eigenvalues}"
-                ) from exc
-
-    keys = np.abs(values) if ordering == "magnitude" else np.asarray(values, dtype=float)
+    keys = np.abs(values)
     order = np.argsort(-keys, kind="stable")
     top = order[:k]
     if k < len(values):
         gap = float(keys[top[-1]] - keys[order[k]])
-        scale = max(1.0, float(np.abs(values).max()))
+        scale = max(1.0, float(keys.max()))
         degenerate = gap <= 1e-12 * scale
         if degenerate:
             warnings.warn(f"eigengap {gap:.3e} is numerically degenerate", RuntimeWarning,
@@ -126,7 +134,6 @@ def top_k_eigenpairs(m: np.ndarray, k: int, ordering: str = "magnitude") -> Eige
     return EigenBasis(
         values=values[top].astype(float),
         vectors=_canonical_signs(vectors[:, top].astype(float)),
-        selection=ordering,
         gap=gap,
         gap_degenerate=bool(degenerate),
     )
@@ -155,12 +162,11 @@ def _assign(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return labels, d2[np.arange(x.shape[0]), labels]
 
 
-def _kmeans_single(x: np.ndarray, k: int, rng: np.random.Generator,
-                   max_iter: int, tol: float):
+def _kmeans_single(x: np.ndarray, k: int, rng: np.random.Generator):
     """One seeded Lloyd run; returns (labels, centers, cost, degenerate, cost_history)."""
     centers = _seed_centroids(x, k, rng)
     history = []
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         labels, dist = _assign(x, centers)
         history.append(float(dist.sum()))
         new_centers = centers.copy()
@@ -173,7 +179,7 @@ def _kmeans_single(x: np.ndarray, k: int, rng: np.random.Generator,
                 new_centers[j] = x[int(np.argmax(dist))]
         movement = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
-        if movement < tol:
+        if movement < _KMEANS_TOL:
             break
     labels, dist = _assign(x, centers)
     cost = float(dist.sum())
@@ -182,8 +188,7 @@ def _kmeans_single(x: np.ndarray, k: int, rng: np.random.Generator,
     return labels, centers, cost, degenerate, history
 
 
-def kmeans(points: np.ndarray, k: int, restarts: int = 20, max_iter: int = 300,
-           tol: float = 1e-9, seed: int = 0) -> KMeansResult:
+def kmeans(points: np.ndarray, k: int, restarts: int = 20, seed: int = 0) -> KMeansResult:
     """Best of ``restarts`` seeded Lloyd runs on ``points`` (n rows).
 
     Assignment ties break toward the lowest centroid index; a cluster left
@@ -202,7 +207,7 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 20, max_iter: int = 300,
     used = 0
     for ridx in range(restarts):
         rng = np.random.default_rng(subseed(seed, _KMEANS_TAG, ridx))
-        labels, centers, cost, degenerate, _ = _kmeans_single(x, k, rng, max_iter, tol)
+        labels, centers, cost, degenerate, _ = _kmeans_single(x, k, rng)
         used += 1
         if best is None or cost < best[2]:
             best = (labels, centers, cost, degenerate)
@@ -213,15 +218,14 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 20, max_iter: int = 300,
                         restarts_used=used, degenerate=degenerate)
 
 
-def spectral_cluster(m: np.ndarray, k: int, *, ordering: str = "magnitude",
-                     restarts: int = 20, max_iter: int = 300, tol: float = 1e-9,
+def spectral_cluster(m: np.ndarray, k: int, *, restarts: int = 20,
                      seed: int = 0) -> SpectralClusteringResult:
     """Cluster the rows of the k leading eigenvectors of ``m``.
 
     Rows are fed to k-means raw, without row normalization.
     """
-    basis = top_k_eigenpairs(m, k, ordering=ordering)
-    km = kmeans(basis.vectors, k, restarts=restarts, max_iter=max_iter, tol=tol, seed=seed)
+    basis = top_k_eigenpairs(m, k)
+    km = kmeans(basis.vectors, k, restarts=restarts, seed=seed)
     labels = CommunityLabels(km.labels, k)
     return SpectralClusteringResult(labels=labels, kmeans=km, eigen=basis)
 
@@ -229,24 +233,10 @@ def spectral_cluster(m: np.ndarray, k: int, *, ordering: str = "magnitude",
 def spectral_norm(m: np.ndarray, tol: float = 1e-6) -> float:
     """Operator 2-norm (largest absolute eigenvalue) of a symmetric matrix.
 
-    Small matrices use a dense decomposition; larger ones a Lanczos iteration
-    at relative tolerance ``tol``, with a dense fallback up to
-    ``DENSE_FALLBACK_LIMIT`` on non-convergence.
+    Large matrices use a Lanczos iteration at relative tolerance ``tol``;
+    see :func:`_leading_eigs` for the dense and fallback paths.
     """
     m = check_symmetric(np.asarray(m, dtype=float))
-    n = m.shape[0]
-    if n == 0:
-        return 0.0
-    if n <= DENSE_EIGEN_LIMIT:
-        return float(np.abs(np.linalg.eigvalsh(m)).max())
     if not m.any():
         return 0.0
-    v0 = np.random.default_rng(_V0_SEED).standard_normal(n)
-    try:
-        values = scipy.sparse.linalg.eigsh(m, k=1, which="LM", v0=v0, tol=tol,
-                                           return_eigenvectors=False)
-        return float(np.abs(values).max())
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        if n <= DENSE_FALLBACK_LIMIT:
-            return float(np.abs(np.linalg.eigvalsh(m)).max())
-        raise EigenSolverError("spectral norm iteration did not converge") from exc
+    return float(np.abs(_leading_eigs(m, 1, vectors=False, tol=tol)).max())

@@ -19,11 +19,6 @@ def subseed(seed: int, *path: int) -> int:
     return (int(a) << 32) | int(b)
 
 
-def sub_rng(seed: int, *path: int) -> np.random.Generator:
-    """Generator seeded by :func:`subseed` of the same arguments."""
-    return np.random.default_rng(subseed(seed, *path))
-
-
 def dump_kv(mapping: dict, header: str | None = None) -> str:
     """Serialize a mapping as ``key=value`` lines (one per key)."""
     lines = []

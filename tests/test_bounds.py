@@ -99,18 +99,6 @@ def test_rate_card_monotonicity():
     assert b.adj_dyn_rate > a.adj_dyn_rate
 
 
-def test_rate_cards_csv():
-    from dynsc.bounds import rate_cards_to_csv
-
-    cards = [rate_card(_inputs()), rate_card(_inputs(epsilon=0.01))]
-    text = rate_cards_to_csv(cards)
-    lines = text.strip().splitlines()
-    assert len(lines) == 3
-    header = lines[0].split(",")
-    assert "rho_n" in header and "cond_adj_dyn_ratio" in header
-    assert len(lines[1].split(",")) == len(header)
-
-
 def test_regime_inputs_from_model():
     model = ConnectivityModel.planted_partition(3, 0.1, 0.3)
     inp = RegimeInputs.from_model(model, 300, 80, 120, epsilon=0.01)

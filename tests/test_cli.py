@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from dynsc import load_sequence
+from dynsc import InvalidInputError, load_sequence
 from dynsc.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -78,6 +79,76 @@ def test_cluster_on_generated_sequence(tmp_path, capsys):
     kv = dict(line.split("=", 1) for line in text.strip().splitlines())
     assert "adjacency.ari" in kv and "laplacian.ari" in kv
     assert float(kv["adjacency.spec_err"]) > 0
+
+
+def _drop_last_label_row(directory):
+    path = directory / "labels.csv"
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+
+
+def _manifest_n_999(directory):
+    path = directory / "manifest.txt"
+    path.write_text(path.read_text().replace("\nn=40\n", "\nn=999\n"))
+
+
+def _snapshots_n_41(directory):
+    for path in directory.glob("snapshot_*.txt"):
+        path.write_text(path.read_text().replace("n=40\n", "n=41\n", 1))
+
+
+@pytest.mark.parametrize("corrupt", [_drop_last_label_row, _manifest_n_999, _snapshots_n_41],
+                         ids=["labels_rows", "manifest_n", "snapshot_n"])
+def test_corrupt_sequence_is_rejected(tmp_path, capsys, corrupt):
+    out = tmp_path / "seq"
+    assert main(["generate", *TINY, "--out", str(out)]) == EXIT_OK
+    corrupt(out / "sequence")
+    with pytest.raises(InvalidInputError):
+        load_sequence(out / "sequence")
+    code = main(["cluster", "--sequence", str(out / "sequence"), "--smoother", "exp:0.4"])
+    assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("branch", ["generated", "sequence"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cluster_honours_restarts(tmp_path, monkeypatch, capsys, branch, source):
+    import dynsc.spectral
+
+    seen = []
+    real_kmeans = dynsc.spectral.kmeans
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["restarts"])
+        return real_kmeans(*args, **kwargs)
+
+    if source == "flag":
+        params = list(TINY)  # --restarts 5
+        expected = 5
+    else:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("n=40\nk=2\ntau=0.2\nalpha_log_scale=4\nepsilon=0.05\nt_len=6\n"
+                       "seed=3\nrestarts=2\n")
+        params = ["--config", str(cfg)]
+        expected = 2
+    if branch == "sequence":
+        assert main(["generate", *TINY, "--out", str(tmp_path / "gen")]) == EXIT_OK
+        params += ["--sequence", str(tmp_path / "gen" / "sequence")]
+    monkeypatch.setattr(dynsc.spectral, "kmeans", spy)
+    assert main(["cluster", *params, "--smoother", "exp:0.4"]) == EXIT_OK
+    assert seen == [expected, expected]  # one k-means per matrix kind
+
+
+def test_cluster_spec_err_matches_sweep_trial0(tmp_path, capsys):
+    from dynsc.experiments import read_records_csv
+
+    out = tmp_path / "sweep"
+    assert main(["sweep", *TINY, "--lambda-grid", "0.3", "--out", str(out)]) == EXIT_OK
+    records = [r for r in read_records_csv(out / "sweep.csv") if r.trial == 0]
+    assert {r.matrix_kind for r in records} == {"adjacency", "laplacian"}
+    capsys.readouterr()
+    assert main(["cluster", *TINY, "--smoother", "exp:0.3"]) == EXIT_OK
+    kv = dict(line.split("=", 1) for line in capsys.readouterr().out.strip().splitlines())
+    for rec in records:
+        assert float(kv[f"{rec.matrix_kind}.spec_err"]) == rec.spec_err
 
 
 def test_cluster_dense_easy_regime_exact(tmp_path, capsys):

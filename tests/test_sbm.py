@@ -19,11 +19,9 @@ from dynsc import (
     degrees,
     effective_sizes,
     expected_degrees,
-    load_matrix_csv,
     load_snapshot,
     normalized_laplacian,
     sample_adjacency,
-    save_matrix_csv,
     save_snapshot,
 )
 
@@ -361,11 +359,3 @@ def test_snapshot_roundtrip(tmp_path):
     back = load_snapshot(path)
     assert back.n == 25
     assert np.array_equal(back.rows, snap.rows) and np.array_equal(back.cols, snap.cols)
-
-
-def test_matrix_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(1)
-    m = random_symmetric(7, rng)
-    path = tmp_path / "m.csv"
-    save_matrix_csv(m, path)
-    assert np.array_equal(load_matrix_csv(path), m)

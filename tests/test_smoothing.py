@@ -10,8 +10,8 @@ from dynsc import (
     DeterministicDsbmConfig,
     Exponential,
     InvalidInputError,
+    SmoothingWeights,
     Uniform,
-    exp_smooth_run,
     exp_smooth_update,
     gen_deterministic_sequence,
     sample_snapshot_sequence,
@@ -19,7 +19,6 @@ from dynsc import (
     t_min_weight_bound,
     t_min_weights,
     tuning_profile,
-    uniform_smooth,
     validate_weights,
     weighted_smooth,
     weights_of,
@@ -33,6 +32,18 @@ def _snapshots(t_len=8, n=24, seed=0):
                                   n_max=18, seed=seed)
     seq = gen_deterministic_sequence(cfg)
     return sample_snapshot_sequence(seq, MODEL, seed).snapshots
+
+
+def _uniform_smooth(snaps, r):
+    return weighted_smooth(snaps, weights_of(Uniform(r), len(snaps) - 1).betas)
+
+
+def _exp_smooth_fold(snaps, lam):
+    # the streaming estimator: fold the in-place update over the history
+    state = snaps[0].to_dense()
+    for snap in snaps[1:]:
+        exp_smooth_update(state, snap, lam)
+    return state
 
 
 def _weighted_sum_oracle(snaps, betas):
@@ -81,7 +92,7 @@ def test_weights_sum_to_one(t, param):
 
 def test_uniform_smooth_r1_is_last_snapshot():
     snaps = _snapshots()
-    assert np.array_equal(uniform_smooth(snaps, 1), snaps[-1].to_dense())
+    assert np.array_equal(_uniform_smooth(snaps, 1), snaps[-1].to_dense())
 
 
 def test_uniform_smooth_complete_plus_empty():
@@ -90,22 +101,14 @@ def test_uniform_smooth_complete_plus_empty():
     n = 6
     complete = dynsc.AdjacencySnapshot.from_dense(np.ones((n, n)) - np.eye(n))
     empty = dynsc.AdjacencySnapshot(n, np.array([], dtype=int), np.array([], dtype=int))
-    out = uniform_smooth([empty, complete], 2)
+    out = _uniform_smooth([empty, complete], 2)
     assert np.allclose(out, (np.ones((n, n)) - np.eye(n)) / 2)
 
 
 def test_uniform_smooth_matches_weighted_sum_oracle():
     snaps = _snapshots()
     w = weights_of(Uniform(4), len(snaps) - 1)
-    assert np.abs(uniform_smooth(snaps, 4) - _weighted_sum_oracle(snaps, w.betas)).max() <= 1e-12
-
-
-def test_uniform_smooth_truncation_flag():
-    snaps = _snapshots(t_len=2)
-    with pytest.raises(InvalidInputError):
-        uniform_smooth(snaps, 10)
-    out = uniform_smooth(snaps, 10, truncate=True)
-    assert np.array_equal(out, uniform_smooth(snaps, 3))
+    assert np.abs(_uniform_smooth(snaps, 4) - _weighted_sum_oracle(snaps, w.betas)).max() <= 1e-12
 
 
 def test_exp_update_lambda_one_returns_snapshot():
@@ -133,7 +136,7 @@ def test_exp_recursion_equals_weighted_sum_t6():
     # expand the recursion symbolically: beta_k = lam (1-lam)^k, beta_t = (1-lam)^t
     snaps = _snapshots(t_len=6)
     lam = 0.37
-    state = exp_smooth_run(snaps, lam)
+    state = _exp_smooth_fold(snaps, lam)
     betas = [lam * (1 - lam) ** k for k in range(6)] + [(1 - lam) ** 6]
     assert np.abs(state - _weighted_sum_oracle(snaps, betas)).max() <= 1e-12
     w = weights_of(Exponential(lam), 6)
@@ -142,7 +145,7 @@ def test_exp_recursion_equals_weighted_sum_t6():
 
 def test_smoothed_matrices_are_symmetric_unit_interval_zero_diagonal():
     snaps = _snapshots()
-    for out in (uniform_smooth(snaps, 5), exp_smooth_run(snaps, 0.3)):
+    for out in (_uniform_smooth(snaps, 5), _exp_smooth_fold(snaps, 0.3)):
         assert np.array_equal(out, out.T)
         assert out.min() >= 0.0 and out.max() <= 1.0
         assert np.all(np.diag(out) == 0)
@@ -197,7 +200,8 @@ def test_validate_reports_tightest_constants():
 
 def test_validate_custom_claim_override():
     w = weights_of(Uniform(2), 1)
-    rep = validate_weights(w, 0.1, claimed=(0.4, 1.0, 1.0))
+    claimed = SmoothingWeights(w.betas, beta_max=0.4, c_beta=1.0, c_beta_prime=1.0)
+    rep = validate_weights(claimed, 0.1)
     assert not rep.bound_ok  # max beta 0.5 > 0.4
 
 

@@ -5,6 +5,7 @@ from conftest import random_symmetric
 from dynsc import (
     CommunityLabels,
     ConnectivityModel,
+    EigenSolverError,
     InvalidInputError,
     build_probability_matrix,
     kmeans,
@@ -64,14 +65,6 @@ def test_magnitude_selection_is_optimal():
     basis = top_k_eigenpairs(m, k)
     all_sq = np.sort(np.linalg.eigvalsh(m) ** 2)[::-1]
     assert np.isclose((basis.values ** 2).sum(), all_sq[:k].sum(), rtol=1e-10)
-
-
-def test_algebraic_ordering_flag():
-    m = np.diag([-5.0, 1.0, 2.0])
-    mag = top_k_eigenpairs(m, 1, ordering="magnitude")
-    alg = top_k_eigenpairs(m, 1, ordering="algebraic")
-    assert np.isclose(mag.values[0], -5.0)
-    assert np.isclose(alg.values[0], 2.0)
 
 
 def test_iterative_path_matches_dense_oracle():
@@ -151,7 +144,7 @@ def test_kmeans_cost_monotone_descent():
     x = rng.normal(size=(200, 4))
     for ridx in range(5):
         run_rng = np.random.default_rng(ridx)
-        _, _, _, _, history = _kmeans_single(x, 5, run_rng, max_iter=300, tol=1e-9)
+        _, _, _, _, history = _kmeans_single(x, 5, run_rng)
         diffs = np.diff(np.asarray(history))
         assert (diffs <= 1e-9).all()
 
@@ -271,3 +264,50 @@ def test_spectral_norm_iterative_path():
 
 def test_spectral_norm_large_zero_matrix():
     assert spectral_norm(np.zeros((600, 600))) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# eigensolver fallback (ARPACK non-convergence)
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def arpack_fails(monkeypatch):
+    """Make every ``eigsh`` call raise ``ArpackNoConvergence``; counts the calls."""
+    import scipy.sparse.linalg
+
+    calls = []
+
+    def no_convergence(*args, **kwargs):
+        calls.append(kwargs)
+        raise scipy.sparse.linalg.ArpackNoConvergence("forced", np.array([]), np.array([]))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    return calls
+
+
+def test_fallback_matches_dense_oracle(arpack_fails):
+    rng = np.random.default_rng(13)
+    m = random_symmetric(600, rng)  # above the dense limit, within the fallback limit
+    oracle = np.abs(np.linalg.eigvalsh(m))
+    basis = top_k_eigenpairs(m, 3)
+    assert np.allclose(np.abs(basis.values), np.sort(oracle)[::-1][:3], rtol=1e-10)
+    gram = basis.vectors.T @ basis.vectors
+    assert np.abs(gram - np.eye(3)).max() <= 1e-8
+    assert np.isclose(spectral_norm(m), oracle.max(), rtol=1e-10)
+    assert len(arpack_fails) == 2  # both went through eigsh first
+
+
+def test_fallback_above_limit_raises(arpack_fails, monkeypatch):
+    import dynsc.spectral
+
+    monkeypatch.setattr(dynsc.spectral, "DENSE_FALLBACK_LIMIT", 550)
+    m = random_symmetric(600, np.random.default_rng(14))
+    with pytest.raises(EigenSolverError):
+        top_k_eigenpairs(m, 3)
+    with pytest.raises(EigenSolverError):
+        spectral_norm(m)
+
+
+def test_spectral_norm_large_zero_matrix_skips_solver(arpack_fails):
+    assert spectral_norm(np.zeros((600, 600))) == 0.0
+    assert arpack_fails == []
