@@ -57,6 +57,7 @@ from .sbm import (
     load_snapshot,
     normalized_laplacian,
     sample_adjacency,
+    sample_sbm,
     save_snapshot,
 )
 from .smoothing import (

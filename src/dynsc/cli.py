@@ -156,12 +156,10 @@ def cmd_cluster(args) -> int:
     cfg = load_config(args)
     if args.sequence is not None:
         seq, snaps, model, _manifest = dynamics.load_sequence(args.sequence)
-        seed = args.seed if args.seed is not None else 0
     else:
         seq, snaps = experiments.generate_trial_sequence(cfg, 0)
-        model, seed = cfg.model(), cfg.seed
-    matrix = args.matrix or "both"
-    kinds = ("adjacency", "laplacian") if matrix == "both" else (matrix,)
+        model = cfg.model()
+    kinds = cfg.matrix_kinds()
 
     betas = smoothing.weights_of(smoother, seq.t_len).betas
     smoothed = smoothing.weighted_smooth(snaps.snapshots, betas)
@@ -170,7 +168,7 @@ def cmd_cluster(args) -> int:
     report: dict = {"t": seq.t_len, "smoother": args.smoother}
     for kidx, kind in enumerate(kinds):
         scores, labels = experiments.evaluate_cell(smoothed, kind, refs[kind], truth, model.k,
-                                                   seed=subseed(seed, 91, kidx),
+                                                   seed=subseed(cfg.seed, 91, kidx),
                                                    restarts=cfg.restarts)
         report.update({f"{kind}.{name}": value for name, value in scores.items()})
         if args.out is not None:

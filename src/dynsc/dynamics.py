@@ -24,9 +24,8 @@ from .errors import GenerationError, InvalidInputError
 from .sbm import (
     CommunityLabels,
     ConnectivityModel,
-    build_probability_matrix,
     load_snapshot,
-    sample_adjacency,
+    sample_sbm,
     save_snapshot,
 )
 from .util import dump_kv, parse_kv, subseed
@@ -222,11 +221,8 @@ def gen_markov_sequence(cfg: MarkovDsbmConfig) -> MembershipSequence:
 def sample_snapshot_sequence(seq: MembershipSequence, model: ConnectivityModel,
                              seed: int) -> SnapshotSequence:
     """Sample one snapshot per labeling, independently given the labels."""
-    snaps = []
-    for t, theta in enumerate(seq.thetas):
-        p = build_probability_matrix(theta, model)
-        snaps.append(sample_adjacency(p, subseed(seed, _TAG_SNAPSHOT, t)))
-    return SnapshotSequence(tuple(snaps))
+    return SnapshotSequence(tuple(sample_sbm(theta, model, subseed(seed, _TAG_SNAPSHOT, t))
+                                  for t, theta in enumerate(seq.thetas)))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +289,10 @@ def load_sequence(directory):
     manifest = parse_kv((directory / _MANIFEST_NAME).read_text())
     model = _model_from_kv(manifest)
     n, t_len = int(manifest["n"]), int(manifest["t_len"])
-    labels = np.loadtxt(directory / _LABELS_NAME, delimiter=",", dtype=np.int64, ndmin=2)
+    try:
+        labels = np.loadtxt(directory / _LABELS_NAME, delimiter=",", dtype=np.int64, ndmin=2)
+    except ValueError as exc:
+        raise InvalidInputError(f"{directory / _LABELS_NAME}: {exc}") from None
     if labels.shape != (t_len + 1, n):
         raise InvalidInputError(
             f"{directory / _LABELS_NAME}: {labels.shape[0]} rows of {labels.shape[1]} labels, "

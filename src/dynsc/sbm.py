@@ -1,7 +1,8 @@
 """Static SBM primitives.
 
 Community labels, block connectivity models, connection-probability matrices,
-Bernoulli adjacency sampling, degrees, the normalized Laplacian
+Bernoulli adjacency sampling (from labels in O(n + edges), or from an arbitrary
+probability matrix), degrees, the normalized Laplacian
 ``D^{-1/2} A D^{-1/2}``, and the extremal expected-degree scales used by the
 concentration rates.
 
@@ -204,6 +205,55 @@ def sample_adjacency(p: np.ndarray, seed) -> AdjacencySnapshot:
     return AdjacencySnapshot(n, rows, cols)
 
 
+def _triu_decode(idx: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Map positions in the row-major strict upper triangle of a ``size`` square to ``(i, j)``.
+
+    Position ``idx`` is the pair ``(rows[idx], cols[idx])`` of ``rows, cols =
+    np.triu_indices(size, 1)``, found without building those O(size^2)
+    arrays. Row ``i`` starts at ``i * (2 size - 1 - i) / 2``; the float root
+    can land one row off, which the integer comparisons correct.
+    """
+    b = 2 * size - 1
+
+    def row_start(i):
+        return i * (b - i) // 2
+
+    i = np.floor((b - np.sqrt(b * b - 8.0 * idx)) / 2).astype(np.int64)
+    i -= row_start(i) > idx
+    i += row_start(i + 1) <= idx
+    return i, idx - row_start(i) + i + 1
+
+
+def sample_sbm(labels: CommunityLabels, model: ConnectivityModel, seed) -> AdjacencySnapshot:
+    """Sample ``A_ij ~ Ber(alpha * b0[label_i, label_j])`` for i < j in O(n + edges).
+
+    Same distribution as ``sample_adjacency(build_probability_matrix(labels,
+    model), seed)``, from a different random stream. For each block pair
+    ``a <= b`` it draws the edge count from a binomial over the block's node
+    pairs, then that many distinct pairs uniformly (Batagelj & Brandes, 2005).
+    Edges come back in row-major ``(row, col)`` order.
+    """
+    if labels.k != model.k:
+        raise InvalidInputError(f"labels declare k={labels.k}, model has k={model.k}")
+    n = labels.n
+    rng = np.random.default_rng(seed)
+    members = np.argsort(labels.labels, kind="stable")  # nodes grouped by community
+    sizes = labels.sizes()
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    keys = []
+    for a in range(model.k):
+        for b in range(a, model.k):
+            na, nb = int(sizes[a]), int(sizes[b])
+            pairs = na * (na - 1) // 2 if a == b else na * nb
+            m = rng.binomial(pairs, model.alpha * model.b0[a, b])
+            idx = rng.choice(pairs, m, replace=False, shuffle=False)
+            i, j = _triu_decode(idx, na) if a == b else (idx // nb, idx % nb)
+            u, v = members[starts[a] + i], members[starts[b] + j]
+            keys.append(np.minimum(u, v) * n + np.maximum(u, v))
+    keys = np.sort(np.concatenate(keys))
+    return AdjacencySnapshot(n, keys // n, keys % n)
+
+
 def degrees(m) -> np.ndarray:
     """Row sums ``d_i = sum_j M_ij`` of a symmetric matrix or snapshot."""
     if isinstance(m, AdjacencySnapshot):
@@ -354,13 +404,19 @@ def load_snapshot(path) -> AdjacencySnapshot:
     text = Path(path).read_text().splitlines()
     if not text or not text[0].startswith("n="):
         raise InvalidInputError(f"{path}: missing 'n=<n>' header")
-    n = int(text[0][2:])
+    try:
+        n = int(text[0][2:])
+    except ValueError:
+        raise InvalidInputError(f"{path}: bad header {text[0]!r}") from None
     rows, cols = [], []
-    for line in text[1:]:
-        line = line.strip()
-        if not line:
+    for lineno, line in enumerate(text[1:], start=2):
+        if not line.strip():
             continue
-        i, j = line.split()
-        rows.append(int(i))
-        cols.append(int(j))
+        try:
+            i, j = map(int, line.split())
+        except ValueError:
+            raise InvalidInputError(
+                f"{path}:{lineno}: expected two node indices, got {line!r}") from None
+        rows.append(i)
+        cols.append(j)
     return AdjacencySnapshot(n, np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))

@@ -96,8 +96,22 @@ def _snapshots_n_41(directory):
         path.write_text(path.read_text().replace("n=40\n", "n=41\n", 1))
 
 
-@pytest.mark.parametrize("corrupt", [_drop_last_label_row, _manifest_n_999, _snapshots_n_41],
-                         ids=["labels_rows", "manifest_n", "snapshot_n"])
+def _ragged_label_row(directory):
+    path = directory / "labels.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[3] = lines[3].split(",", 1)[1]  # row 3 loses its first label
+    path.write_text("".join(lines))
+
+
+def _bad_edge_line(directory):
+    path = directory / "snapshot_0002.txt"
+    path.write_text(path.read_text() + "7 x\n")
+
+
+@pytest.mark.parametrize("corrupt", [_drop_last_label_row, _manifest_n_999, _snapshots_n_41,
+                                     _ragged_label_row, _bad_edge_line],
+                         ids=["labels_rows", "manifest_n", "snapshot_n", "labels_ragged",
+                              "edge_line"])
 def test_corrupt_sequence_is_rejected(tmp_path, capsys, corrupt):
     out = tmp_path / "seq"
     assert main(["generate", *TINY, "--out", str(out)]) == EXIT_OK
@@ -135,6 +149,33 @@ def test_cluster_honours_restarts(tmp_path, monkeypatch, capsys, branch, source)
     monkeypatch.setattr(dynsc.spectral, "kmeans", spy)
     assert main(["cluster", *params, "--smoother", "exp:0.4"]) == EXIT_OK
     assert seen == [expected, expected]  # one k-means per matrix kind
+
+
+@pytest.mark.parametrize("branch", ["generated", "sequence"])
+def test_cluster_honours_config_matrix_and_seed(tmp_path, monkeypatch, capsys, branch):
+    import dynsc.spectral
+    from dynsc.util import subseed
+
+    seeds = []
+    real_kmeans = dynsc.spectral.kmeans
+
+    def spy(*args, **kwargs):
+        seeds.append(kwargs["seed"])
+        return real_kmeans(*args, **kwargs)
+
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("n=40\nk=2\ntau=0.2\nalpha_log_scale=4\nepsilon=0.05\nt_len=6\n"
+                   "seed=5\nmatrix=adjacency\n")
+    params = ["--config", str(cfg)]
+    if branch == "sequence":
+        assert main(["generate", *TINY, "--out", str(tmp_path / "gen")]) == EXIT_OK
+        params += ["--sequence", str(tmp_path / "gen" / "sequence")]
+    capsys.readouterr()
+    monkeypatch.setattr(dynsc.spectral, "kmeans", spy)
+    assert main(["cluster", *params, "--smoother", "exp:0.4"]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert "adjacency.ari=" in text and "laplacian." not in text
+    assert seeds == [subseed(5, 91, 0)]
 
 
 def test_cluster_spec_err_matches_sweep_trial0(tmp_path, capsys):

@@ -22,8 +22,10 @@ from dynsc import (
     load_snapshot,
     normalized_laplacian,
     sample_adjacency,
+    sample_sbm,
     save_snapshot,
 )
+from dynsc.sbm import _triu_decode
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +184,103 @@ def test_sampling_unbiasedness():
     off = ~np.eye(n, dtype=bool)
     assert (np.abs(freq - target)[off] <= bound[off]).all()
     assert np.all(np.diag(freq) == 0)
+
+
+# ---------------------------------------------------------------------------
+# sample_sbm
+# ---------------------------------------------------------------------------
+
+# non-planted k=3 kernel with alpha=1: block (0, 0) at p=1, block (0, 2) at p=0
+KERNEL3 = ConnectivityModel.from_kernel(
+    3, 1.0, np.array([[1.0, 0.3, 0.0], [0.3, 0.5, 0.2], [0.0, 0.2, 0.6]]))
+
+
+def _edge_keys(snap):
+    return snap.rows * snap.n + snap.cols
+
+
+def test_sample_sbm_unbiasedness():
+    # empirical edge frequency approaches P - diag(P), per entry within 4 sd
+    lab = random_labels(25, 3, np.random.default_rng(31))
+    p = build_probability_matrix(lab, KERNEL3)
+    m = 400
+    counts = np.zeros((25, 25))
+    for trial in range(m):
+        counts += sample_sbm(lab, KERNEL3, trial).to_dense()
+    freq = counts / m
+    target = p - np.diag(np.diag(p))
+    bound = 4 * np.sqrt(target * (1 - target) / m) + 1e-12
+    off = ~np.eye(25, dtype=bool)
+    assert (np.abs(freq - target)[off] <= bound[off]).all()
+    assert np.all(np.diag(freq) == 0)
+
+
+def test_sample_sbm_block_edge_counts_binomial_oracle():
+    # oracle: edges between blocks a <= b ~ Binomial(pairs, alpha * b0[a, b]), within 4 sd
+    lab = random_labels(300, 3, np.random.default_rng(32))
+    snap = sample_sbm(lab, KERNEL3, 33)
+    sizes = lab.sizes()
+    ba, bb = lab.labels[snap.rows], lab.labels[snap.cols]
+    for a in range(3):
+        for b in range(a, 3):
+            pairs = sizes[a] * (sizes[a] - 1) // 2 if a == b else sizes[a] * sizes[b]
+            p = KERNEL3.alpha * KERNEL3.b0[a, b]
+            got = np.count_nonzero((np.minimum(ba, bb) == a) & (np.maximum(ba, bb) == b))
+            assert abs(got - pairs * p) <= 4 * np.sqrt(pairs * p * (1 - p)), (a, b)
+
+
+@pytest.mark.parametrize("size", range(61))
+def test_triu_decode_matches_triu_indices(size):
+    rows, cols = np.triu_indices(size, 1)
+    i, j = _triu_decode(np.arange(rows.size, dtype=np.int64), size)
+    assert np.array_equal(i, rows) and np.array_equal(j, cols)
+
+
+@pytest.mark.parametrize("labels,k", [
+    ([0, 1, 0, 1, 1, 0, 1], 3),   # community 2 is empty
+    ([0, 2, 1, 0, 1, 1, 0], 3),   # community 2 is a singleton
+    ([0] * 7, 1),
+], ids=["empty", "singleton", "k1"])
+def test_sample_sbm_zero_one_kernel_is_exact(labels, k):
+    # with 0/1 probabilities the graph is determined: the strict upper triangle of P
+    b0 = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0]])[:k, :k]
+    model = ConnectivityModel.from_kernel(k, 1.0, b0)
+    lab = CommunityLabels(labels, k)
+    snap = sample_sbm(lab, model, 0)
+    rows, cols = np.nonzero(np.triu(build_probability_matrix(lab, model), k=1))
+    assert np.array_equal(snap.rows, rows) and np.array_equal(snap.cols, cols)
+
+
+def test_sample_sbm_determinism_and_order():
+    lab = random_labels(80, 3, np.random.default_rng(34))
+    model = ConnectivityModel.planted_partition(3, 0.3, 0.4)
+    a, b = sample_sbm(lab, model, 7), sample_sbm(lab, model, 7)
+    assert np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols)
+    assert a.edge_count > 0 and (a.rows < a.cols).all()
+    assert (np.diff(_edge_keys(a)) > 0).all()  # row-major, as np.nonzero returns them
+    assert not np.array_equal(_edge_keys(a), _edge_keys(sample_sbm(lab, model, 8)))
+
+
+def test_sample_sbm_label_mismatch():
+    with pytest.raises(InvalidInputError):
+        sample_sbm(CommunityLabels([0, 1], 2), KERNEL3, 0)
+
+
+def test_sample_sbm_memory_is_linear_in_edges():
+    # a dense n^2 path would need > 3 GB here (n^2 float64 uniforms alone are 3.2 GB)
+    import tracemalloc
+
+    n = 20000
+    lab = CommunityLabels(np.arange(n) % 2, 2)
+    model = ConnectivityModel.planted_partition(2, 8.0 / n, 0.1)
+    tracemalloc.start()
+    try:
+        snap = sample_sbm(lab, model, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < snap.edge_count < 4 * n
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -359,3 +458,11 @@ def test_snapshot_roundtrip(tmp_path):
     back = load_snapshot(path)
     assert back.n == 25
     assert np.array_equal(back.rows, snap.rows) and np.array_equal(back.cols, snap.cols)
+
+
+def test_load_snapshot_rejects_malformed_edge_line(tmp_path):
+    path = tmp_path / "snap.txt"
+    for bad in ("0 1 2", "0", "0 x"):
+        path.write_text(f"n=4\n0 1\n{bad}\n")
+        with pytest.raises(InvalidInputError):
+            load_snapshot(path)

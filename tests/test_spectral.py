@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import dynsc.spectral
+
 from conftest import random_symmetric
 from dynsc import (
     CommunityLabels,
@@ -11,6 +13,7 @@ from dynsc import (
     kmeans,
     misclassification_error,
     normalized_laplacian,
+    sample_sbm,
     spectral_cluster,
     spectral_norm,
     top_k_eigenpairs,
@@ -267,6 +270,54 @@ def test_spectral_norm_large_zero_matrix():
 
 
 # ---------------------------------------------------------------------------
+# Lanczos operator: CSR below the density threshold, dense gemv above it
+# ---------------------------------------------------------------------------
+
+def _sparse_sbm_adjacency(n=600, seed=41):
+    """0/1 adjacency of a k=3 planted partition, about 3% nonzero, with a clear top-3 gap."""
+    truth = CommunityLabels(np.arange(n) % 3, 3)
+    model = ConnectivityModel.planted_partition(3, 0.08, 0.1)
+    return sample_sbm(truth, model, seed).to_dense()
+
+
+@pytest.fixture
+def eigsh_operators(monkeypatch):
+    """Record the operator type each ``eigsh`` call receives."""
+    import scipy.sparse.linalg
+
+    real = scipy.sparse.linalg.eigsh
+    seen = []
+
+    def spy(op, *args, **kwargs):
+        seen.append("csr" if scipy.sparse.issparse(op) else "dense")
+        return real(op, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+    return seen
+
+
+def test_csr_operator_matches_dense_oracle(eigsh_operators):
+    m = _sparse_sbm_adjacency()
+    assert np.count_nonzero(m) <= dynsc.spectral.SPARSE_OPERATOR_SHARE * m.size
+    values, vectors = np.linalg.eigh(m)
+    top = np.argsort(-np.abs(values))[:3]
+    basis = top_k_eigenpairs(m, 3)
+    assert np.allclose(basis.values, values[top], rtol=1e-10)
+    proj_dist = np.linalg.norm(basis.vectors @ basis.vectors.T
+                               - vectors[:, top] @ vectors[:, top].T, 2)
+    assert proj_dist <= 1e-8
+    assert np.isclose(spectral_norm(m), np.abs(values).max(), rtol=1e-6)
+    assert eigsh_operators == ["csr", "csr"]
+
+
+def test_dense_matrix_keeps_dense_operator(eigsh_operators):
+    m = random_symmetric(600, np.random.default_rng(42))
+    spectral_norm(m)
+    spectral_norm(m - _sparse_sbm_adjacency())
+    assert eigsh_operators == ["dense", "dense"]
+
+
+# ---------------------------------------------------------------------------
 # eigensolver fallback (ARPACK non-convergence)
 # ---------------------------------------------------------------------------
 
@@ -285,16 +336,25 @@ def arpack_fails(monkeypatch):
     return calls
 
 
-def test_fallback_matches_dense_oracle(arpack_fails):
-    rng = np.random.default_rng(13)
-    m = random_symmetric(600, rng)  # above the dense limit, within the fallback limit
+def _check_fallback_matches_dense_oracle(m, calls):
     oracle = np.abs(np.linalg.eigvalsh(m))
     basis = top_k_eigenpairs(m, 3)
     assert np.allclose(np.abs(basis.values), np.sort(oracle)[::-1][:3], rtol=1e-10)
     gram = basis.vectors.T @ basis.vectors
     assert np.abs(gram - np.eye(3)).max() <= 1e-8
     assert np.isclose(spectral_norm(m), oracle.max(), rtol=1e-10)
-    assert len(arpack_fails) == 2  # both went through eigsh first
+    assert len(calls) == 2  # both went through eigsh first
+
+
+def test_fallback_matches_dense_oracle(arpack_fails):
+    rng = np.random.default_rng(13)
+    m = random_symmetric(600, rng)  # above the dense limit, within the fallback limit
+    _check_fallback_matches_dense_oracle(m, arpack_fails)
+
+
+def test_fallback_matches_dense_oracle_sparse_input(arpack_fails):
+    # the CSR operator fails too; the fallback decomposes the original dense array
+    _check_fallback_matches_dense_oracle(_sparse_sbm_adjacency(), arpack_fails)
 
 
 def test_fallback_above_limit_raises(arpack_fails, monkeypatch):
