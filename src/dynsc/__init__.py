@@ -35,6 +35,7 @@ from .errors import (
     EigenSolverError,
     GenerationError,
     InvalidInputError,
+    MemoryBudgetError,
     ZeroDegreeError,
 )
 from .experiments import ExperimentConfig, RunRecord, run_sweep, summarize

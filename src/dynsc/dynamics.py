@@ -120,13 +120,6 @@ class MembershipSequence:
     def t_len(self) -> int:
         return len(self.thetas) - 1
 
-    def changed_counts(self) -> np.ndarray:
-        """Hamming distance between consecutive labelings, one entry per step."""
-        return np.array([
-            int(np.count_nonzero(a.labels != b.labels))
-            for a, b in zip(self.thetas, self.thetas[1:])
-        ])
-
 
 @dataclass(frozen=True)
 class SnapshotSequence:

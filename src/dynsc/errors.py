@@ -19,3 +19,7 @@ class GenerationError(DynscError, RuntimeError):
 
 class EigenSolverError(DynscError, RuntimeError):
     """The iterative eigensolver failed to converge and no dense fallback applies."""
+
+
+class MemoryBudgetError(DynscError, MemoryError):
+    """A dense n-by-n computation would need more memory than the machine has available."""

@@ -33,17 +33,16 @@ from .dynamics import (
     gen_markov_sequence,
     sample_snapshot_sequence,
 )
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ZeroDegreeError
 from .metrics import adjusted_rand_index, misclassification_error
 from .sbm import (
     CommunityLabels,
     ConnectivityModel,
-    build_probability_matrix,
     effective_sizes,
     normalized_laplacian,
 )
 from .smoothing import Exponential, Uniform, weights_of, weighted_smooth
-from .spectral import spectral_cluster, spectral_norm
+from .spectral import eigen_operand, spectral_cluster, spectral_norm
 from .util import subseed
 
 CSV_SCHEMA_VERSION = "dynsc-sweep-csv v1"
@@ -201,29 +200,45 @@ def generate_trial_sequence(cfg: ExperimentConfig, trial: int):
 
 
 def reference_matrices(truth: CommunityLabels, model: ConnectivityModel,
-                       kinds) -> dict[str, np.ndarray]:
-    """What each matrix kind is measured against: ``P_t``, and ``L(P_t)`` for the Laplacian."""
-    p_last = build_probability_matrix(truth, model)
-    refs = {"adjacency": p_last}
+                       kinds) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """What each matrix kind is measured against, as rank-K factors ``(U, C)`` of ``U C Uᵀ``.
+
+    With ``Z`` the one-hot labels and ``C = alpha * b0``, the adjacency
+    reference ``P_t = Z C Zᵀ`` has ``U = Z``, and the Laplacian reference
+    ``L(P_t)`` has ``U = D^{-1/2} Z`` with ``d`` the row sums of ``P_t``,
+    diagonal included. ``P_t`` itself is never built.
+    """
+    if truth.k != model.k:
+        raise InvalidInputError(f"labels declare k={truth.k}, model has k={model.k}")
+    z = truth.one_hot()
+    c = model.alpha * model.b0
+    refs = {"adjacency": (z, c)}
     if "laplacian" in kinds:
-        refs["laplacian"] = normalized_laplacian(p_last)
+        d = (c @ truth.sizes())[truth.labels]
+        if np.any(d <= 0.0):
+            raise ZeroDegreeError("expected probability matrix has a non-positive row sum")
+        refs["laplacian"] = (z * (1.0 / np.sqrt(d))[:, None], c)
     return refs
 
 
-def evaluate_cell(smoothed: np.ndarray, kind: str, ref: np.ndarray, truth: CommunityLabels,
-                  k: int, *, seed: int, restarts: int) -> tuple[dict, CommunityLabels]:
+def evaluate_cell(smoothed: np.ndarray, kind: str, ref: tuple[np.ndarray, np.ndarray],
+                  truth: CommunityLabels, k: int, *, seed: int,
+                  restarts: int) -> tuple[dict, CommunityLabels]:
     """Evaluate one smoothed matrix as ``kind`` against the final labelling ``truth``.
 
     The adjacency kind uses ``smoothed`` itself; the Laplacian kind uses
     ``L(smoothed)`` with isolated nodes zeroed. ``ref`` is the matching entry
-    of :func:`reference_matrices`. Returns the scores, keyed by their
-    :class:`RunRecord` field names, and the predicted labels.
+    of :func:`reference_matrices`. The target is converted to the
+    eigensolver's operand once and shared by the spectral error and the
+    clustering. Returns the scores, keyed by their :class:`RunRecord` field
+    names, and the predicted labels.
     """
     if kind == "adjacency":
         target = smoothed
     else:
         target = normalized_laplacian(smoothed, zero_degree="zero-row")
-    spec_err = spectral_norm(target - ref)
+    target = eigen_operand(target)
+    spec_err = spectral_norm(target, minus=ref)
     result = spectral_cluster(target, k, restarts=restarts, seed=seed)
     scores = {
         "spec_err": spec_err,

@@ -65,13 +65,6 @@ class CommunityLabels:
         out[np.arange(self.n), self.labels] = 1.0
         return out
 
-    def relabeled(self, perm: np.ndarray) -> "CommunityLabels":
-        """Apply a community permutation: new label of node i is ``perm[labels[i]]``."""
-        perm = np.asarray(perm, dtype=np.int64)
-        if sorted(perm.tolist()) != list(range(self.k)):
-            raise InvalidInputError("perm must be a permutation of range(k)")
-        return CommunityLabels(perm[self.labels], self.k)
-
 
 @dataclass(frozen=True)
 class ConnectivityModel:

@@ -17,10 +17,15 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, MemoryBudgetError
 from .sbm import AdjacencySnapshot
+from .util import available_memory
 
 WEIGHT_SUM_TOL = 1e-12
+# n x n float64 arrays the sweep and cluster paths hold at their peak: the
+# smoothed matrix, and the scale matrix and result of its Laplacian, with room
+# for the boolean temporaries of the symmetry checks
+DENSE_WORKSPACE_MATRICES = 4
 
 
 @dataclass(frozen=True)
@@ -100,11 +105,28 @@ def weights_of(kind: SmootherKind, t: int) -> SmoothingWeights:
     raise InvalidInputError(f"unknown smoother kind {kind!r}")
 
 
+def _check_dense_fits(n: int) -> None:
+    """Raise :class:`MemoryBudgetError` when the dense workspace for size ``n`` exceeds free memory.
+
+    Skipped when free memory cannot be read.
+    """
+    need = DENSE_WORKSPACE_MATRICES * 8 * n * n
+    free = available_memory()
+    if free is not None and need > free:
+        raise MemoryBudgetError(
+            f"n={n} needs about {need / 2**30:.1f} GiB for {DENSE_WORKSPACE_MATRICES} dense "
+            f"n x n float64 matrices but {free / 2**30:.1f} GiB is available; smoothing is "
+            "dense, and only sampling (sbm.sample_sbm) and the eigensolver's CSR operator "
+            "take the sparse path so far, so reduce n")
+
+
 def weighted_smooth(snapshots: Sequence[AdjacencySnapshot], betas: np.ndarray) -> np.ndarray:
     """General weighted sum ``sum_k betas[k] * A_{t-k}`` over the given history.
 
     ``snapshots`` is ordered by time (oldest first); ``betas[k]`` weights the
-    snapshot ``k`` steps before the last one.
+    snapshot ``k`` steps before the last one. Before allocating, the dense
+    workspace of the evaluation path is checked against free memory, and
+    :class:`MemoryBudgetError` is raised if it does not fit.
     """
     snaps = list(snapshots)
     if not snaps:
@@ -118,6 +140,7 @@ def weighted_smooth(snapshots: Sequence[AdjacencySnapshot], betas: np.ndarray) -
     betas = np.asarray(betas, dtype=float)
     if betas.size > len(snaps):
         raise InvalidInputError(f"{betas.size} weights but only {len(snaps)} snapshots")
+    _check_dense_fits(n)
     upper = np.zeros((n, n))
     for k, beta in enumerate(betas):
         if beta == 0.0:

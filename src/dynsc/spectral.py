@@ -87,42 +87,103 @@ def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _leading_eigs(m: np.ndarray, k: int, vectors: bool, tol: float = 0.0):
-    """Eigenvalues (and eigenvectors if ``vectors``) of symmetric ``m``, for magnitude selection.
+def _as_symmetric(m):
+    """``m`` as a float ndarray or CSR array, checked square, finite and exactly symmetric.
 
-    Matrices up to ``DENSE_EIGEN_LIMIT``, or with ``k > n - 2``, are
-    decomposed densely and all ``n`` pairs are returned. Larger ones use a
-    Lanczos solver for the ``k`` pairs of largest magnitude, with a fixed
-    starting vector and relative tolerance ``tol`` (0: machine precision),
-    multiplying by a CSR copy of ``m`` when at most ``SPARSE_OPERATOR_SHARE``
-    of its entries are nonzero, and falling back to the dense path (up to
+    A ``scipy.sparse`` input is checked in O(nnz) and never densified.
+    """
+    if not scipy.sparse.issparse(m):
+        return check_symmetric(np.asarray(m, dtype=float))
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InvalidInputError(f"matrix must be square, got shape {m.shape}")
+    m = scipy.sparse.csr_array(m, dtype=float)
+    if not np.isfinite(m.data).all():
+        raise InvalidInputError("matrix contains non-finite entries")
+    if (m != m.T).nnz:
+        raise InvalidInputError("matrix is not symmetric")
+    return m
+
+
+def _as_low_rank(minus, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Factors ``(U, C)`` of ``U C Uᵀ``: ``U`` finite n-by-r, ``C`` symmetric r-by-r."""
+    u, c = minus
+    u = np.asarray(u, dtype=float)
+    c = check_symmetric(np.asarray(c, dtype=float), "C")
+    if u.shape != (n, c.shape[0]):
+        raise InvalidInputError(f"U must be {n}x{c.shape[0]}, got shape {u.shape}")
+    if not np.isfinite(u).all():
+        raise InvalidInputError("U contains non-finite entries")
+    return u, c
+
+
+def eigen_operand(m: np.ndarray):
+    """What the Lanczos path multiplies by: a CSR copy of sparse enough ``m``, else ``m``.
+
+    The copy is made only above ``DENSE_EIGEN_LIMIT``, where the Lanczos
+    path runs, and when at most ``SPARSE_OPERATOR_SHARE`` of the entries
+    are nonzero. A caller that solves several times on one matrix converts
+    it once and passes the result.
+    """
+    n = m.shape[0]
+    if n > DENSE_EIGEN_LIMIT and np.count_nonzero(m) <= SPARSE_OPERATOR_SHARE * n * n:
+        return scipy.sparse.csr_array(m)
+    return m
+
+
+def _leading_eigs(m, k: int, vectors: bool, tol: float = 0.0, minus=None):
+    """Eigenvalues (and eigenvectors if ``vectors``) of ``m - U C Uᵀ``, for magnitude selection.
+
+    ``m`` is a checked symmetric ndarray or CSR array and ``minus`` the
+    checked factors ``(U, C)``, or None for ``m`` alone. Matrices up to
+    ``DENSE_EIGEN_LIMIT``, or with ``k > n - 2``, are decomposed densely and
+    all ``n`` pairs are returned. Larger ones use a Lanczos solver for the
+    ``k`` pairs of largest magnitude, with a fixed starting vector and
+    relative tolerance ``tol`` (0: machine precision), multiplying by
+    :func:`eigen_operand` of an ndarray ``m`` and applying ``U C Uᵀ`` in
+    factored form, and falling back to the dense path (up to
     ``DENSE_FALLBACK_LIMIT``) on non-convergence. Returns ``eigh``'s
     ``(values, vectors)`` or ``eigvalsh``'s ``values``.
     """
     n = m.shape[0]
-    dense = np.linalg.eigh if vectors else np.linalg.eigvalsh
+
+    def dense():
+        full = m.toarray() if scipy.sparse.issparse(m) else m
+        if minus is not None:
+            u, c = minus
+            # eigh reads one triangle, so the last-bit asymmetry of the product is harmless
+            full = full - (u @ c) @ u.T
+        return (np.linalg.eigh if vectors else np.linalg.eigvalsh)(full)
+
     if n <= DENSE_EIGEN_LIMIT or k > n - 2:
-        return dense(m)
+        return dense()
     v0 = np.random.default_rng(_V0_SEED).standard_normal(n)
-    sparse = np.count_nonzero(m) <= SPARSE_OPERATOR_SHARE * n * n
-    op = scipy.sparse.csr_array(m) if sparse else m
+    op = eigen_operand(m) if isinstance(m, np.ndarray) else m
+    if minus is not None:
+        u, c = minus
+        base = op
+
+        def apply(x):
+            return base @ x - u @ (c @ (u.T @ x))
+
+        op = scipy.sparse.linalg.LinearOperator((n, n), matvec=apply, matmat=apply,
+                                                dtype=float)
     try:
         return scipy.sparse.linalg.eigsh(op, k=k, which="LM", v0=v0, tol=tol,
                                          return_eigenvectors=vectors)
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         if n <= DENSE_FALLBACK_LIMIT:
-            return dense(m)
+            return dense()
         raise EigenSolverError(
             f"eigensolver did not converge ({len(exc.eigenvalues)} of {k} pairs)") from exc
 
 
-def top_k_eigenpairs(m: np.ndarray, k: int) -> EigenBasis:
-    """The ``k`` eigenpairs of largest magnitude of a symmetric matrix.
+def top_k_eigenpairs(m, k: int) -> EigenBasis:
+    """The ``k`` eigenpairs of largest magnitude of a symmetric ndarray or ``scipy.sparse`` matrix.
 
     Deterministic up to sign, with signs canonicalized. ``k + 1`` pairs are
     computed so the gap to the first discarded eigenvalue can be reported.
     """
-    m = check_symmetric(np.asarray(m, dtype=float))
+    m = _as_symmetric(m)
     n = m.shape[0]
     if not 1 <= k <= n:
         raise InvalidInputError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -228,7 +289,7 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 20, seed: int = 0) -> KMe
                         restarts_used=used, degenerate=degenerate)
 
 
-def spectral_cluster(m: np.ndarray, k: int, *, restarts: int = 20,
+def spectral_cluster(m, k: int, *, restarts: int = 20,
                      seed: int = 0) -> SpectralClusteringResult:
     """Cluster the rows of the k leading eigenvectors of ``m``.
 
@@ -240,13 +301,20 @@ def spectral_cluster(m: np.ndarray, k: int, *, restarts: int = 20,
     return SpectralClusteringResult(labels=labels, kmeans=km, eigen=basis)
 
 
-def spectral_norm(m: np.ndarray, tol: float = 1e-6) -> float:
-    """Operator 2-norm (largest absolute eigenvalue) of a symmetric matrix.
+def spectral_norm(m, tol: float = 1e-6, minus=None) -> float:
+    """Operator 2-norm (largest absolute eigenvalue) of ``m``, or of ``m - U C Uᵀ``.
 
-    Large matrices use a Lanczos iteration at relative tolerance ``tol``;
-    see :func:`_leading_eigs` for the dense and fallback paths.
+    ``m`` is a symmetric ndarray or ``scipy.sparse`` matrix; ``minus``, when
+    given, is the pair ``(U, C)`` of a low-rank term, ``U`` n-by-r and ``C``
+    symmetric r-by-r, which large matrices apply in factored form without
+    building ``U C Uᵀ``. Large matrices use a Lanczos iteration at relative
+    tolerance ``tol``; see :func:`_leading_eigs` for the dense and fallback
+    paths.
     """
-    m = check_symmetric(np.asarray(m, dtype=float))
-    if not m.any():
+    m = _as_symmetric(m)
+    if minus is not None:
+        minus = _as_low_rank(minus, m.shape[0])
+    nonzero = m.count_nonzero() if scipy.sparse.issparse(m) else np.count_nonzero(m)
+    if not nonzero and (minus is None or not (minus[0].any() and minus[1].any())):
         return 0.0
-    return float(np.abs(_leading_eigs(m, 1, vectors=False, tol=tol)).max())
+    return float(np.abs(_leading_eigs(m, 1, vectors=False, tol=tol, minus=minus)).max())

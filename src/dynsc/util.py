@@ -1,4 +1,4 @@
-"""Small shared helpers: seed derivation and the flat key=value text format."""
+"""Small shared helpers: seed derivation, the flat key=value text format, free memory."""
 
 from __future__ import annotations
 
@@ -43,3 +43,15 @@ def parse_kv(text: str) -> dict[str, str]:
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out
+
+
+def available_memory() -> int | None:
+    """``MemAvailable`` from ``/proc/meminfo`` in bytes, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024  # the value is in kB
+    except (OSError, ValueError, IndexError):
+        return None
+    return None

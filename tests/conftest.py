@@ -44,3 +44,14 @@ def enumerate_effective_sizes(b0: np.ndarray, n: int, n_min: int, n_max: int):
 
 def random_labels(n: int, k: int, rng: np.random.Generator) -> CommunityLabels:
     return CommunityLabels(rng.integers(0, k, size=n), k)
+
+
+def relabeled(labels: CommunityLabels, perm) -> CommunityLabels:
+    """Apply a community permutation: the new label of node i is ``perm[labels[i]]``."""
+    return CommunityLabels(np.asarray(perm)[labels.labels], labels.k)
+
+
+def changed_counts(seq) -> np.ndarray:
+    """Hamming distance between consecutive labelings of a membership sequence, one per step."""
+    return np.array([int(np.count_nonzero(a.labels != b.labels))
+                     for a, b in zip(seq.thetas, seq.thetas[1:])])

@@ -203,6 +203,16 @@ def test_cluster_dense_easy_regime_exact(tmp_path, capsys):
     assert float(kv["adjacency.ari"]) == 1.0
 
 
+@pytest.mark.parametrize("command", ["cluster", "sweep"])
+def test_memory_guard_exits_with_usage_code(tmp_path, capsys, monkeypatch, command):
+    import dynsc.smoothing
+
+    monkeypatch.setattr(dynsc.smoothing, "available_memory", lambda: 1024)
+    args = ["--smoother", "exp:0.3"] if command == "cluster" else ["--out", str(tmp_path)]
+    assert main([command, *TINY, *args]) == EXIT_USAGE
+    assert "sparse" in capsys.readouterr().err
+
+
 def test_cluster_writes_labels(tmp_path, capsys):
     out = tmp_path / "labels"
     code = main(["cluster", *TINY, "--smoother", "unif:3", "--matrix", "adjacency",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import changed_counts
 from dynsc import (
     ConnectivityModel,
     DeterministicDsbmConfig,
@@ -37,7 +38,7 @@ def test_deterministic_exact_hamming_and_bounds():
     cfg = DeterministicDsbmConfig(n=10, model=MODEL2, t_len=40, s=1, n_min=3, n_max=7,
                                   seed=3)
     seq = gen_deterministic_sequence(cfg)
-    assert (seq.changed_counts() == 1).all()
+    assert (changed_counts(seq) == 1).all()
     for th in seq.thetas:
         sizes = th.sizes()
         assert sizes.min() >= 3 and sizes.max() <= 7
@@ -48,7 +49,7 @@ def test_deterministic_epsilon_parameterization():
                                                epsilon=0.1, n_min=30, n_max=70, seed=1)
     assert cfg.s == 10
     seq = gen_deterministic_sequence(cfg)
-    assert (seq.changed_counts() == 10).all()
+    assert (changed_counts(seq) == 10).all()
 
 
 def test_deterministic_cumulative_change_bound():
@@ -117,7 +118,7 @@ def test_markov_switch_fraction_binomial_oracle():
     cfg = MarkovDsbmConfig(n=n, model=MODEL3, t_len=50, epsilon=eps, seed=8)
     seq = gen_markov_sequence(cfg)
     bound = 4 * np.sqrt(eps * (1 - eps) / n)
-    fractions = seq.changed_counts() / n
+    fractions = changed_counts(seq) / n
     assert (np.abs(fractions - eps) <= bound).all()
 
 

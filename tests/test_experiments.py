@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
-from dynsc import ExperimentConfig, InvalidInputError, run_sweep, summarize
+import dynsc
+from conftest import random_labels
+from dynsc import ExperimentConfig, Exponential, InvalidInputError, run_sweep, summarize, weights_of
 from dynsc.experiments import (
+    generate_trial_sequence,
     median_by_grid,
     plot_data_by_grid,
     read_records_csv,
     records_to_csv,
+    reference_matrices,
     write_records_csv,
 )
+from dynsc.spectral import eigen_operand
 
 SMALL = ExperimentConfig(n=60, k=2, tau=0.2, alpha_log_scale=4.0, epsilon=0.05,
                          t_len=10, trials=3, seed=123, lambda_grid=(0.3, 1.0),
@@ -171,3 +176,55 @@ def test_record_recomputable_from_sequence_and_seed(small_records):
     result = dynsc.spectral_cluster(lap, SMALL.k, restarts=SMALL.restarts, seed=rec.seed)
     assert dynsc.adjusted_rand_index(result.labels, truth) == rec.ari
     assert dynsc.misclassification_error(result.labels, truth).e_value == rec.e_value
+
+
+# ---------------------------------------------------------------------------
+# reference factors: P_t and L(P_t) as U C U^T, never built on the sweep path
+# ---------------------------------------------------------------------------
+
+KERNEL3 = dynsc.ConnectivityModel.from_kernel(
+    3, 0.3, np.array([[1.0, 0.2, 0.05], [0.2, 0.7, 0.4], [0.05, 0.4, 0.9]]))
+
+
+def _factor_product(u, c):
+    return u @ c @ u.T
+
+
+def test_adjacency_factors_rebuild_probability_matrix_exactly():
+    truth = random_labels(70, 3, np.random.default_rng(15))
+    u, c = reference_matrices(truth, KERNEL3, ("adjacency",))["adjacency"]
+    assert u.shape == (70, 3)
+    assert np.array_equal(_factor_product(u, c), dynsc.build_probability_matrix(truth, KERNEL3))
+
+
+def test_laplacian_factors_match_laplacian_of_probability_matrix():
+    truth = random_labels(70, 3, np.random.default_rng(16))
+    refs = reference_matrices(truth, KERNEL3, ("adjacency", "laplacian"))
+    lap_p = dynsc.normalized_laplacian(dynsc.build_probability_matrix(truth, KERNEL3))
+    assert np.allclose(_factor_product(*refs["laplacian"]), lap_p, rtol=1e-12, atol=0.0)
+
+
+def test_laplacian_factors_reject_zero_degree():
+    b0 = np.array([[1.0, 0.0], [0.0, 0.0]])  # community 1 has no possible edges
+    model = dynsc.ConnectivityModel.from_kernel(2, 0.5, b0)
+    truth = dynsc.CommunityLabels([0, 0, 1, 1], 2)
+    reference_matrices(truth, model, ("adjacency",))  # no degrees needed
+    with pytest.raises(dynsc.ZeroDegreeError):
+        reference_matrices(truth, model, ("adjacency", "laplacian"))
+
+
+@pytest.mark.parametrize("n,rtol", [(400, 1e-12), (600, 1e-6)])
+def test_spec_err_against_factors_matches_dense_difference(n, rtol):
+    cfg = ExperimentConfig(n=n, k=2, tau=0.1, alpha_log_scale=None, alpha_inv_scale=8.0,
+                           epsilon=0.02, t_len=6, n_min=int(0.4 * n), n_max=int(0.6 * n),
+                           lambda_grid=(0.3,), seed=5)
+    seq, snaps = generate_trial_sequence(cfg, 0)
+    truth = seq.thetas[-1]
+    smoothed = dynsc.weighted_smooth(snaps.snapshots, weights_of(Exponential(0.3), 6).betas)
+    refs = reference_matrices(truth, cfg.model(), ("adjacency", "laplacian"))
+    p = dynsc.build_probability_matrix(truth, cfg.model())
+    lap = dynsc.normalized_laplacian(smoothed, zero_degree="zero-row")
+    pairs = {"adjacency": (smoothed, p), "laplacian": (lap, dynsc.normalized_laplacian(p))}
+    for kind, (target, ref) in pairs.items():
+        got = dynsc.spectral_norm(eigen_operand(target), minus=refs[kind])
+        assert np.isclose(got, dynsc.spectral_norm(target - ref), rtol=rtol, atol=0.0), kind

@@ -10,6 +10,7 @@ from dynsc import (
     DeterministicDsbmConfig,
     Exponential,
     InvalidInputError,
+    MemoryBudgetError,
     SmoothingWeights,
     Uniform,
     exp_smooth_update,
@@ -109,6 +110,28 @@ def test_uniform_smooth_matches_weighted_sum_oracle():
     snaps = _snapshots()
     w = weights_of(Uniform(4), len(snaps) - 1)
     assert np.abs(_uniform_smooth(snaps, 4) - _weighted_sum_oracle(snaps, w.betas)).max() <= 1e-12
+
+
+def test_weighted_smooth_memory_guard(monkeypatch):
+    import dynsc.smoothing
+
+    snaps = _snapshots()
+    n = snaps[0].n
+    need = dynsc.smoothing.DENSE_WORKSPACE_MATRICES * 8 * n * n
+    monkeypatch.setattr(dynsc.smoothing, "available_memory", lambda: need - 1)
+    with pytest.raises(MemoryBudgetError, match="sparse"):
+        weighted_smooth(snaps, [1.0])
+    monkeypatch.setattr(dynsc.smoothing, "available_memory", lambda: need)
+    assert weighted_smooth(snaps, [1.0]).shape == (n, n)
+    monkeypatch.setattr(dynsc.smoothing, "available_memory", lambda: None)  # unreadable
+    assert weighted_smooth(snaps, [1.0]).shape == (n, n)
+
+
+def test_available_memory_reads_a_positive_byte_count():
+    from dynsc.util import available_memory
+
+    free = available_memory()
+    assert free is None or (isinstance(free, int) and free > 0)
 
 
 def test_exp_update_lambda_one_returns_snapshot():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 import dynsc.spectral
 
@@ -289,7 +290,10 @@ def eigsh_operators(monkeypatch):
     seen = []
 
     def spy(op, *args, **kwargs):
-        seen.append("csr" if scipy.sparse.issparse(op) else "dense")
+        if scipy.sparse.issparse(op):
+            seen.append("csr")
+        else:
+            seen.append("dense" if isinstance(op, np.ndarray) else "operator")
         return real(op, *args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
@@ -315,6 +319,96 @@ def test_dense_matrix_keeps_dense_operator(eigsh_operators):
     spectral_norm(m)
     spectral_norm(m - _sparse_sbm_adjacency())
     assert eigsh_operators == ["dense", "dense"]
+
+
+def _low_rank(n, r=3, seed=43):
+    """Factors ``(U, C)`` of a symmetric rank-``r`` term of norm comparable to the matrices here."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((n, r)) / np.sqrt(n)
+    c = random_symmetric(r, rng) * 5.0
+    return u, c
+
+
+@pytest.mark.parametrize("n", [300, 600])  # dense path, Lanczos path
+def test_csr_input_matches_dense_oracle(n):
+    m = _sparse_sbm_adjacency(n)
+    values, vectors = np.linalg.eigh(m)
+    top = np.argsort(-np.abs(values))[:3]
+    basis = top_k_eigenpairs(scipy.sparse.csr_array(m), 3)
+    assert np.allclose(basis.values, values[top], rtol=1e-10)
+    proj_dist = np.linalg.norm(basis.vectors @ basis.vectors.T
+                               - vectors[:, top] @ vectors[:, top].T, 2)
+    assert proj_dist <= 1e-8
+    assert np.isclose(spectral_norm(scipy.sparse.csr_array(m)), np.abs(values).max(),
+                      rtol=1e-6)
+
+
+@pytest.mark.parametrize("n,rtol", [(300, 1e-12), (600, 1e-6)])
+@pytest.mark.parametrize("form", ["dense", "csr"])
+def test_spectral_norm_minus_low_rank_matches_dense_difference(n, rtol, form):
+    m = _sparse_sbm_adjacency(n)
+    u, c = _low_rank(n)
+    product = u @ c @ u.T
+    oracle = spectral_norm(m - (np.tril(product) + np.tril(product, -1).T))
+    operand = scipy.sparse.csr_array(m) if form == "csr" else m
+    assert np.isclose(spectral_norm(operand, minus=(u, c)), oracle, rtol=rtol, atol=0.0)
+
+
+def test_spectral_norm_minus_applies_factors_without_product(eigsh_operators):
+    n = 600
+    m = _sparse_sbm_adjacency(n)
+    spectral_norm(m, minus=_low_rank(n))
+    assert eigsh_operators == ["operator"]  # U C Uᵀ applied in factored form
+
+
+def test_spectral_norm_zero_matrix_minus_low_rank():
+    u, c = _low_rank(40)
+    oracle = np.abs(np.linalg.eigvalsh(u @ c @ u.T)).max()
+    assert np.isclose(spectral_norm(np.zeros((40, 40)), minus=(u, c)), oracle, rtol=1e-12)
+    assert spectral_norm(np.zeros((40, 40)), minus=(u, np.zeros((3, 3)))) == 0.0
+
+
+def test_eigen_operand_rule():
+    sparse = _sparse_sbm_adjacency(600)
+    assert scipy.sparse.issparse(dynsc.spectral.eigen_operand(sparse))
+    small = _sparse_sbm_adjacency(300)  # at or below the dense limit: kept dense
+    assert dynsc.spectral.eigen_operand(small) is small
+    dense = random_symmetric(600, np.random.default_rng(44))
+    assert dynsc.spectral.eigen_operand(dense) is dense
+
+
+def _asymmetric_csr():
+    m = scipy.sparse.csr_array(_sparse_sbm_adjacency(600))
+    m = m.tolil()
+    m[0, 1] = 2.0  # m[1, 0] unchanged
+    return m.tocsr()
+
+
+def _nan_csr():
+    m = scipy.sparse.csr_array(_sparse_sbm_adjacency(600))
+    m.data[0] = np.nan
+    return m
+
+
+@pytest.mark.parametrize("bad", [_asymmetric_csr, _nan_csr,
+                                 lambda: scipy.sparse.csr_array(np.ones((3, 4)))],
+                         ids=["asymmetric", "nan", "non-square"])
+def test_bad_csr_input_rejected(bad):
+    with pytest.raises(InvalidInputError):
+        top_k_eigenpairs(bad(), 2)
+    with pytest.raises(InvalidInputError):
+        spectral_norm(bad())
+
+
+def test_bad_low_rank_factors_rejected():
+    m = np.eye(5)
+    u, c = _low_rank(5, r=2)
+    with pytest.raises(InvalidInputError):
+        spectral_norm(m, minus=(u[:4], c))
+    with pytest.raises(InvalidInputError):
+        spectral_norm(m, minus=(u, c + np.triu(np.ones((2, 2)), 1)))
+    with pytest.raises(InvalidInputError):
+        spectral_norm(m, minus=(np.full_like(u, np.nan), c))
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +449,17 @@ def test_fallback_matches_dense_oracle(arpack_fails):
 def test_fallback_matches_dense_oracle_sparse_input(arpack_fails):
     # the CSR operator fails too; the fallback decomposes the original dense array
     _check_fallback_matches_dense_oracle(_sparse_sbm_adjacency(), arpack_fails)
+
+
+@pytest.mark.parametrize("form", ["dense", "csr"])
+def test_fallback_with_low_rank_term_matches_dense_oracle(arpack_fails, form):
+    n = 600
+    m = _sparse_sbm_adjacency(n)
+    u, c = _low_rank(n)
+    oracle = np.abs(np.linalg.eigvalsh(m - u @ c @ u.T)).max()
+    operand = scipy.sparse.csr_array(m) if form == "csr" else m
+    assert np.isclose(spectral_norm(operand, minus=(u, c)), oracle, rtol=1e-10)
+    assert len(arpack_fails) == 1
 
 
 def test_fallback_above_limit_raises(arpack_fails, monkeypatch):
