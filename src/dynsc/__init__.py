@@ -57,6 +57,7 @@ from .sbm import (
     expected_degrees,
     load_snapshot,
     normalized_laplacian,
+    normalized_laplacian_csr,
     sample_adjacency,
     sample_sbm,
     save_snapshot,
@@ -74,6 +75,7 @@ from .smoothing import (
     tuning_profile,
     validate_weights,
     weighted_smooth,
+    weighted_smooth_csr,
     weights_of,
 )
 from .spectral import (

@@ -161,8 +161,7 @@ def cmd_cluster(args) -> int:
         model = cfg.model()
     kinds = cfg.matrix_kinds()
 
-    betas = smoothing.weights_of(smoother, seq.t_len).betas
-    smoothed = smoothing.weighted_smooth(snaps.snapshots, betas)
+    smoothed = experiments.smoothed_matrix(snaps, smoother)
     truth = seq.thetas[-1]
     refs = experiments.reference_matrices(truth, model, kinds)
     report: dict = {"t": seq.t_len, "smoother": args.smoother}

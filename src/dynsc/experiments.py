@@ -40,9 +40,17 @@ from .sbm import (
     ConnectivityModel,
     effective_sizes,
     normalized_laplacian,
+    normalized_laplacian_csr,
 )
-from .smoothing import Exponential, Uniform, weights_of, weighted_smooth
-from .spectral import eigen_operand, spectral_cluster, spectral_norm
+from .smoothing import (
+    Exponential,
+    SmootherKind,
+    Uniform,
+    weighted_smooth,
+    weighted_smooth_csr,
+    weights_of,
+)
+from .spectral import DENSE_EIGEN_LIMIT, prefers_csr, spectral_cluster, spectral_norm
 from .util import subseed
 
 CSV_SCHEMA_VERSION = "dynsc-sweep-csv v1"
@@ -221,23 +229,39 @@ def reference_matrices(truth: CommunityLabels, model: ConnectivityModel,
     return refs
 
 
-def evaluate_cell(smoothed: np.ndarray, kind: str, ref: tuple[np.ndarray, np.ndarray],
+def smoothed_matrix(snaps: SnapshotSequence, smoother: SmootherKind):
+    """The final-step estimate of ``smoother`` over ``snaps``, in the eigensolver's form.
+
+    A CSR array (:func:`weighted_smooth_csr`) when the eigensolver would
+    multiply by CSR anyway (:func:`spectral.prefers_csr`), else the dense
+    :func:`weighted_smooth`, memory guard included. Up to
+    ``DENSE_EIGEN_LIMIT`` the dense form is built directly.
+    """
+    betas = weights_of(smoother, snaps.t_len).betas
+    if snaps.n > DENSE_EIGEN_LIMIT:
+        smoothed = weighted_smooth_csr(snaps.snapshots, betas)
+        if prefers_csr(snaps.n, smoothed.nnz):
+            return smoothed
+    return weighted_smooth(snaps.snapshots, betas)
+
+
+def evaluate_cell(smoothed, kind: str, ref: tuple[np.ndarray, np.ndarray],
                   truth: CommunityLabels, k: int, *, seed: int,
                   restarts: int) -> tuple[dict, CommunityLabels]:
-    """Evaluate one smoothed matrix as ``kind`` against the final labelling ``truth``.
+    """Evaluate one :func:`smoothed_matrix` as ``kind`` against the final labelling ``truth``.
 
     The adjacency kind uses ``smoothed`` itself; the Laplacian kind uses
-    ``L(smoothed)`` with isolated nodes zeroed. ``ref`` is the matching entry
-    of :func:`reference_matrices`. The target is converted to the
-    eigensolver's operand once and shared by the spectral error and the
-    clustering. Returns the scores, keyed by their :class:`RunRecord` field
-    names, and the predicted labels.
+    ``L(smoothed)`` with isolated nodes zeroed, in the same dense or CSR
+    form. ``ref`` is the matching entry of :func:`reference_matrices`.
+    Returns the scores, keyed by their :class:`RunRecord` field names, and
+    the predicted labels.
     """
     if kind == "adjacency":
         target = smoothed
-    else:
+    elif isinstance(smoothed, np.ndarray):
         target = normalized_laplacian(smoothed, zero_degree="zero-row")
-    target = eigen_operand(target)
+    else:
+        target = normalized_laplacian_csr(smoothed, zero_degree="zero-row")
     spec_err = spectral_norm(target, minus=ref)
     result = spectral_cluster(target, k, restarts=restarts, seed=seed)
     scores = {
@@ -259,8 +283,7 @@ def evaluate_smoothed(cfg: ExperimentConfig, trial: int, seq: MembershipSequence
     records = []
     for gidx, (gkind, gvalue) in enumerate(cfg.grid()):
         smoother = Exponential(gvalue) if gkind == "lambda" else Uniform(int(gvalue))
-        betas = weights_of(smoother, seq.t_len).betas
-        smoothed = weighted_smooth(snaps.snapshots, betas)
+        smoothed = smoothed_matrix(snaps, smoother)
         for kidx, kind in enumerate(kinds):
             cseed = subseed(cfg.seed, _TAG_CLUSTER, trial, gidx, kidx)
             start = time.perf_counter()

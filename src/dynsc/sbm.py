@@ -2,14 +2,14 @@
 
 Community labels, block connectivity models, connection-probability matrices,
 Bernoulli adjacency sampling (from labels in O(n + edges), or from an arbitrary
-probability matrix), degrees, the normalized Laplacian
-``D^{-1/2} A D^{-1/2}``, and the extremal expected-degree scales used by the
+probability matrix), degrees, the normalized Laplacian ``D^{-1/2} A D^{-1/2}``
+(dense or CSR), and the extremal expected-degree scales used by the
 concentration rates.
 
 Dense symmetric matrices are plain ``numpy`` arrays; every constructor in this
 module mirrors values so that ``M[i, j] == M[j, i]`` holds exactly, not just up
 to rounding. Adjacency snapshots are kept as upper-triangle edge lists because
-sampled graphs are sparse while smoothed matrices are dense.
+sampled graphs are sparse.
 """
 
 from __future__ import annotations
@@ -18,12 +18,26 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse
 
 from .errors import InvalidInputError, ZeroDegreeError
 
 
-def check_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate that ``m`` is a square, real, exactly symmetric 2-d array."""
+def check_symmetric(m, name: str = "matrix"):
+    """Validate that ``m`` is a square, real, exactly symmetric 2-d array.
+
+    A ``scipy.sparse`` input is checked in O(nnz), never densified, and
+    returned as a CSR array.
+    """
+    if scipy.sparse.issparse(m):
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise InvalidInputError(f"{name} must be square, got shape {m.shape}")
+        m = scipy.sparse.csr_array(m)
+        if not np.isfinite(m.data).all():
+            raise InvalidInputError(f"{name} contains non-finite entries")
+        if (m != m.T).nnz:
+            raise InvalidInputError(f"{name} is not symmetric")
+        return m
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInputError(f"{name} must be square, got shape {m.shape}")
@@ -255,6 +269,22 @@ def degrees(m) -> np.ndarray:
     return m.sum(axis=1)
 
 
+def _inverse_sqrt_degrees(d: np.ndarray, zero_degree: str) -> np.ndarray:
+    """``1 / sqrt(d)`` under a zero-degree policy of :func:`normalized_laplacian`."""
+    if zero_degree == "error":
+        if np.any(d <= 0.0):
+            raise ZeroDegreeError("matrix has a non-positive row sum")
+        return 1.0 / np.sqrt(d)
+    if zero_degree != "zero-row":
+        raise InvalidInputError(f"unknown zero_degree policy {zero_degree!r}")
+    if np.any(d < 0.0):
+        raise InvalidInputError("matrix has a negative row sum")
+    inv = np.zeros_like(d)
+    pos = d > 0.0
+    inv[pos] = 1.0 / np.sqrt(d[pos])
+    return inv
+
+
 def normalized_laplacian(m: np.ndarray, zero_degree: str = "error") -> np.ndarray:
     """Normalized Laplacian ``L_ij = M_ij / sqrt(d_i d_j)``.
 
@@ -269,22 +299,26 @@ def normalized_laplacian(m: np.ndarray, zero_degree: str = "error") -> np.ndarra
     nodes). NaN is never emitted. Isolated nodes can be recovered by the
     caller as ``degrees(m) == 0``.
     """
-    if zero_degree not in ("error", "zero-row"):
-        raise InvalidInputError(f"unknown zero_degree policy {zero_degree!r}")
     m = check_symmetric(np.asarray(m, dtype=float))
-    d = m.sum(axis=1)
-    if zero_degree == "error":
-        if np.any(d <= 0.0):
-            raise ZeroDegreeError("matrix has a non-positive row sum")
-        inv = 1.0 / np.sqrt(d)
-    else:
-        if np.any(d < 0.0):
-            raise InvalidInputError("matrix has a negative row sum")
-        inv = np.zeros_like(d)
-        pos = d > 0.0
-        inv[pos] = 1.0 / np.sqrt(d[pos])
+    inv = _inverse_sqrt_degrees(m.sum(axis=1), zero_degree)
     # outer() keeps exact symmetry: scale[i, j] == scale[j, i] bit for bit
     return m * np.outer(inv, inv)
+
+
+def normalized_laplacian_csr(m, zero_degree: str = "error") -> scipy.sparse.csr_array:
+    """:func:`normalized_laplacian` of a ``scipy.sparse`` matrix, as a CSR array.
+
+    Works in O(n + nnz) and scales each stored entry by ``inv_i * inv_j``, as
+    the dense form does, so the result is exactly symmetric. The degrees are
+    summed over the stored entries only, which can differ from the dense row
+    sum in the last bit.
+    """
+    m = check_symmetric(scipy.sparse.csr_array(m, dtype=float))
+    inv = _inverse_sqrt_degrees(m.sum(axis=1), zero_degree)
+    scale = inv[m.indices]
+    scale *= np.repeat(inv, np.diff(m.indptr))  # inv_j * inv_i == inv_i * inv_j exactly
+    scale *= m.data
+    return scipy.sparse.csr_array((scale, m.indices.copy(), m.indptr.copy()), shape=m.shape)
 
 
 def expected_degrees(labels: CommunityLabels, model: ConnectivityModel) -> np.ndarray:

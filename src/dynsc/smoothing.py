@@ -2,7 +2,9 @@
 
 Both the uniform window estimator (mean of the last ``r`` snapshots) and the
 exponential estimator (recursive update with forgetting factor ``lambda``) are
-special cases of a weighted sum ``sum_k beta_k A_{t-k}``. The weight
+special cases of a weighted sum ``sum_k beta_k A_{t-k}``, built as a dense
+array (:func:`weighted_smooth`) or, bit for bit equal, as a CSR array
+(:func:`weighted_smooth_csr`). The weight
 conditions certifying concentration are checked numerically by
 :func:`validate_weights`; the optimal amount of smoothing is
 ``rho = min(1, sqrt(nbar_max * alpha * epsilon))``, evaluated by
@@ -16,9 +18,11 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
+import scipy.sparse
 
 from .errors import InvalidInputError, MemoryBudgetError
 from .sbm import AdjacencySnapshot
+from .spectral import DENSE_EIGEN_LIMIT, SPARSE_OPERATOR_SHARE
 from .util import available_memory
 
 WEIGHT_SUM_TOL = 1e-12
@@ -115,9 +119,27 @@ def _check_dense_fits(n: int) -> None:
     if free is not None and need > free:
         raise MemoryBudgetError(
             f"n={n} needs about {need / 2**30:.1f} GiB for {DENSE_WORKSPACE_MATRICES} dense "
-            f"n x n float64 matrices but {free / 2**30:.1f} GiB is available; smoothing is "
-            "dense, and only sampling (sbm.sample_sbm) and the eigensolver's CSR operator "
-            "take the sparse path so far, so reduce n")
+            f"n x n float64 matrices but {free / 2**30:.1f} GiB is available; sweep and "
+            f"cluster smooth into a sparse (CSR) matrix instead, but only above n="
+            f"{DENSE_EIGEN_LIMIT} and while at most {SPARSE_OPERATOR_SHARE:.0%} of the "
+            "smoothed entries are nonzero, so reduce n, alpha or the smoothing window")
+
+
+def _checked_history(snapshots: Sequence[AdjacencySnapshot],
+                     betas: np.ndarray) -> tuple[list[AdjacencySnapshot], int, np.ndarray]:
+    """The snapshots as a list, their common ``n`` and ``betas`` as floats, checked."""
+    snaps = list(snapshots)
+    if not snaps:
+        raise InvalidInputError("need at least one snapshot")
+    if not all(isinstance(s, AdjacencySnapshot) for s in snaps):
+        raise InvalidInputError("expected AdjacencySnapshot inputs")
+    n = snaps[0].n
+    if any(s.n != n for s in snaps):
+        raise InvalidInputError("snapshots must share n")
+    betas = np.asarray(betas, dtype=float)
+    if betas.size > len(snaps):
+        raise InvalidInputError(f"{betas.size} weights but only {len(snaps)} snapshots")
+    return snaps, n, betas
 
 
 def weighted_smooth(snapshots: Sequence[AdjacencySnapshot], betas: np.ndarray) -> np.ndarray:
@@ -128,18 +150,7 @@ def weighted_smooth(snapshots: Sequence[AdjacencySnapshot], betas: np.ndarray) -
     workspace of the evaluation path is checked against free memory, and
     :class:`MemoryBudgetError` is raised if it does not fit.
     """
-    snaps = list(snapshots)
-    if not snaps:
-        raise InvalidInputError("need at least one snapshot")
-    n = snaps[0].n
-    for s in snaps:
-        if not isinstance(s, AdjacencySnapshot):
-            raise InvalidInputError("expected AdjacencySnapshot inputs")
-        if s.n != n:
-            raise InvalidInputError("snapshots must share n")
-    betas = np.asarray(betas, dtype=float)
-    if betas.size > len(snaps):
-        raise InvalidInputError(f"{betas.size} weights but only {len(snaps)} snapshots")
+    snaps, n, betas = _checked_history(snapshots, betas)
     _check_dense_fits(n)
     upper = np.zeros((n, n))
     for k, beta in enumerate(betas):
@@ -147,6 +158,43 @@ def weighted_smooth(snapshots: Sequence[AdjacencySnapshot], betas: np.ndarray) -
             continue
         snap = snaps[len(snaps) - 1 - k]
         upper[snap.rows, snap.cols] += beta
+    return upper + upper.T
+
+
+def _upper_csr(snaps: list[AdjacencySnapshot], n: int,
+               betas: np.ndarray) -> scipy.sparse.csr_array:
+    """The strict upper triangle of ``sum_k betas[k] * A_{t-k}`` as a canonical CSR array.
+
+    Each entry adds its weights in the order of :func:`weighted_smooth`'s
+    loop, starting from zero, so the values match it bit for bit.
+    """
+    live = [(beta, snaps[len(snaps) - 1 - k]) for k, beta in enumerate(betas) if beta != 0.0]
+    keys = np.concatenate([np.empty(0, dtype=np.int64)]
+                          + [snap.rows * n + snap.cols for _, snap in live])
+    weights = np.repeat([beta for beta, _ in live], [snap.edge_count for _, snap in live])
+    # the stable sort keeps each key's weights in loop order, and bincount adds them
+    # in array order (a COO sum_duplicates sorts unstably and would reorder them)
+    order = np.argsort(keys, kind="stable")
+    keys, weights = keys[order], weights[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    values = np.bincount(np.cumsum(first) - 1, weights)
+    rows, cols = np.divmod(keys[first], n)
+    index = np.int32 if max(n, values.size) < 2**31 else np.int64  # halves the index bytes
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    return scipy.sparse.csr_array((values, cols.astype(index), indptr.astype(index)),
+                                  shape=(n, n))
+
+
+def weighted_smooth_csr(snapshots: Sequence[AdjacencySnapshot],
+                        betas: np.ndarray) -> scipy.sparse.csr_array:
+    """:func:`weighted_smooth` as a CSR array, in O(n + edges) memory.
+
+    ``toarray()`` of the result equals :func:`weighted_smooth` bit for bit.
+    There is no memory guard: nothing n x n is allocated.
+    """
+    snaps, n, betas = _checked_history(snapshots, betas)
+    upper = _upper_csr(snaps, n, betas)  # its edge-sized temporaries are freed by now
     return upper + upper.T
 
 

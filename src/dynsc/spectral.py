@@ -92,16 +92,9 @@ def _as_symmetric(m):
 
     A ``scipy.sparse`` input is checked in O(nnz) and never densified.
     """
-    if not scipy.sparse.issparse(m):
-        return check_symmetric(np.asarray(m, dtype=float))
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidInputError(f"matrix must be square, got shape {m.shape}")
-    m = scipy.sparse.csr_array(m, dtype=float)
-    if not np.isfinite(m.data).all():
-        raise InvalidInputError("matrix contains non-finite entries")
-    if (m != m.T).nnz:
-        raise InvalidInputError("matrix is not symmetric")
-    return m
+    if scipy.sparse.issparse(m):
+        return check_symmetric(scipy.sparse.csr_array(m, dtype=float))
+    return check_symmetric(np.asarray(m, dtype=float))
 
 
 def _as_low_rank(minus, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -116,16 +109,18 @@ def _as_low_rank(minus, n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, c
 
 
-def eigen_operand(m: np.ndarray):
-    """What the Lanczos path multiplies by: a CSR copy of sparse enough ``m``, else ``m``.
+def prefers_csr(n: int, nnz: int) -> bool:
+    """Whether the Lanczos path should multiply an n x n matrix with ``nnz`` nonzeros as CSR.
 
-    The copy is made only above ``DENSE_EIGEN_LIMIT``, where the Lanczos
-    path runs, and when at most ``SPARSE_OPERATOR_SHARE`` of the entries
-    are nonzero. A caller that solves several times on one matrix converts
-    it once and passes the result.
+    True above ``DENSE_EIGEN_LIMIT``, where the Lanczos path runs, when at
+    most ``SPARSE_OPERATOR_SHARE`` of the entries are nonzero.
     """
-    n = m.shape[0]
-    if n > DENSE_EIGEN_LIMIT and np.count_nonzero(m) <= SPARSE_OPERATOR_SHARE * n * n:
+    return n > DENSE_EIGEN_LIMIT and nnz <= SPARSE_OPERATOR_SHARE * n * n
+
+
+def eigen_operand(m: np.ndarray):
+    """What the Lanczos path multiplies by: a CSR copy of ``m`` if :func:`prefers_csr`, else ``m``."""
+    if prefers_csr(m.shape[0], np.count_nonzero(m)):
         return scipy.sparse.csr_array(m)
     return m
 

@@ -213,6 +213,23 @@ def test_memory_guard_exits_with_usage_code(tmp_path, capsys, monkeypatch, comma
     assert "sparse" in capsys.readouterr().err
 
 
+SPARSE3K = ["--n", "3000", "--k", "2", "--tau", "0.1", "--alpha-inv-scale", "8",
+            "--epsilon", "0.02", "--t-len", "6", "--trials", "1", "--seed", "3",
+            "--restarts", "5", "--lambda-grid", "0.3,1.0"]
+
+
+@pytest.mark.parametrize("command", ["cluster", "sweep"])
+def test_sparse_run_needs_no_dense_memory(tmp_path, capsys, monkeypatch, command):
+    # 100 MB is far below the 288 MB dense workspace of n = 3000: the sparse
+    # regime must smooth into CSR and never reach the guard
+    import dynsc.smoothing
+
+    monkeypatch.setattr(dynsc.smoothing, "available_memory", lambda: 100 * 2**20)
+    args = ["--smoother", "exp:0.3"] if command == "cluster" else ["--out", str(tmp_path)]
+    assert main([command, *SPARSE3K, *args]) == EXIT_OK
+    assert "laplacian" in capsys.readouterr().out
+
+
 def test_cluster_writes_labels(tmp_path, capsys):
     out = tmp_path / "labels"
     code = main(["cluster", *TINY, "--smoother", "unif:3", "--matrix", "adjacency",

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 import dynsc
+from dynsc import experiments
 from conftest import random_labels
 from dynsc import ExperimentConfig, Exponential, InvalidInputError, run_sweep, summarize, weights_of
 from dynsc.experiments import (
@@ -13,7 +15,7 @@ from dynsc.experiments import (
     reference_matrices,
     write_records_csv,
 )
-from dynsc.spectral import eigen_operand
+from dynsc.spectral import DENSE_EIGEN_LIMIT, eigen_operand
 
 SMALL = ExperimentConfig(n=60, k=2, tau=0.2, alpha_log_scale=4.0, epsilon=0.05,
                          t_len=10, trials=3, seed=123, lambda_grid=(0.3, 1.0),
@@ -228,3 +230,51 @@ def test_spec_err_against_factors_matches_dense_difference(n, rtol):
     for kind, (target, ref) in pairs.items():
         got = dynsc.spectral_norm(eigen_operand(target), minus=refs[kind])
         assert np.isclose(got, dynsc.spectral_norm(target - ref), rtol=rtol, atol=0.0), kind
+
+
+# ---------------------------------------------------------------------------
+# the smoothed operand: CSR straight from the snapshots when the eigensolver takes CSR
+# ---------------------------------------------------------------------------
+
+def _snapshot_sequence(n, p, t_len, seed):
+    rng = np.random.default_rng(seed)
+    return dynsc.SnapshotSequence(tuple(dynsc.sample_adjacency(np.full((n, n), p), rng)
+                                        for _ in range(t_len + 1)))
+
+
+@pytest.mark.parametrize("n,p,csr", [(400, 0.01, False), (600, 0.01, True), (600, 0.05, False)])
+def test_smoothed_matrix_form(monkeypatch, n, p, csr):
+    # CSR only above the dense eigensolver limit and at most 10% nonzero; up to
+    # the limit the dense smoother runs without building the CSR keys
+    built = []
+    monkeypatch.setattr(experiments, "weighted_smooth_csr",
+                        lambda *a: built.append(1) or dynsc.weighted_smooth_csr(*a))
+    snaps = _snapshot_sequence(n, p, 6, seed=n)
+    got = experiments.smoothed_matrix(snaps, Exponential(0.3))
+    dense = dynsc.weighted_smooth(snaps.snapshots, weights_of(Exponential(0.3), 6).betas)
+    assert isinstance(got, scipy.sparse.csr_array) == csr
+    assert bool(built) == (n > DENSE_EIGEN_LIMIT)
+    assert np.array_equal(got.toarray() if csr else got, dense)
+
+
+def test_csr_path_matches_forced_dense_run(monkeypatch):
+    cfg = ExperimentConfig(n=600, k=2, tau=0.1, alpha_log_scale=None, alpha_inv_scale=8.0,
+                           epsilon=0.02, t_len=6, n_min=240, n_max=360, lambda_grid=(0.3, 1.0),
+                           r_grid=(3,), seed=5, restarts=5)
+    seq, snaps = generate_trial_sequence(cfg, 0)
+    assert isinstance(experiments.smoothed_matrix(snaps, Exponential(0.3)),
+                      scipy.sparse.csr_array)
+    got = experiments.evaluate_smoothed(cfg, 0, seq, snaps)
+    monkeypatch.setattr(experiments, "prefers_csr", lambda n, nnz: False)
+    assert isinstance(experiments.smoothed_matrix(snaps, Exponential(0.3)), np.ndarray)
+    want = experiments.evaluate_smoothed(cfg, 0, seq, snaps)
+    assert len(got) == len(want) == 6
+    for a, b in zip(got, want):
+        assert (a.grid_param_value, a.matrix_kind) == (b.grid_param_value, b.matrix_kind)
+        assert np.isclose(a.spec_err, b.spec_err, rtol=1e-12, atol=0.0)
+        assert (a.ari, a.e_value, a.seed) == (b.ari, b.e_value, b.seed)
+        if a.matrix_kind == "adjacency":
+            assert (a.kmeans_cost, a.eigengap) == (b.kmeans_cost, b.eigengap)
+        else:  # Laplacian degrees are summed in another order
+            assert np.isclose(a.kmeans_cost, b.kmeans_cost, rtol=1e-12, atol=0.0)
+            assert np.isclose(a.eigengap, b.eigengap, rtol=1e-12, atol=0.0)

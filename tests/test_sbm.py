@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ from dynsc import (
     expected_degrees,
     load_snapshot,
     normalized_laplacian,
+    normalized_laplacian_csr,
     sample_adjacency,
     sample_sbm,
     save_snapshot,
@@ -371,6 +373,47 @@ def test_laplacian_of_planted_p_has_rank_k():
         lap = normalized_laplacian(build_probability_matrix(lab, model))
         vals = np.abs(np.linalg.eigvalsh(lap))
         assert int((vals > 1e-8).sum()) == k
+
+
+def _sparse_graph_matrix(n, p, seed):
+    """A weighted symmetric matrix on a sparse random graph, with isolated nodes."""
+    rng = np.random.default_rng(seed)
+    m = sample_adjacency(np.full((n, n), p), rng).to_dense() * random_symmetric(n, rng, 0.1, 1.0)
+    m[:3] = m[:, :3] = 0.0
+    return m
+
+
+@pytest.mark.parametrize("n,p,seed", [(30, 0.05, 0), (80, 0.02, 1), (200, 0.2, 2)])
+def test_laplacian_csr_matches_dense(n, p, seed):
+    m = _sparse_graph_matrix(n, p, seed)
+    isolated = ~m.any(axis=1)
+    assert isolated.any()
+    dense = normalized_laplacian(m, zero_degree="zero-row")
+    lap = normalized_laplacian_csr(scipy.sparse.csr_array(m), zero_degree="zero-row")
+    assert isinstance(lap, scipy.sparse.csr_array)
+    assert (lap != lap.T).nnz == 0
+    got = lap.toarray()
+    assert np.all(np.abs(got - dense) <= 1e-14 * np.abs(dense))
+    assert not got[isolated].any() and not got[:, isolated].any()
+    assert np.array_equal(got != 0, dense != 0)
+
+
+def test_laplacian_csr_shares_zero_degree_policies():
+    a = np.zeros((3, 3))
+    a[0, 1] = a[1, 0] = 1.0
+    with pytest.raises(ZeroDegreeError):
+        normalized_laplacian_csr(scipy.sparse.csr_array(a))
+    with pytest.raises(InvalidInputError, match="policy"):
+        normalized_laplacian_csr(scipy.sparse.csr_array(a), zero_degree="drop")
+    negative = -a
+    with pytest.raises(InvalidInputError, match="negative row sum"):
+        normalized_laplacian_csr(scipy.sparse.csr_array(negative), zero_degree="zero-row")
+    with pytest.raises(InvalidInputError, match="negative row sum"):
+        normalized_laplacian(negative, zero_degree="zero-row")
+    asymmetric = a.copy()
+    asymmetric[2, 0] = 1.0
+    with pytest.raises(InvalidInputError, match="not symmetric"):
+        normalized_laplacian_csr(scipy.sparse.csr_array(asymmetric), zero_degree="zero-row")
 
 
 # ---------------------------------------------------------------------------
