@@ -50,7 +50,7 @@ from .smoothing import (
     weighted_smooth_csr,
     weights_of,
 )
-from .spectral import DENSE_EIGEN_LIMIT, prefers_csr, spectral_cluster, spectral_norm
+from .spectral import DENSE_FORM_LIMIT, prefers_csr, spectral_cluster, spectral_norm
 from .util import subseed
 
 CSV_SCHEMA_VERSION = "dynsc-sweep-csv v1"
@@ -235,10 +235,10 @@ def smoothed_matrix(snaps: SnapshotSequence, smoother: SmootherKind):
     A CSR array (:func:`weighted_smooth_csr`) when the eigensolver would
     multiply by CSR anyway (:func:`spectral.prefers_csr`), else the dense
     :func:`weighted_smooth`, memory guard included. Up to
-    ``DENSE_EIGEN_LIMIT`` the dense form is built directly.
+    ``DENSE_FORM_LIMIT`` the dense form is built directly.
     """
     betas = weights_of(smoother, snaps.t_len).betas
-    if snaps.n > DENSE_EIGEN_LIMIT:
+    if snaps.n > DENSE_FORM_LIMIT:
         smoothed = weighted_smooth_csr(snaps.snapshots, betas)
         if prefers_csr(snaps.n, smoothed.nnz):
             return smoothed

@@ -5,9 +5,16 @@ structure matrices this targets may have negative eigenvalues for
 disassortative kernels, and magnitude selection recovers their column space in
 all cases.
 
+Eigenpairs and norms are computed only as accurately as the theory needs:
+above ``DENSE_EIGEN_LIMIT`` a Lanczos solver stops at relative tolerance
+``EIGENPAIR_TOL`` (eigenvectors; by Davis-Kahan their error is at most
+``tol * |lambda_1| / gap``, far below the statistical error) or ``NORM_TOL``
+(spectral norms).
+
 The k-means step uses distance-squared-weighted random seeding plus Lloyd
-iterations with restarts. It reports the achieved cost rather than certifying
-an approximation ratio.
+iterations with restarts, and stops restarting once the best cost has been
+reached ``_KMEANS_REPEATS`` times. It reports the achieved cost rather than
+certifying an approximation ratio.
 """
 
 from __future__ import annotations
@@ -23,8 +30,14 @@ from .errors import EigenSolverError, InvalidInputError
 from .sbm import CommunityLabels, check_symmetric
 from .util import subseed
 
-DENSE_EIGEN_LIMIT = 512
+# Matrices up to this size are decomposed densely; larger ones go to Lanczos.
+DENSE_EIGEN_LIMIT = 128
 DENSE_FALLBACK_LIMIT = 4096
+EIGENPAIR_TOL = 1e-8  # Lanczos relative tolerance of top_k_eigenpairs
+NORM_TOL = 1e-6  # Lanczos relative tolerance of spectral_norm
+# Matrices up to this size are always held as dense arrays; larger ones are
+# built and multiplied as CSR when prefers_csr holds.
+DENSE_FORM_LIMIT = 512
 # Lanczos multiplies by a CSR copy of matrices at most this share nonzero.
 # Measured at n = 1000-4000 on a 2-core x86 machine: a CSR matvec costs at
 # most half a dense gemv at 10% nonzero, and breaks even near 25% (2 BLAS
@@ -35,6 +48,9 @@ _V0_SEED = 0x5EED
 _KMEANS_TAG = 77
 _KMEANS_MAX_ITER = 300
 _KMEANS_TOL = 1e-9  # centroid movement that ends a Lloyd run
+# restarts stop once this many have reached the best cost within _KMEANS_REPEAT_RTOL
+_KMEANS_REPEATS = 3
+_KMEANS_REPEAT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -112,10 +128,10 @@ def _as_low_rank(minus, n: int) -> tuple[np.ndarray, np.ndarray]:
 def prefers_csr(n: int, nnz: int) -> bool:
     """Whether the Lanczos path should multiply an n x n matrix with ``nnz`` nonzeros as CSR.
 
-    True above ``DENSE_EIGEN_LIMIT``, where the Lanczos path runs, when at
-    most ``SPARSE_OPERATOR_SHARE`` of the entries are nonzero.
+    True above ``DENSE_FORM_LIMIT`` when at most ``SPARSE_OPERATOR_SHARE`` of
+    the entries are nonzero.
     """
-    return n > DENSE_EIGEN_LIMIT and nnz <= SPARSE_OPERATOR_SHARE * n * n
+    return n > DENSE_FORM_LIMIT and nnz <= SPARSE_OPERATOR_SHARE * n * n
 
 
 def eigen_operand(m: np.ndarray):
@@ -125,7 +141,7 @@ def eigen_operand(m: np.ndarray):
     return m
 
 
-def _leading_eigs(m, k: int, vectors: bool, tol: float = 0.0, minus=None):
+def _leading_eigs(m, k: int, vectors: bool, tol: float, minus=None):
     """Eigenvalues (and eigenvectors if ``vectors``) of ``m - U C Uᵀ``, for magnitude selection.
 
     ``m`` is a checked symmetric ndarray or CSR array and ``minus`` the
@@ -133,7 +149,7 @@ def _leading_eigs(m, k: int, vectors: bool, tol: float = 0.0, minus=None):
     ``DENSE_EIGEN_LIMIT``, or with ``k > n - 2``, are decomposed densely and
     all ``n`` pairs are returned. Larger ones use a Lanczos solver for the
     ``k`` pairs of largest magnitude, with a fixed starting vector and
-    relative tolerance ``tol`` (0: machine precision), multiplying by
+    relative tolerance ``tol``, multiplying by
     :func:`eigen_operand` of an ndarray ``m`` and applying ``U C Uᵀ`` in
     factored form, and falling back to the dense path (up to
     ``DENSE_FALLBACK_LIMIT``) on non-convergence. Returns ``eigh``'s
@@ -176,13 +192,14 @@ def top_k_eigenpairs(m, k: int) -> EigenBasis:
     """The ``k`` eigenpairs of largest magnitude of a symmetric ndarray or ``scipy.sparse`` matrix.
 
     Deterministic up to sign, with signs canonicalized. ``k + 1`` pairs are
-    computed so the gap to the first discarded eigenvalue can be reported.
+    computed so the gap to the first discarded eigenvalue can be reported;
+    above ``DENSE_EIGEN_LIMIT`` they are accurate to ``EIGENPAIR_TOL`` relative.
     """
     m = _as_symmetric(m)
     n = m.shape[0]
     if not 1 <= k <= n:
         raise InvalidInputError(f"need 1 <= k <= n, got k={k}, n={n}")
-    values, vectors = _leading_eigs(m, k + 1, vectors=True)
+    values, vectors = _leading_eigs(m, k + 1, vectors=True, tol=EIGENPAIR_TOL)
 
     keys = np.abs(values)
     order = np.argsort(-keys, kind="stable")
@@ -223,9 +240,15 @@ def _seed_centroids(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 
 
 def _assign(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    """Nearest-centroid labels and each point's squared distance to its centroid.
+
+    The argmin is over ``|x|^2 - 2 x c^T + |c|^2`` less the ``|x|^2`` that
+    every centroid shares; the returned distances are recomputed from the
+    exact differences, so no cancellation reaches the cost.
+    """
+    d2 = (centers ** 2).sum(axis=1) - 2.0 * (x @ centers.T)
     labels = d2.argmin(axis=1)  # argmin breaks ties by lowest centroid index
-    return labels, d2[np.arange(x.shape[0]), labels]
+    return labels, ((x - centers[labels]) ** 2).sum(axis=1)
 
 
 def _kmeans_single(x: np.ndarray, k: int, rng: np.random.Generator):
@@ -259,8 +282,11 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 20, seed: int = 0) -> KMe
 
     Assignment ties break toward the lowest centroid index; a cluster left
     empty after an iteration is re-seeded at the farthest point rather than
-    crashing. Restarts stop early once a zero-cost solution is found. The
-    reported cost is recomputed from the returned labels and centroids.
+    crashing. Restarts stop early once a zero-cost solution is found, or once
+    ``_KMEANS_REPEATS`` of them have reached the best cost within
+    ``_KMEANS_REPEAT_RTOL`` relative; the best is the first restart of least
+    cost either way. The reported cost is recomputed from the returned labels
+    and centroids.
     """
     x = np.asarray(points, dtype=float)
     if x.ndim != 2:
@@ -270,18 +296,19 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 20, seed: int = 0) -> KMe
     if restarts < 1:
         raise InvalidInputError("restarts must be >= 1")
     best = None
-    used = 0
+    costs = []
     for ridx in range(restarts):
         rng = np.random.default_rng(subseed(seed, _KMEANS_TAG, ridx))
         labels, centers, cost, degenerate, _ = _kmeans_single(x, k, rng)
-        used += 1
+        costs.append(cost)
         if best is None or cost < best[2]:
             best = (labels, centers, cost, degenerate)
-        if best[2] == 0.0:
+        repeats = np.count_nonzero(np.asarray(costs) <= best[2] * (1.0 + _KMEANS_REPEAT_RTOL))
+        if best[2] == 0.0 or repeats >= _KMEANS_REPEATS:
             break
     labels, centers, cost, degenerate = best
     return KMeansResult(labels=labels, centroids=centers, cost=cost,
-                        restarts_used=used, degenerate=degenerate)
+                        restarts_used=len(costs), degenerate=degenerate)
 
 
 def spectral_cluster(m, k: int, *, restarts: int = 20,
@@ -296,14 +323,14 @@ def spectral_cluster(m, k: int, *, restarts: int = 20,
     return SpectralClusteringResult(labels=labels, kmeans=km, eigen=basis)
 
 
-def spectral_norm(m, tol: float = 1e-6, minus=None) -> float:
+def spectral_norm(m, minus=None) -> float:
     """Operator 2-norm (largest absolute eigenvalue) of ``m``, or of ``m - U C Uᵀ``.
 
     ``m`` is a symmetric ndarray or ``scipy.sparse`` matrix; ``minus``, when
     given, is the pair ``(U, C)`` of a low-rank term, ``U`` n-by-r and ``C``
     symmetric r-by-r, which large matrices apply in factored form without
     building ``U C Uᵀ``. Large matrices use a Lanczos iteration at relative
-    tolerance ``tol``; see :func:`_leading_eigs` for the dense and fallback
+    tolerance ``NORM_TOL``; see :func:`_leading_eigs` for the dense and fallback
     paths.
     """
     m = _as_symmetric(m)
@@ -312,4 +339,4 @@ def spectral_norm(m, tol: float = 1e-6, minus=None) -> float:
     nonzero = m.count_nonzero() if scipy.sparse.issparse(m) else np.count_nonzero(m)
     if not nonzero and (minus is None or not (minus[0].any() and minus[1].any())):
         return 0.0
-    return float(np.abs(_leading_eigs(m, 1, vectors=False, tol=tol, minus=minus)).max())
+    return float(np.abs(_leading_eigs(m, 1, vectors=False, tol=NORM_TOL, minus=minus)).max())

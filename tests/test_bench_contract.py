@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from dynsc import ExperimentConfig, run_sweep
-from dynsc.spectral import DENSE_EIGEN_LIMIT, SPARSE_OPERATOR_SHARE
+from dynsc.spectral import DENSE_FORM_LIMIT, SPARSE_OPERATOR_SHARE
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -67,20 +67,20 @@ def _traced_trial(spans, n: int, seed: int):
 
 
 def test_tracer_counters_on_sparse_trial(spans):
-    # above the dense eigensolver limit and sparse enough that the smoothed
-    # matrix and its Laplacian are built as CSR, outside the traced functions
+    # above the dense-form limit and sparse enough that the smoothed matrix
+    # and its Laplacian are built as CSR, outside the traced functions
     n = 600
-    assert n > DENSE_EIGEN_LIMIT
+    assert n > DENSE_FORM_LIMIT
     _, got = _traced_trial(spans, n, seed=7)
     assert got["smoothing.weighted_smooth.calls"] == 0
     assert got["sbm.normalized_laplacian.calls"] == 0
 
 
 def test_tracer_counters_on_dense_trial(spans):
-    # up to the dense eigensolver limit the traced dense smoother and Laplacian
-    # run, so their counters are evaluated on what they return
+    # up to the dense-form limit the traced dense smoother and Laplacian run,
+    # so their counters are evaluated on what they return
     n = 400
-    assert n <= DENSE_EIGEN_LIMIT
+    assert n <= DENSE_FORM_LIMIT
     cfg, got = _traced_trial(spans, n, seed=7)
     assert got["smoothing.weighted_smooth.calls"] == len(cfg.grid())
     assert 0 < got["smoothing.weighted_smooth.nnz"] <= (

@@ -15,7 +15,7 @@ from dynsc.experiments import (
     reference_matrices,
     write_records_csv,
 )
-from dynsc.spectral import DENSE_EIGEN_LIMIT, eigen_operand
+from dynsc.spectral import DENSE_FORM_LIMIT, eigen_operand
 
 SMALL = ExperimentConfig(n=60, k=2, tau=0.2, alpha_log_scale=4.0, epsilon=0.05,
                          t_len=10, trials=3, seed=123, lambda_grid=(0.3, 1.0),
@@ -244,8 +244,8 @@ def _snapshot_sequence(n, p, t_len, seed):
 
 @pytest.mark.parametrize("n,p,csr", [(400, 0.01, False), (600, 0.01, True), (600, 0.05, False)])
 def test_smoothed_matrix_form(monkeypatch, n, p, csr):
-    # CSR only above the dense eigensolver limit and at most 10% nonzero; up to
-    # the limit the dense smoother runs without building the CSR keys
+    # CSR only above the dense-form limit and at most 10% nonzero; up to the
+    # limit the dense smoother runs without building the CSR keys
     built = []
     monkeypatch.setattr(experiments, "weighted_smooth_csr",
                         lambda *a: built.append(1) or dynsc.weighted_smooth_csr(*a))
@@ -253,7 +253,7 @@ def test_smoothed_matrix_form(monkeypatch, n, p, csr):
     got = experiments.smoothed_matrix(snaps, Exponential(0.3))
     dense = dynsc.weighted_smooth(snaps.snapshots, weights_of(Exponential(0.3), 6).betas)
     assert isinstance(got, scipy.sparse.csr_array) == csr
-    assert bool(built) == (n > DENSE_EIGEN_LIMIT)
+    assert bool(built) == (n > DENSE_FORM_LIMIT)
     assert np.array_equal(got.toarray() if csr else got, dense)
 
 

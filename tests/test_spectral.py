@@ -19,7 +19,7 @@ from dynsc import (
     spectral_norm,
     top_k_eigenpairs,
 )
-from dynsc.spectral import _kmeans_single
+from dynsc.spectral import _assign, _kmeans_single
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +73,7 @@ def test_magnitude_selection_is_optimal():
 
 def test_iterative_path_matches_dense_oracle():
     rng = np.random.default_rng(3)
-    m = random_symmetric(600, rng)  # above the dense limit
+    m = random_symmetric(600, rng)  # above the dense eigensolver limit
     basis = top_k_eigenpairs(m, 3)
     oracle = np.sort(np.abs(np.linalg.eigvalsh(m)))[::-1][:3]
     assert np.allclose(np.abs(basis.values), oracle, rtol=1e-6)
@@ -100,6 +100,38 @@ def test_degenerate_gap_warns():
     with pytest.warns(RuntimeWarning):
         basis = top_k_eigenpairs(np.zeros((5, 5)), 2)
     assert basis.gap_degenerate
+
+
+@pytest.mark.parametrize("n", [129, 300, 512])  # just above the dense limit, up to the old one
+def test_lanczos_path_matches_eigh_oracle(n, eigsh_operators):
+    m = _sparse_sbm_adjacency(n)
+    values, vectors = np.linalg.eigh(m)
+    top = np.argsort(-np.abs(values))[:3]
+    basis = top_k_eigenpairs(m, 3)
+    assert eigsh_operators == ["dense"]
+    assert np.allclose(basis.values, values[top], rtol=1e-8, atol=0.0)
+    proj_dist = np.linalg.norm(basis.vectors @ basis.vectors.T
+                               - vectors[:, top] @ vectors[:, top].T, 2)
+    assert proj_dist <= 1e-6
+
+
+def test_spectral_norm_lanczos_path_matches_eigvalsh(eigsh_operators):
+    m = random_symmetric(300, np.random.default_rng(15))
+    assert np.isclose(spectral_norm(m), np.abs(np.linalg.eigvalsh(m)).max(), rtol=1e-6)
+    assert eigsh_operators == ["dense"]
+
+
+def test_degenerate_gap_warns_on_lanczos_path(eigsh_operators):
+    # eigenvalues 6, 3, 3 above a bulk in [-1, 1]: the second and third tie
+    n = 300
+    rng = np.random.default_rng(16)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    m = (q * np.concatenate([[6.0, 3.0, 3.0], rng.uniform(-1.0, 1.0, n - 3)])) @ q.T
+    m = np.triu(m) + np.triu(m, 1).T
+    with pytest.warns(RuntimeWarning, match="degenerate"):
+        basis = top_k_eigenpairs(m, 2)
+    assert basis.gap_degenerate
+    assert eigsh_operators == ["dense"]
 
 
 def test_bad_k_rejected():
@@ -167,6 +199,66 @@ def test_kmeans_tie_breaks_to_lowest_index():
     res = kmeans(x, 2, restarts=1, seed=0)
     assert (res.labels == 0).all()
     assert res.degenerate  # one cluster necessarily empty
+
+
+def test_kmeans_stops_once_best_cost_repeats(monkeypatch):
+    # three tight, well-separated 2-d blobs
+    rng = np.random.default_rng(17)
+    x = np.vstack([rng.normal(mu, 0.05, size=(50, 2)) for mu in [(0, 0), (1, 0), (0, 1)]])
+    res = kmeans(x, 3, restarts=20, seed=0)
+    assert res.cost > 0.0
+    assert dynsc.spectral._KMEANS_REPEATS <= res.restarts_used < 20
+    monkeypatch.setattr(dynsc.spectral, "_KMEANS_REPEATS", 21)  # never stops early
+    full = kmeans(x, 3, restarts=20, seed=0)
+    assert full.restarts_used == 20
+    assert np.array_equal(res.labels, full.labels)
+    assert np.array_equal(res.centroids, full.centroids)
+    assert res.cost == full.cost
+
+
+def _scripted_costs(monkeypatch, costs):
+    """Make each Lloyd run return the next of ``costs``, with labels naming the run."""
+    runs = iter(range(len(costs)))
+
+    def single(x, k, rng):
+        i = next(runs)
+        return np.full(x.shape[0], i), np.zeros((k, x.shape[1])), costs[i], False, [costs[i]]
+
+    monkeypatch.setattr(dynsc.spectral, "_kmeans_single", single)
+
+
+@pytest.mark.parametrize("costs,used,best", [
+    ([5.0, 4.0, 3.0, 2.0, 1.0], 5, 4),  # all differ
+    ([2.0, 1.0, 1.0 + 1e-11, 1.0 + 2e-11, 1.0, 0.5], 6, 5),  # near-repeats outside 1e-12
+    ([3.0, 3.0, 2.0, 2.0, 1.0, 1.0, 1.5], 7, 4),  # each level reached only twice
+    ([1.0 + 5e-13, 1.0, 2.0, 1.0 + 5e-13, 0.5, 0.5], 4, 1),  # three within 1e-12 of 1.0
+])
+def test_kmeans_early_stop_needs_three_repeats_of_the_best(monkeypatch, costs, used, best):
+    _scripted_costs(monkeypatch, costs)
+    res = kmeans(np.zeros((6, 2)), 2, restarts=len(costs), seed=0)
+    assert res.restarts_used == used
+    assert (res.labels == best).all()  # the first run of least cost
+    assert res.cost == costs[best]
+
+
+def test_kmeans_zero_cost_stops_at_once(monkeypatch):
+    x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    assert kmeans(x, 3, restarts=5, seed=0).restarts_used == 1
+    _scripted_costs(monkeypatch, [1.0, 0.0, 0.0, 0.0])
+    res = kmeans(np.zeros((6, 2)), 2, restarts=4, seed=0)
+    assert (res.restarts_used, res.cost) == (2, 0.0)
+
+
+@pytest.mark.parametrize("n,d,k,offset", [(300, 2, 3, 0.0), (500, 5, 8, 0.0),
+                                          (200, 3, 4, 50.0), (40, 1, 2, 0.0)])
+def test_assign_matches_broadcast_oracle(n, d, k, offset):
+    rng = np.random.default_rng(n + d + k)
+    x = rng.normal(size=(n, d)) + offset
+    centers = x[rng.choice(n, k, replace=False)] + 0.1 * rng.normal(size=(k, d))
+    d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    labels, dist = _assign(x, centers)
+    assert np.array_equal(labels, d2.argmin(axis=1))
+    assert np.array_equal(dist, d2[np.arange(n), labels])
 
 
 def test_kmeans_determinism():
@@ -329,7 +421,7 @@ def _low_rank(n, r=3, seed=43):
     return u, c
 
 
-@pytest.mark.parametrize("n", [300, 600])  # dense path, Lanczos path
+@pytest.mark.parametrize("n", [300, 600])  # at and above the dense-form limit
 def test_csr_input_matches_dense_oracle(n):
     m = _sparse_sbm_adjacency(n)
     values, vectors = np.linalg.eigh(m)
@@ -371,7 +463,7 @@ def test_spectral_norm_zero_matrix_minus_low_rank():
 def test_eigen_operand_rule():
     sparse = _sparse_sbm_adjacency(600)
     assert scipy.sparse.issparse(dynsc.spectral.eigen_operand(sparse))
-    small = _sparse_sbm_adjacency(300)  # at or below the dense limit: kept dense
+    small = _sparse_sbm_adjacency(300)  # at or below the dense-form limit: kept dense
     assert dynsc.spectral.eigen_operand(small) is small
     dense = random_symmetric(600, np.random.default_rng(44))
     assert dynsc.spectral.eigen_operand(dense) is dense
@@ -442,7 +534,7 @@ def _check_fallback_matches_dense_oracle(m, calls):
 
 def test_fallback_matches_dense_oracle(arpack_fails):
     rng = np.random.default_rng(13)
-    m = random_symmetric(600, rng)  # above the dense limit, within the fallback limit
+    m = random_symmetric(600, rng)  # above the dense-form limit, within the fallback limit
     _check_fallback_matches_dense_oracle(m, arpack_fails)
 
 
