@@ -44,7 +44,6 @@ from .metrics import (
     adjusted_rand_index,
     confusion_matrix,
     misclassification_error,
-    misclassification_error_bruteforce,
 )
 from .sbm import (
     AdjacencySnapshot,

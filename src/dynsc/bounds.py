@@ -49,8 +49,8 @@ class RegimeInputs:
     def __post_init__(self):
         if self.n < 1 or self.alpha <= 0.0:
             raise InvalidInputError("n and alpha must be positive")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise InvalidInputError("epsilon must be in [0, 1]")
+        if not 0.0 < self.epsilon <= 1.0:
+            raise InvalidInputError(f"epsilon must be in (0, 1], got {self.epsilon}")
         if self.nbar_min <= 0.0 or self.nbar_max < self.nbar_min:
             raise InvalidInputError("need 0 < nbar_min <= nbar_max")
 
@@ -138,7 +138,7 @@ def rate_card(inp: RegimeInputs) -> RateCard:
         recovery_lap_coeff=recovery_lap,
         recovery_available=available,
         cond_adj_dyn=(alpha / rho_n) / (logn / n),
-        cond_markov_eps=eps / math.sqrt(logn / n) if eps > 0 else 0.0,
+        cond_markov_eps=eps / math.sqrt(logn / n),
         cond_lap_dyn=(alpha / rho_n) / (inp.mu_b * logn / inp.nbar_min),
         cond_lap_static=alpha / (inp.mu_b * logn / inp.nbar_min),
         cond_adj_static_improved=alpha / (logn / inp.nbar_min),

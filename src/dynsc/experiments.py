@@ -50,7 +50,7 @@ from .smoothing import (
     weighted_smooth_csr,
     weights_of,
 )
-from .spectral import DENSE_FORM_LIMIT, prefers_csr, spectral_cluster, spectral_norm
+from .spectral import prefers_csr, spectral_cluster, spectral_norm
 from .util import subseed
 
 CSV_SCHEMA_VERSION = "dynsc-sweep-csv v1"
@@ -106,14 +106,19 @@ class ExperimentConfig:
             raise InvalidInputError(f"unknown mode {self.mode!r}")
         if self.matrix not in ("adjacency", "laplacian", "both"):
             raise InvalidInputError(f"unknown matrix kind {self.matrix!r}")
+        if self.n < 2:
+            raise InvalidInputError(f"n must be >= 2, got {self.n}")
         if not self.lambda_grid and not self.r_grid:
             raise InvalidInputError("smoother grid must be non-empty")
-        if self.trials < 1:
-            raise InvalidInputError("trials must be >= 1")
+        for name in ("trials", "threads", "restarts"):
+            if getattr(self, name) < 1:
+                raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
         if any(r > self.t_len + 1 for r in self.r_grid):
             raise InvalidInputError("window sizes must not exceed t_len + 1")
         object.__setattr__(self, "lambda_grid", tuple(float(v) for v in self.lambda_grid))
         object.__setattr__(self, "r_grid", tuple(int(v) for v in self.r_grid))
+        for point in self.grid():
+            _grid_smoother(*point)  # rejects a bad grid value before any trial runs
 
     @property
     def resolved_alpha(self) -> float:
@@ -169,6 +174,11 @@ class ExperimentConfig:
         if "alpha" in kwargs and "alpha_inv_scale" in kwargs:
             raise InvalidInputError("set only one alpha parameterization")
         return cls(**kwargs)
+
+
+def _grid_smoother(gkind: str, gvalue: float) -> SmootherKind:
+    """The smoother of one :meth:`ExperimentConfig.grid` point."""
+    return Exponential(gvalue) if gkind == "lambda" else Uniform(int(gvalue))
 
 
 @dataclass(frozen=True)
@@ -232,16 +242,19 @@ def reference_matrices(truth: CommunityLabels, model: ConnectivityModel,
 def smoothed_matrix(snaps: SnapshotSequence, smoother: SmootherKind):
     """The final-step estimate of ``smoother`` over ``snaps``, in the eigensolver's form.
 
-    A CSR array (:func:`weighted_smooth_csr`) when the eigensolver would
-    multiply by CSR anyway (:func:`spectral.prefers_csr`), else the dense
-    :func:`weighted_smooth`, memory guard included. Up to
-    ``DENSE_FORM_LIMIT`` the dense form is built directly.
+    The form is chosen before anything is built: a CSR array
+    (:func:`weighted_smooth_csr`) when the eigensolver would multiply by CSR
+    anyway (:func:`spectral.prefers_csr`), else the dense
+    :func:`weighted_smooth`, memory guard included. The nonzero count it is
+    chosen on is twice the edge count of the snapshots with a nonzero
+    weight, an upper bound on the smoothed matrix's nonzeros (shared edges
+    count once there).
     """
     betas = weights_of(smoother, snaps.t_len).betas
-    if snaps.n > DENSE_FORM_LIMIT:
-        smoothed = weighted_smooth_csr(snaps.snapshots, betas)
-        if prefers_csr(snaps.n, smoothed.nnz):
-            return smoothed
+    nnz_bound = 2 * sum(snap.edge_count for beta, snap in zip(betas, reversed(snaps.snapshots))
+                        if beta != 0.0)
+    if prefers_csr(snaps.n, nnz_bound):
+        return weighted_smooth_csr(snaps.snapshots, betas)
     return weighted_smooth(snaps.snapshots, betas)
 
 
@@ -282,8 +295,7 @@ def evaluate_smoothed(cfg: ExperimentConfig, trial: int, seq: MembershipSequence
     refs = reference_matrices(truth, cfg.model(), kinds)
     records = []
     for gidx, (gkind, gvalue) in enumerate(cfg.grid()):
-        smoother = Exponential(gvalue) if gkind == "lambda" else Uniform(int(gvalue))
-        smoothed = smoothed_matrix(snaps, smoother)
+        smoothed = smoothed_matrix(snaps, _grid_smoother(gkind, gvalue))
         for kidx, kind in enumerate(kinds):
             cseed = subseed(cfg.seed, _TAG_CLUSTER, trial, gidx, kidx)
             start = time.perf_counter()

@@ -10,7 +10,6 @@ minimum is taken exactly, via an optimal assignment on the confusion matrix
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,28 +61,6 @@ def misclassification_error(pred: CommunityLabels, truth: CommunityLabels) -> Er
     perm[rows] = cols
     frac = (n - matched) / n
     return ErrorReport(e_value=2.0 * frac, misclassified_fraction=frac, best_permutation=perm)
-
-
-def misclassification_error_bruteforce(pred: CommunityLabels,
-                                       truth: CommunityLabels) -> ErrorReport:
-    """Exhaustive-permutation evaluation of the same minimum (small K only).
-
-    Independent of the assignment solver; used as its cross-check oracle.
-    """
-    k = _check_pair(pred, truth)
-    if k > 8:
-        raise InvalidInputError("brute force limited to k <= 8")
-    conf = confusion_matrix(pred, truth)
-    best_matched = -1
-    best_perm = None
-    for perm in itertools.permutations(range(k)):
-        matched = sum(conf[p, perm[p]] for p in range(k))
-        if matched > best_matched:
-            best_matched = matched
-            best_perm = perm
-    frac = (pred.n - best_matched) / pred.n
-    return ErrorReport(e_value=2.0 * frac, misclassified_fraction=frac,
-                       best_permutation=np.array(best_perm, dtype=np.int64))
 
 
 def adjusted_rand_index(pred: CommunityLabels, truth: CommunityLabels) -> float:

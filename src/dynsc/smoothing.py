@@ -22,7 +22,7 @@ import scipy.sparse
 
 from .errors import InvalidInputError, MemoryBudgetError
 from .sbm import AdjacencySnapshot
-from .spectral import DENSE_FORM_LIMIT, SPARSE_OPERATOR_SHARE
+from .spectral import DENSE_EIGEN_LIMIT, SPARSE_OPERATOR_SHARE
 from .util import available_memory
 
 WEIGHT_SUM_TOL = 1e-12
@@ -121,8 +121,9 @@ def _check_dense_fits(n: int) -> None:
             f"n={n} needs about {need / 2**30:.1f} GiB for {DENSE_WORKSPACE_MATRICES} dense "
             f"n x n float64 matrices but {free / 2**30:.1f} GiB is available; sweep and "
             f"cluster smooth into a sparse (CSR) matrix instead, but only above n="
-            f"{DENSE_FORM_LIMIT} and while at most {SPARSE_OPERATOR_SHARE:.0%} of the "
-            "smoothed entries are nonzero, so reduce n, alpha or the smoothing window")
+            f"{DENSE_EIGEN_LIMIT} and while the weighted snapshots' edges fill at most "
+            f"{SPARSE_OPERATOR_SHARE:.0%} of the entries, so reduce n, alpha or the "
+            "smoothing window")
 
 
 def _checked_history(snapshots: Sequence[AdjacencySnapshot],

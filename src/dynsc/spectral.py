@@ -30,14 +30,13 @@ from .errors import EigenSolverError, InvalidInputError
 from .sbm import CommunityLabels, check_symmetric
 from .util import subseed
 
-# Matrices up to this size are decomposed densely; larger ones go to Lanczos.
+# Matrices up to this size are held as dense arrays and decomposed densely;
+# larger ones go to Lanczos, and are built and multiplied as CSR when
+# prefers_csr holds.
 DENSE_EIGEN_LIMIT = 128
 DENSE_FALLBACK_LIMIT = 4096
 EIGENPAIR_TOL = 1e-8  # Lanczos relative tolerance of top_k_eigenpairs
 NORM_TOL = 1e-6  # Lanczos relative tolerance of spectral_norm
-# Matrices up to this size are always held as dense arrays; larger ones are
-# built and multiplied as CSR when prefers_csr holds.
-DENSE_FORM_LIMIT = 512
 # Lanczos multiplies by a CSR copy of matrices at most this share nonzero.
 # Measured at n = 1000-4000 on a 2-core x86 machine: a CSR matvec costs at
 # most half a dense gemv at 10% nonzero, and breaks even near 25% (2 BLAS
@@ -128,10 +127,10 @@ def _as_low_rank(minus, n: int) -> tuple[np.ndarray, np.ndarray]:
 def prefers_csr(n: int, nnz: int) -> bool:
     """Whether the Lanczos path should multiply an n x n matrix with ``nnz`` nonzeros as CSR.
 
-    True above ``DENSE_FORM_LIMIT`` when at most ``SPARSE_OPERATOR_SHARE`` of
+    True above ``DENSE_EIGEN_LIMIT`` when at most ``SPARSE_OPERATOR_SHARE`` of
     the entries are nonzero.
     """
-    return n > DENSE_FORM_LIMIT and nnz <= SPARSE_OPERATOR_SHARE * n * n
+    return n > DENSE_EIGEN_LIMIT and nnz <= SPARSE_OPERATOR_SHARE * n * n
 
 
 def eigen_operand(m: np.ndarray):

@@ -4,7 +4,13 @@ import itertools
 
 import numpy as np
 
-from dynsc import CommunityLabels, ConnectivityModel
+from dynsc import (
+    CommunityLabels,
+    ConnectivityModel,
+    ErrorReport,
+    InvalidInputError,
+    confusion_matrix,
+)
 
 
 def random_symmetric(n: int, rng: np.random.Generator, low=-1.0, high=1.0) -> np.ndarray:
@@ -55,3 +61,25 @@ def changed_counts(seq) -> np.ndarray:
     """Hamming distance between consecutive labelings of a membership sequence, one per step."""
     return np.array([int(np.count_nonzero(a.labels != b.labels))
                      for a, b in zip(seq.thetas, seq.thetas[1:])])
+
+
+def misclassification_error_bruteforce(pred: CommunityLabels,
+                                       truth: CommunityLabels) -> ErrorReport:
+    """Exhaustive-permutation evaluation of the misclassification minimum (small K only).
+
+    Independent of the assignment solver; used as its cross-check oracle.
+    """
+    conf = confusion_matrix(pred, truth)
+    k = conf.shape[0]
+    if k > 8:
+        raise InvalidInputError("brute force limited to k <= 8")
+    best_matched = -1
+    best_perm = None
+    for perm in itertools.permutations(range(k)):
+        matched = sum(conf[p, perm[p]] for p in range(k))
+        if matched > best_matched:
+            best_matched = matched
+            best_perm = perm
+    frac = (pred.n - best_matched) / pred.n
+    return ErrorReport(e_value=2.0 * frac, misclassified_fraction=frac,
+                       best_permutation=np.array(best_perm, dtype=np.int64))

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import misclassification_error_bruteforce
 from dynsc import (
     CommunityLabels,
     ConnectivityModel,
@@ -24,7 +25,6 @@ from dynsc import (
     gen_deterministic_sequence,
     laplacian_perturbation_check,
     misclassification_error,
-    misclassification_error_bruteforce,
     normalized_laplacian,
     run_sweep,
     sample_adjacency,
@@ -38,7 +38,7 @@ from dynsc import (
     weighted_smooth,
     weights_of,
 )
-from dynsc.experiments import median_by_grid
+from dynsc.experiments import median_by_grid, smoothed_matrix
 from dynsc.util import subseed
 
 
@@ -318,10 +318,10 @@ def test_c12_sparse_regime_payoff():
         seq = gen_deterministic_sequence(cfg)
         snaps = sample_snapshot_sequence(seq, model, subseed(1012, 2, trial))
         truth = seq.thetas[-1]
-        betas = weights_of(Exponential(lam), t_len).betas
-        smoothed = weighted_smooth(snaps.snapshots, betas)
-        res_s = spectral_cluster(smoothed, k, seed=subseed(1012, 3, trial))
-        res_0 = spectral_cluster(snaps.snapshots[-1].to_dense(), k,
+        # the sweep's own smoothed input; lambda = 1 weights only the last snapshot
+        res_s = spectral_cluster(smoothed_matrix(snaps, Exponential(lam)), k,
+                                 seed=subseed(1012, 3, trial))
+        res_0 = spectral_cluster(smoothed_matrix(snaps, Exponential(1.0)), k,
                                  seed=subseed(1012, 4, trial))
         ari_smooth.append(adjusted_rand_index(res_s.labels, truth))
         ari_static.append(adjusted_rand_index(res_0.labels, truth))

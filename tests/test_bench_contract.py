@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from dynsc import ExperimentConfig, run_sweep
-from dynsc.spectral import DENSE_FORM_LIMIT, SPARSE_OPERATOR_SHARE
+from dynsc.spectral import DENSE_EIGEN_LIMIT, SPARSE_OPERATOR_SHARE
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -37,7 +37,7 @@ def _without_wall_ms(records):
     return [dataclasses.replace(rec, wall_ms=0.0) for rec in records]
 
 
-def _traced_trial(spans, n: int, seed: int):
+def _traced_trial(spans, n: int, seed: int, lambda_grid=(0.3, 1.0), r_grid=()):
     """One trial of the sparse2k regime at size ``n``, run plain and traced.
 
     Checks that tracing leaves the records unchanged and that every layer
@@ -45,8 +45,8 @@ def _traced_trial(spans, n: int, seed: int):
     """
     cfg = ExperimentConfig(mode="deterministic", n=n, k=2, tau=0.1, alpha_log_scale=None,
                            alpha_inv_scale=8.0, epsilon=1.0 / math.log(n) ** 2, t_len=6,
-                           n_min=int(0.4 * n), n_max=int(0.6 * n), lambda_grid=(0.3, 1.0),
-                           matrix="both", trials=1, seed=seed, restarts=5)
+                           n_min=int(0.4 * n), n_max=int(0.6 * n), lambda_grid=lambda_grid,
+                           r_grid=r_grid, matrix="both", trials=1, seed=seed, restarts=5)
     plain = run_sweep(cfg)
     tracer = spans.Tracer()
     with tracer.installed():
@@ -67,21 +67,22 @@ def _traced_trial(spans, n: int, seed: int):
 
 
 def test_tracer_counters_on_sparse_trial(spans):
-    # above the dense-form limit and sparse enough that the smoothed matrix
-    # and its Laplacian are built as CSR, outside the traced functions
+    # above the dense-eigensolver limit and sparse enough that the smoothed
+    # matrix and its Laplacian are built as CSR, outside the traced functions
     n = 600
-    assert n > DENSE_FORM_LIMIT
+    assert n > DENSE_EIGEN_LIMIT
     _, got = _traced_trial(spans, n, seed=7)
     assert got["smoothing.weighted_smooth.calls"] == 0
     assert got["sbm.normalized_laplacian.calls"] == 0
 
 
 def test_tracer_counters_on_dense_trial(spans):
-    # up to the dense-form limit the traced dense smoother and Laplacian run,
-    # so their counters are evaluated on what they return
-    n = 400
-    assert n <= DENSE_FORM_LIMIT
-    cfg, got = _traced_trial(spans, n, seed=7)
+    # up to the dense-eigensolver limit the traced dense smoother and Laplacian
+    # run, so their counters are evaluated on what they return; at alpha = 8/n
+    # a snapshot is about 3.4% nonzero there, so the grid keeps to short
+    # histories (the last snapshot, and a window of two) to stay under 10%
+    n = DENSE_EIGEN_LIMIT
+    cfg, got = _traced_trial(spans, n, seed=7, lambda_grid=(1.0,), r_grid=(2,))
     assert got["smoothing.weighted_smooth.calls"] == len(cfg.grid())
     assert 0 < got["smoothing.weighted_smooth.nnz"] <= (
         SPARSE_OPERATOR_SHARE * n * n * len(cfg.grid()))

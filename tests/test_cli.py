@@ -341,3 +341,23 @@ def test_rates_command(capsys):
     assert "rho_n" in kv and "optimal_r" in kv and "adj_dyn_rate" in kv
     rho = float(kv["rho_n"])
     assert np.isclose(float(kv["optimal_lambda"]), rho)
+
+
+def test_rates_reject_zero_epsilon(capsys):
+    # the rates divide by rho_n = sqrt(nbar_max * alpha * epsilon)
+    for command in (["rates"], ["verify", "rates"]):
+        assert main([*command, *TINY, "--epsilon", "0"]) == EXIT_USAGE
+        assert "invalid input: epsilon must be in (0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["--n=0", "--threads=0", "--threads=-3", "--restarts=0",
+                                 "--lambda-grid=0,0.5", "--r-grid=0"])
+def test_sweep_rejects_bad_config_before_any_trial(tmp_path, capsys, monkeypatch, bad):
+    from dynsc import experiments
+
+    generated = []
+    monkeypatch.setattr(experiments, "generate_trial_sequence",
+                        lambda *a: generated.append(a))
+    assert main(["sweep", *TINY, bad, "--out", str(tmp_path)]) == EXIT_USAGE
+    assert "invalid input:" in capsys.readouterr().err
+    assert generated == []

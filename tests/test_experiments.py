@@ -15,7 +15,7 @@ from dynsc.experiments import (
     reference_matrices,
     write_records_csv,
 )
-from dynsc.spectral import DENSE_FORM_LIMIT, eigen_operand
+from dynsc.spectral import DENSE_EIGEN_LIMIT, eigen_operand
 
 SMALL = ExperimentConfig(n=60, k=2, tau=0.2, alpha_log_scale=4.0, epsilon=0.05,
                          t_len=10, trials=3, seed=123, lambda_grid=(0.3, 1.0),
@@ -242,10 +242,12 @@ def _snapshot_sequence(n, p, t_len, seed):
                                         for _ in range(t_len + 1)))
 
 
-@pytest.mark.parametrize("n,p,csr", [(400, 0.01, False), (600, 0.01, True), (600, 0.05, False)])
+@pytest.mark.parametrize("n,p,csr", [(DENSE_EIGEN_LIMIT, 0.01, False), (400, 0.01, True),
+                                      (600, 0.01, True), (600, 0.05, False)])
 def test_smoothed_matrix_form(monkeypatch, n, p, csr):
-    # CSR only above the dense-form limit and at most 10% nonzero; up to the
-    # limit the dense smoother runs without building the CSR keys
+    # CSR only above the dense-eigensolver limit and while the 7 snapshots'
+    # edges (about 7p of the entries) fill at most 10%; the form is chosen
+    # before anything is built, so a dense result never builds the CSR keys
     built = []
     monkeypatch.setattr(experiments, "weighted_smooth_csr",
                         lambda *a: built.append(1) or dynsc.weighted_smooth_csr(*a))
@@ -253,7 +255,7 @@ def test_smoothed_matrix_form(monkeypatch, n, p, csr):
     got = experiments.smoothed_matrix(snaps, Exponential(0.3))
     dense = dynsc.weighted_smooth(snaps.snapshots, weights_of(Exponential(0.3), 6).betas)
     assert isinstance(got, scipy.sparse.csr_array) == csr
-    assert bool(built) == (n > DENSE_FORM_LIMIT)
+    assert built == ([1] if csr else [])
     assert np.array_equal(got.toarray() if csr else got, dense)
 
 

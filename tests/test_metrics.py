@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_labels, relabeled
+from conftest import misclassification_error_bruteforce, random_labels, relabeled
 from dynsc import (
     CommunityLabels,
     InvalidInputError,
     adjusted_rand_index,
     confusion_matrix,
     misclassification_error,
-    misclassification_error_bruteforce,
 )
 
 

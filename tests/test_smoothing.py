@@ -126,7 +126,7 @@ def test_weighted_smooth_memory_guard(monkeypatch):
     n = snaps[0].n
     need = dynsc.smoothing.DENSE_WORKSPACE_MATRICES * 8 * n * n
     monkeypatch.setattr(dynsc.smoothing, "available_memory", lambda: need - 1)
-    with pytest.raises(MemoryBudgetError, match=r"sparse \(CSR\).*above n=512.*10%"):
+    with pytest.raises(MemoryBudgetError, match=r"sparse \(CSR\).*above n=128.*10%"):
         weighted_smooth(snaps, [1.0])
     monkeypatch.setattr(dynsc.smoothing, "available_memory", lambda: need)
     assert weighted_smooth(snaps, [1.0]).shape == (n, n)

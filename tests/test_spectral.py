@@ -102,13 +102,13 @@ def test_degenerate_gap_warns():
     assert basis.gap_degenerate
 
 
-@pytest.mark.parametrize("n", [129, 300, 512])  # just above the dense limit, up to the old one
+@pytest.mark.parametrize("n", [129, 300, 512])  # just above the dense limit
 def test_lanczos_path_matches_eigh_oracle(n, eigsh_operators):
     m = _sparse_sbm_adjacency(n)
     values, vectors = np.linalg.eigh(m)
     top = np.argsort(-np.abs(values))[:3]
     basis = top_k_eigenpairs(m, 3)
-    assert eigsh_operators == ["dense"]
+    assert eigsh_operators == ["csr"]  # about 3% nonzero
     assert np.allclose(basis.values, values[top], rtol=1e-8, atol=0.0)
     proj_dist = np.linalg.norm(basis.vectors @ basis.vectors.T
                                - vectors[:, top] @ vectors[:, top].T, 2)
@@ -463,7 +463,7 @@ def test_spectral_norm_zero_matrix_minus_low_rank():
 def test_eigen_operand_rule():
     sparse = _sparse_sbm_adjacency(600)
     assert scipy.sparse.issparse(dynsc.spectral.eigen_operand(sparse))
-    small = _sparse_sbm_adjacency(300)  # at or below the dense-form limit: kept dense
+    small = _sparse_sbm_adjacency(dynsc.spectral.DENSE_EIGEN_LIMIT)  # at the limit: kept dense
     assert dynsc.spectral.eigen_operand(small) is small
     dense = random_symmetric(600, np.random.default_rng(44))
     assert dynsc.spectral.eigen_operand(dense) is dense
