@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.linalg import blas
 
 from .errors import EigenSolverError, InvalidInputError
 from .sbm import CommunityLabels, check_symmetric
@@ -37,11 +38,12 @@ DENSE_EIGEN_LIMIT = 128
 DENSE_FALLBACK_LIMIT = 4096
 EIGENPAIR_TOL = 1e-8  # Lanczos relative tolerance of top_k_eigenpairs
 NORM_TOL = 1e-6  # Lanczos relative tolerance of spectral_norm
-# Lanczos multiplies by a CSR copy of matrices at most this share nonzero.
-# Measured at n = 1000-4000 on a 2-core x86 machine: a CSR matvec costs at
-# most half a dense gemv at 10% nonzero, and breaks even near 25% (2 BLAS
-# threads) or 45% (1 thread). Making the copy costs 20-50 gemvs, which the
-# margin pays back within about 100 matvecs.
+# Lanczos multiplies by a CSR copy of matrices at most this share nonzero,
+# and by BLAS dsymv otherwise. Measured with 1 BLAS thread on a 2-core x86
+# machine: at n = 1000-4000 a CSR product costs 0.3-0.45 dsymv at 10%
+# nonzero and breaks even near 20-25%, and the copy costs 25-55 dsymvs; at
+# n = 500, where the array fits in cache, CSR breaks even near 8% and costs
+# 1.2 dsymvs at 10%. The share also picks the smoother's form (prefers_csr).
 SPARSE_OPERATOR_SHARE = 0.1
 _V0_SEED = 0x5EED
 _KMEANS_TAG = 77
@@ -133,14 +135,36 @@ def prefers_csr(n: int, nnz: int) -> bool:
     return n > DENSE_EIGEN_LIMIT and nnz <= SPARSE_OPERATOR_SHARE * n * n
 
 
-def eigen_operand(m: np.ndarray):
-    """What the Lanczos path multiplies by: a CSR copy of ``m`` if :func:`prefers_csr`, else ``m``."""
-    if prefers_csr(m.shape[0], np.count_nonzero(m)):
+def eigen_operand(m: np.ndarray, nnz: int | None = None):
+    """What the Lanczos path multiplies by: a CSR copy of ``m`` if :func:`prefers_csr`, else ``m``.
+
+    ``nnz`` is ``m``'s nonzero count if the caller has it already; it is
+    counted here otherwise.
+    """
+    if nnz is None:
+        nnz = np.count_nonzero(m)
+    if prefers_csr(m.shape[0], nnz):
         return scipy.sparse.csr_array(m)
     return m
 
 
-def _leading_eigs(m, k: int, vectors: bool, tol: float, minus=None):
+class _SymmetricDense(scipy.sparse.linalg.LinearOperator):
+    """A checked, exactly symmetric float64 ndarray, multiplied by BLAS ``dsymv``.
+
+    ``dsymv`` reads one triangle of a Fortran-ordered array. A C-ordered ``a``
+    passes its transpose, a view that equals ``a``; only an array that is
+    neither C- nor F-contiguous is copied, once, here.
+    """
+
+    def __init__(self, a: np.ndarray):
+        super().__init__(float, a.shape)
+        self.fortran = a.T if a.flags.c_contiguous else np.asfortranarray(a)
+
+    def _matvec(self, x):
+        return blas.dsymv(1.0, self.fortran, x.ravel())  # matmat passes (n, 1) columns
+
+
+def _leading_eigs(m, k: int, vectors: bool, tol: float, minus=None, nnz=None):
     """Eigenvalues (and eigenvectors if ``vectors``) of ``m - U C Uᵀ``, for magnitude selection.
 
     ``m`` is a checked symmetric ndarray or CSR array and ``minus`` the
@@ -149,8 +173,9 @@ def _leading_eigs(m, k: int, vectors: bool, tol: float, minus=None):
     all ``n`` pairs are returned. Larger ones use a Lanczos solver for the
     ``k`` pairs of largest magnitude, with a fixed starting vector and
     relative tolerance ``tol``, multiplying by
-    :func:`eigen_operand` of an ndarray ``m`` and applying ``U C Uᵀ`` in
-    factored form, and falling back to the dense path (up to
+    :func:`eigen_operand` of an ndarray ``m`` (``nnz`` is its nonzero count,
+    if known) through BLAS ``dsymv`` when that stays dense, and applying
+    ``U C Uᵀ`` in factored form, and falling back to the dense path (up to
     ``DENSE_FALLBACK_LIMIT``) on non-convergence. Returns ``eigh``'s
     ``(values, vectors)`` or ``eigvalsh``'s ``values``.
     """
@@ -167,7 +192,9 @@ def _leading_eigs(m, k: int, vectors: bool, tol: float, minus=None):
     if n <= DENSE_EIGEN_LIMIT or k > n - 2:
         return dense()
     v0 = np.random.default_rng(_V0_SEED).standard_normal(n)
-    op = eigen_operand(m) if isinstance(m, np.ndarray) else m
+    op = eigen_operand(m, nnz) if isinstance(m, np.ndarray) else m
+    if isinstance(op, np.ndarray):
+        op = _SymmetricDense(op)
     if minus is not None:
         u, c = minus
         base = op
@@ -338,4 +365,5 @@ def spectral_norm(m, minus=None) -> float:
     nonzero = m.count_nonzero() if scipy.sparse.issparse(m) else np.count_nonzero(m)
     if not nonzero and (minus is None or not (minus[0].any() and minus[1].any())):
         return 0.0
-    return float(np.abs(_leading_eigs(m, 1, vectors=False, tol=NORM_TOL, minus=minus)).max())
+    return float(np.abs(_leading_eigs(m, 1, vectors=False, tol=NORM_TOL, minus=minus,
+                                      nnz=nonzero)).max())

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -19,6 +22,9 @@ from dynsc import (
     spectral_norm,
     top_k_eigenpairs,
 )
+from dynsc.experiments import ExperimentConfig, generate_trial_sequence, smoothed_matrix
+from dynsc.sbm import normalized_laplacian_csr
+from dynsc.smoothing import Exponential
 from dynsc.spectral import _assign, _kmeans_single
 
 
@@ -118,7 +124,7 @@ def test_lanczos_path_matches_eigh_oracle(n, eigsh_operators):
 def test_spectral_norm_lanczos_path_matches_eigvalsh(eigsh_operators):
     m = random_symmetric(300, np.random.default_rng(15))
     assert np.isclose(spectral_norm(m), np.abs(np.linalg.eigvalsh(m)).max(), rtol=1e-6)
-    assert eigsh_operators == ["dense"]
+    assert eigsh_operators == ["dsymv"]
 
 
 def test_degenerate_gap_warns_on_lanczos_path(eigsh_operators):
@@ -131,7 +137,42 @@ def test_degenerate_gap_warns_on_lanczos_path(eigsh_operators):
     with pytest.warns(RuntimeWarning, match="degenerate"):
         basis = top_k_eigenpairs(m, 2)
     assert basis.gap_degenerate
-    assert eigsh_operators == ["dense"]
+    assert eigsh_operators == ["dsymv"]
+
+
+def _static_sparse_laplacian():
+    """The static (lambda = 1) Laplacian of trial 2 of a sparse2k-regime sweep at seed 3.
+
+    At n = 2000 and alpha = 8/n the last snapshot has a giant component, one
+    isolated edge and isolated nodes, so +1 occurs twice and -1 once: the
+    three leading magnitudes tie.
+    """
+    n = 2000
+    cfg = ExperimentConfig(mode="deterministic", n=n, k=2, tau=0.1, alpha_log_scale=None,
+                           alpha_inv_scale=8.0, epsilon=1.0 / math.log(n) ** 2, t_len=30,
+                           n_min=800, n_max=1200, lambda_grid=(1.0,), matrix="laplacian",
+                           seed=3)
+    _, snaps = generate_trial_sequence(cfg, 2)
+    return normalized_laplacian_csr(smoothed_matrix(snaps, Exponential(1.0)),
+                                    zero_degree="zero-row")
+
+
+def test_static_sparse_laplacian_has_zero_gap():
+    keys = np.sort(np.abs(np.linalg.eigvalsh(_static_sparse_laplacian().toarray())))[::-1]
+    assert np.allclose(keys[:3], 1.0, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="Lanczos at EIGENPAIR_TOL finds one copy of a repeated leading "
+                          "eigenvalue and reports the gap to the next distinct one")
+def test_lanczos_path_flags_repeated_leading_eigenvalue(eigsh_operators):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        basis = top_k_eigenpairs(_static_sparse_laplacian(), 2)
+    assert eigsh_operators == ["csr"]
+    assert np.allclose(np.abs(basis.values), 1.0, rtol=0.0, atol=1e-8)
+    assert basis.gap_degenerate
+    assert any("degenerate" in str(w.message) for w in caught)
 
 
 def test_bad_k_rejected():
@@ -363,7 +404,7 @@ def test_spectral_norm_large_zero_matrix():
 
 
 # ---------------------------------------------------------------------------
-# Lanczos operator: CSR below the density threshold, dense gemv above it
+# Lanczos operator: CSR below the density threshold, dense dsymv above it
 # ---------------------------------------------------------------------------
 
 def _sparse_sbm_adjacency(n=600, seed=41):
@@ -375,7 +416,12 @@ def _sparse_sbm_adjacency(n=600, seed=41):
 
 @pytest.fixture
 def eigsh_operators(monkeypatch):
-    """Record the operator type each ``eigsh`` call receives."""
+    """Record the operator type each ``eigsh`` call receives.
+
+    ``"dsymv"`` is a dense array multiplied by BLAS ``dsymv``, ``"operator"``
+    any other ``LinearOperator`` (the factored ``minus=`` term), ``"dense"`` a
+    bare ndarray.
+    """
     import scipy.sparse.linalg
 
     real = scipy.sparse.linalg.eigsh
@@ -384,6 +430,8 @@ def eigsh_operators(monkeypatch):
     def spy(op, *args, **kwargs):
         if scipy.sparse.issparse(op):
             seen.append("csr")
+        elif isinstance(op, dynsc.spectral._SymmetricDense):
+            seen.append("dsymv")
         else:
             seen.append("dense" if isinstance(op, np.ndarray) else "operator")
         return real(op, *args, **kwargs)
@@ -410,7 +458,87 @@ def test_dense_matrix_keeps_dense_operator(eigsh_operators):
     m = random_symmetric(600, np.random.default_rng(42))
     spectral_norm(m)
     spectral_norm(m - _sparse_sbm_adjacency())
-    assert eigsh_operators == ["dense", "dense"]
+    assert eigsh_operators == ["dsymv", "dsymv"]
+
+
+@pytest.fixture
+def dsymv_operands(monkeypatch):
+    """Record the matrix each BLAS ``dsymv`` call multiplies by."""
+    real = dynsc.spectral.blas.dsymv
+    seen = []
+
+    def spy(alpha, a, x, *args, **kwargs):
+        seen.append(a)
+        return real(alpha, a, x, *args, **kwargs)
+
+    monkeypatch.setattr(dynsc.spectral.blas, "dsymv", spy)
+    return seen
+
+
+def _symmetric_layout(m, layout):
+    if layout == "F":
+        return np.asfortranarray(m)
+    if layout == "strided":  # every other row and column of a larger array: m itself
+        return np.repeat(np.repeat(m, 2, axis=0), 2, axis=1)[::2, ::2]
+    return m
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_dense_product_matches_matmul(layout):
+    rng = np.random.default_rng(45)
+    m = _symmetric_layout(random_symmetric(300, rng), layout)
+    assert m.flags.c_contiguous == (layout == "C")
+    assert m.flags.f_contiguous == (layout == "F")
+    x = rng.standard_normal(300)
+    got = dynsc.spectral._SymmetricDense(m) @ x
+    expected = m @ x
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_dense_product_copies_nothing(layout, dsymv_operands, monkeypatch):
+    checked = []
+    real = dynsc.spectral._as_symmetric
+
+    def spy(m):
+        checked.append(real(m))
+        return checked[-1]
+
+    monkeypatch.setattr(dynsc.spectral, "_as_symmetric", spy)
+    m = _symmetric_layout(random_symmetric(300, np.random.default_rng(46)), layout)
+    spectral_norm(m)
+    top_k_eigenpairs(m, 3)
+    assert len(checked) == 2 and len(dsymv_operands) > 10
+    # F-ordered operands are passed to BLAS as they are, so every product reads the checked array
+    assert all(a.flags.f_contiguous for a in dsymv_operands)
+    assert all(np.shares_memory(a, checked[0]) and np.shares_memory(a, checked[1])
+               for a in dsymv_operands)
+
+
+def test_spectral_norm_minus_multiplies_dense_base_by_dsymv(eigsh_operators, dsymv_operands):
+    n = 300
+    m = random_symmetric(n, np.random.default_rng(47))
+    u, c = _low_rank(n)
+    oracle = np.abs(np.linalg.eigvalsh(m - u @ c @ u.T)).max()
+    assert np.isclose(spectral_norm(m, minus=(u, c)), oracle, rtol=1e-6, atol=0.0)
+    assert eigsh_operators == ["operator"]
+    assert dsymv_operands and all(np.shares_memory(a, m) for a in dsymv_operands)
+
+
+def test_spectral_norm_counts_nonzeros_once(monkeypatch):
+    n = 300
+    m = random_symmetric(n, np.random.default_rng(48))
+    real = np.count_nonzero
+    shapes = []
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "count_nonzero", spy)
+    spectral_norm(m)
+    spectral_norm(m, minus=_low_rank(n))
+    assert shapes.count((n, n)) == 2
 
 
 def _low_rank(n, r=3, seed=43):
