@@ -171,8 +171,8 @@ def laplacian_perturbation_check(a: np.ndarray, p: np.ndarray,
     Both matrices must be symmetric and non-negative with strictly positive
     row sums; ``d_min`` is the minimum over the row sums of both.
     """
-    a = check_symmetric(np.asarray(a, dtype=float), "a")
-    p = check_symmetric(np.asarray(p, dtype=float), "p")
+    a = check_symmetric(a, "a")
+    p = check_symmetric(p, "p")
     if a.shape != p.shape:
         raise InvalidInputError("shape mismatch")
     if a.min() < 0.0 or p.min() < 0.0:

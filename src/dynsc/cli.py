@@ -290,6 +290,8 @@ def _verify_degrees(args) -> dict:
 
 def _verify_bias(args) -> dict:
     cfg = load_config(args)
+    if cfg.mode != "deterministic":  # smoothing_bias_check takes deterministic sequences only
+        raise InvalidInputError(f"verify bias needs mode=deterministic, got mode={cfg.mode}")
     model = cfg.model()
     prof = sbm.effective_sizes(model, cfg.n, cfg.resolved_n_min, cfg.resolved_n_max)
     tuning = smoothing.tuning_profile(cfg.n, cfg.resolved_alpha, cfg.epsilon, prof.nbar_max)

@@ -235,15 +235,6 @@ def _model_to_kv(model: ConnectivityModel) -> dict:
     return kv
 
 
-def _model_from_kv(kv: dict) -> ConnectivityModel:
-    k = int(kv["k"])
-    alpha = float(kv["alpha"])
-    if "tau" in kv:
-        return ConnectivityModel.planted_partition(k, alpha, float(kv["tau"]))
-    b0 = np.array([[float(v) for v in row.split()] for row in kv["b0"].split(";")])
-    return ConnectivityModel.from_kernel(k, alpha, b0)
-
-
 def save_sequence(directory, seq: MembershipSequence, snaps: SnapshotSequence,
                   model: ConnectivityModel, seed: int) -> Path:
     """Persist a generated sequence: per-step edge lists, a labels CSV, a manifest."""
@@ -279,9 +270,24 @@ def load_sequence(directory):
     label row of ``n`` entries and one ``n``-node snapshot per step.
     """
     directory = Path(directory)
-    manifest = parse_kv((directory / _MANIFEST_NAME).read_text())
-    model = _model_from_kv(manifest)
-    n, t_len = int(manifest["n"]), int(manifest["t_len"])
+    path = directory / _MANIFEST_NAME
+    manifest = parse_kv(path.read_text())
+
+    def value(key, cast=str):
+        if key not in manifest:
+            raise InvalidInputError(f"{path}: missing key {key!r}")
+        try:
+            return cast(manifest[key])
+        except ValueError:
+            raise InvalidInputError(f"{path}: cannot parse {key}={manifest[key]!r}") from None
+
+    k, alpha = value("k", int), value("alpha", float)
+    if "tau" in manifest:
+        model = ConnectivityModel.planted_partition(k, alpha, value("tau", float))
+    else:
+        model = ConnectivityModel.from_kernel(k, alpha, value("b0", lambda text: np.array(
+            [[float(v) for v in row.split()] for row in text.split(";")])))
+    n, t_len = value("n", int), value("t_len", int)
     try:
         labels = np.loadtxt(directory / _LABELS_NAME, delimiter=",", dtype=np.int64, ndmin=2)
     except ValueError as exc:
@@ -295,13 +301,8 @@ def load_sequence(directory):
                                    for t in range(t_len + 1)))
     if snaps.n != n:
         raise InvalidInputError(f"snapshots have n={snaps.n}, but the manifest has n={n}")
-    mode = manifest["mode"]
-    seq = MembershipSequence(
-        thetas,
-        mode=mode,
-        epsilon=float(manifest["epsilon"]),
-        s=int(manifest["s"]) if mode == "deterministic" else None,
-        n_min=int(manifest["n_min"]) if mode == "deterministic" else None,
-        n_max=int(manifest["n_max"]) if mode == "deterministic" else None,
-    )
+    mode = value("mode")
+    sizes = ("s", "n_min", "n_max") if mode == "deterministic" else ()
+    seq = MembershipSequence(thetas, mode=mode, epsilon=value("epsilon", float),
+                             **{key: value(key, int) for key in sizes})
     return seq, snaps, model, manifest

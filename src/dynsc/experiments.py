@@ -46,11 +46,12 @@ from .smoothing import (
     Exponential,
     SmootherKind,
     Uniform,
+    prefers_csr,
     weighted_smooth,
     weighted_smooth_csr,
     weights_of,
 )
-from .spectral import prefers_csr, spectral_cluster, spectral_norm
+from .spectral import spectral_cluster, spectral_norm
 from .util import subseed
 
 CSV_SCHEMA_VERSION = "dynsc-sweep-csv v1"
@@ -163,12 +164,13 @@ class ExperimentConfig:
         types = {f.name: f.type.removesuffix(" | None") for f in fields(cls)}
         kwargs = {}
         for key, value in kv.items():
-            if key in _GRID_CASTS:
-                kwargs[key] = tuple(_GRID_CASTS[key](v) for v in value.split(",") if v.strip())
-            elif key in types:
-                kwargs[key] = _CASTS[types[key]](value)
-            else:
+            if key not in types:
                 raise InvalidInputError(f"unknown config key {key!r}")
+            try:
+                kwargs[key] = (tuple(_GRID_CASTS[key](v) for v in value.split(",") if v.strip())
+                               if key in _GRID_CASTS else _CASTS[types[key]](value))
+            except ValueError as exc:  # the casts raise no InvalidInputError to re-wrap
+                raise InvalidInputError(f"config key {key!r}: {exc}") from None
         if "alpha" in kwargs or "alpha_inv_scale" in kwargs:
             kwargs.setdefault("alpha_log_scale", None)
         if "alpha" in kwargs and "alpha_inv_scale" in kwargs:
@@ -240,15 +242,13 @@ def reference_matrices(truth: CommunityLabels, model: ConnectivityModel,
 
 
 def smoothed_matrix(snaps: SnapshotSequence, smoother: SmootherKind):
-    """The final-step estimate of ``smoother`` over ``snaps``, in the eigensolver's form.
+    """The final-step estimate of ``smoother`` over ``snaps``, in the form every later layer keeps.
 
     The form is chosen before anything is built: a CSR array
-    (:func:`weighted_smooth_csr`) when the eigensolver would multiply by CSR
-    anyway (:func:`spectral.prefers_csr`), else the dense
-    :func:`weighted_smooth`, memory guard included. The nonzero count it is
-    chosen on is twice the edge count of the snapshots with a nonzero
-    weight, an upper bound on the smoothed matrix's nonzeros (shared edges
-    count once there).
+    (:func:`weighted_smooth_csr`) when :func:`smoothing.prefers_csr` holds,
+    else the dense :func:`weighted_smooth`, memory guard included. The rule
+    counts twice the edges of the snapshots with a nonzero weight, an upper
+    bound on the smoothed matrix's nonzeros (shared edges count once there).
     """
     betas = weights_of(smoother, snaps.t_len).betas
     nnz_bound = 2 * sum(snap.edge_count for beta, snap in zip(betas, reversed(snaps.snapshots))

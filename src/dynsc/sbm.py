@@ -24,21 +24,21 @@ from .errors import InvalidInputError, ZeroDegreeError
 
 
 def check_symmetric(m, name: str = "matrix"):
-    """Validate that ``m`` is a square, real, exactly symmetric 2-d array.
+    """``m`` as a float64 ndarray or CSR array, checked square, finite and exactly symmetric.
 
     A ``scipy.sparse`` input is checked in O(nnz), never densified, and
-    returned as a CSR array.
+    returned as a CSR array; anything else is returned as an ndarray.
     """
     if scipy.sparse.issparse(m):
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidInputError(f"{name} must be square, got shape {m.shape}")
-        m = scipy.sparse.csr_array(m)
+        m = scipy.sparse.csr_array(m, dtype=float)
         if not np.isfinite(m.data).all():
             raise InvalidInputError(f"{name} contains non-finite entries")
         if (m != m.T).nnz:
             raise InvalidInputError(f"{name} is not symmetric")
         return m
-    m = np.asarray(m)
+    m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInputError(f"{name} must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -99,8 +99,7 @@ class ConnectivityModel:
             raise InvalidInputError(f"k must be >= 1, got {self.k}")
         if not 0.0 < self.alpha <= 1.0:
             raise InvalidInputError(f"alpha must be in (0, 1], got {self.alpha}")
-        b0 = np.asarray(self.b0, dtype=float)
-        check_symmetric(b0, "b0")
+        b0 = check_symmetric(self.b0, "b0")
         if b0.shape != (self.k, self.k):
             raise InvalidInputError(f"b0 must be {self.k}x{self.k}")
         if b0.min() < 0.0 or b0.max() > 1.0:
@@ -201,7 +200,7 @@ def sample_adjacency(p: np.ndarray, seed) -> AdjacencySnapshot:
     Only the strict upper triangle of ``p`` is consulted; the diagonal is
     always zero. ``seed`` may be an int, a SeedSequence, or a Generator.
     """
-    p = check_symmetric(np.asarray(p, dtype=float), "p")
+    p = check_symmetric(p, "p")
     if p.size and (p.min() < 0.0 or p.max() > 1.0):
         raise InvalidInputError("probabilities must lie in [0, 1]")
     n = p.shape[0]
@@ -265,7 +264,7 @@ def degrees(m) -> np.ndarray:
     """Row sums ``d_i = sum_j M_ij`` of a symmetric matrix or snapshot."""
     if isinstance(m, AdjacencySnapshot):
         return m.degrees()
-    m = check_symmetric(np.asarray(m, dtype=float))
+    m = check_symmetric(m)
     return m.sum(axis=1)
 
 
@@ -299,7 +298,7 @@ def normalized_laplacian(m: np.ndarray, zero_degree: str = "error") -> np.ndarra
     nodes). NaN is never emitted. Isolated nodes can be recovered by the
     caller as ``degrees(m) == 0``.
     """
-    m = check_symmetric(np.asarray(m, dtype=float))
+    m = check_symmetric(m)
     inv = _inverse_sqrt_degrees(m.sum(axis=1), zero_degree)
     # outer() keeps exact symmetry: scale[i, j] == scale[j, i] bit for bit
     return m * np.outer(inv, inv)
@@ -313,7 +312,7 @@ def normalized_laplacian_csr(m, zero_degree: str = "error") -> scipy.sparse.csr_
     summed over the stored entries only, which can differ from the dense row
     sum in the last bit.
     """
-    m = check_symmetric(scipy.sparse.csr_array(m, dtype=float))
+    m = check_symmetric(m)
     inv = _inverse_sqrt_degrees(m.sum(axis=1), zero_degree)
     scale = inv[m.indices]
     scale *= np.repeat(inv, np.diff(m.indptr))  # inv_j * inv_i == inv_i * inv_j exactly

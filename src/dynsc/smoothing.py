@@ -22,7 +22,7 @@ import scipy.sparse
 
 from .errors import InvalidInputError, MemoryBudgetError
 from .sbm import AdjacencySnapshot
-from .spectral import DENSE_EIGEN_LIMIT, SPARSE_OPERATOR_SHARE
+from .spectral import DENSE_EIGEN_LIMIT
 from .util import available_memory
 
 WEIGHT_SUM_TOL = 1e-12
@@ -30,6 +30,13 @@ WEIGHT_SUM_TOL = 1e-12
 # smoothed matrix, and the scale matrix and result of its Laplacian, with room
 # for the boolean temporaries of the symmetry checks
 DENSE_WORKSPACE_MATRICES = 4
+# Above DENSE_EIGEN_LIMIT, a smoothed matrix at most this share nonzero is built
+# and multiplied as CSR, and a denser one as a dense array multiplied by BLAS
+# dsymv. Measured with 1 BLAS thread on a 2-core x86 machine: at n = 1000-4000
+# a CSR product costs 0.3-0.45 dsymv at 10% nonzero and breaks even near
+# 20-25%; at n = 500, where the array fits in cache, CSR breaks even near 8%
+# and costs 1.2 dsymvs at 10%.
+SPARSE_OPERATOR_SHARE = 0.1
 
 
 @dataclass(frozen=True)
@@ -107,6 +114,16 @@ def weights_of(kind: SmootherKind, t: int) -> SmoothingWeights:
         betas[t] = (1.0 - lam) ** t
         return SmoothingWeights(betas, beta_max=lam, c_beta=1.5, c_beta_prime=2.0)
     raise InvalidInputError(f"unknown smoother kind {kind!r}")
+
+
+def prefers_csr(n: int, nnz: int) -> bool:
+    """Whether an n x n smoothed matrix with ``nnz`` nonzeros should be built as CSR.
+
+    True above ``DENSE_EIGEN_LIMIT`` when at most ``SPARSE_OPERATOR_SHARE`` of
+    the entries are nonzero. The Laplacian and the eigensolver keep the form
+    the matrix is built in.
+    """
+    return n > DENSE_EIGEN_LIMIT and nnz <= SPARSE_OPERATOR_SHARE * n * n
 
 
 def _check_dense_fits(n: int) -> None:

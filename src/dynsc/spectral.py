@@ -31,20 +31,11 @@ from .errors import EigenSolverError, InvalidInputError
 from .sbm import CommunityLabels, check_symmetric
 from .util import subseed
 
-# Matrices up to this size are held as dense arrays and decomposed densely;
-# larger ones go to Lanczos, and are built and multiplied as CSR when
-# prefers_csr holds.
+# Matrices up to this size are decomposed densely; larger ones go to Lanczos.
 DENSE_EIGEN_LIMIT = 128
 DENSE_FALLBACK_LIMIT = 4096
 EIGENPAIR_TOL = 1e-8  # Lanczos relative tolerance of top_k_eigenpairs
 NORM_TOL = 1e-6  # Lanczos relative tolerance of spectral_norm
-# Lanczos multiplies by a CSR copy of matrices at most this share nonzero,
-# and by BLAS dsymv otherwise. Measured with 1 BLAS thread on a 2-core x86
-# machine: at n = 1000-4000 a CSR product costs 0.3-0.45 dsymv at 10%
-# nonzero and breaks even near 20-25%, and the copy costs 25-55 dsymvs; at
-# n = 500, where the array fits in cache, CSR breaks even near 8% and costs
-# 1.2 dsymvs at 10%. The share also picks the smoother's form (prefers_csr).
-SPARSE_OPERATOR_SHARE = 0.1
 _V0_SEED = 0x5EED
 _KMEANS_TAG = 77
 _KMEANS_MAX_ITER = 300
@@ -104,48 +95,16 @@ def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_symmetric(m):
-    """``m`` as a float ndarray or CSR array, checked square, finite and exactly symmetric.
-
-    A ``scipy.sparse`` input is checked in O(nnz) and never densified.
-    """
-    if scipy.sparse.issparse(m):
-        return check_symmetric(scipy.sparse.csr_array(m, dtype=float))
-    return check_symmetric(np.asarray(m, dtype=float))
-
-
 def _as_low_rank(minus, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Factors ``(U, C)`` of ``U C Uᵀ``: ``U`` finite n-by-r, ``C`` symmetric r-by-r."""
     u, c = minus
     u = np.asarray(u, dtype=float)
-    c = check_symmetric(np.asarray(c, dtype=float), "C")
+    c = check_symmetric(c, "C")
     if u.shape != (n, c.shape[0]):
         raise InvalidInputError(f"U must be {n}x{c.shape[0]}, got shape {u.shape}")
     if not np.isfinite(u).all():
         raise InvalidInputError("U contains non-finite entries")
     return u, c
-
-
-def prefers_csr(n: int, nnz: int) -> bool:
-    """Whether the Lanczos path should multiply an n x n matrix with ``nnz`` nonzeros as CSR.
-
-    True above ``DENSE_EIGEN_LIMIT`` when at most ``SPARSE_OPERATOR_SHARE`` of
-    the entries are nonzero.
-    """
-    return n > DENSE_EIGEN_LIMIT and nnz <= SPARSE_OPERATOR_SHARE * n * n
-
-
-def eigen_operand(m: np.ndarray, nnz: int | None = None):
-    """What the Lanczos path multiplies by: a CSR copy of ``m`` if :func:`prefers_csr`, else ``m``.
-
-    ``nnz`` is ``m``'s nonzero count if the caller has it already; it is
-    counted here otherwise.
-    """
-    if nnz is None:
-        nnz = np.count_nonzero(m)
-    if prefers_csr(m.shape[0], nnz):
-        return scipy.sparse.csr_array(m)
-    return m
 
 
 class _SymmetricDense(scipy.sparse.linalg.LinearOperator):
@@ -164,7 +123,7 @@ class _SymmetricDense(scipy.sparse.linalg.LinearOperator):
         return blas.dsymv(1.0, self.fortran, x.ravel())  # matmat passes (n, 1) columns
 
 
-def _leading_eigs(m, k: int, vectors: bool, tol: float, minus=None, nnz=None):
+def _leading_eigs(m, k: int, vectors: bool, tol: float, minus=None):
     """Eigenvalues (and eigenvectors if ``vectors``) of ``m - U C Uᵀ``, for magnitude selection.
 
     ``m`` is a checked symmetric ndarray or CSR array and ``minus`` the
@@ -172,9 +131,8 @@ def _leading_eigs(m, k: int, vectors: bool, tol: float, minus=None, nnz=None):
     ``DENSE_EIGEN_LIMIT``, or with ``k > n - 2``, are decomposed densely and
     all ``n`` pairs are returned. Larger ones use a Lanczos solver for the
     ``k`` pairs of largest magnitude, with a fixed starting vector and
-    relative tolerance ``tol``, multiplying by
-    :func:`eigen_operand` of an ndarray ``m`` (``nnz`` is its nonzero count,
-    if known) through BLAS ``dsymv`` when that stays dense, and applying
+    relative tolerance ``tol``, multiplying by ``m`` in the form it is given
+    (an ndarray through BLAS ``dsymv``, a CSR array as CSR) and applying
     ``U C Uᵀ`` in factored form, and falling back to the dense path (up to
     ``DENSE_FALLBACK_LIMIT``) on non-convergence. Returns ``eigh``'s
     ``(values, vectors)`` or ``eigvalsh``'s ``values``.
@@ -192,9 +150,7 @@ def _leading_eigs(m, k: int, vectors: bool, tol: float, minus=None, nnz=None):
     if n <= DENSE_EIGEN_LIMIT or k > n - 2:
         return dense()
     v0 = np.random.default_rng(_V0_SEED).standard_normal(n)
-    op = eigen_operand(m, nnz) if isinstance(m, np.ndarray) else m
-    if isinstance(op, np.ndarray):
-        op = _SymmetricDense(op)
+    op = _SymmetricDense(m) if isinstance(m, np.ndarray) else m
     if minus is not None:
         u, c = minus
         base = op
@@ -221,7 +177,7 @@ def top_k_eigenpairs(m, k: int) -> EigenBasis:
     computed so the gap to the first discarded eigenvalue can be reported;
     above ``DENSE_EIGEN_LIMIT`` they are accurate to ``EIGENPAIR_TOL`` relative.
     """
-    m = _as_symmetric(m)
+    m = check_symmetric(m)
     n = m.shape[0]
     if not 1 <= k <= n:
         raise InvalidInputError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -359,11 +315,10 @@ def spectral_norm(m, minus=None) -> float:
     tolerance ``NORM_TOL``; see :func:`_leading_eigs` for the dense and fallback
     paths.
     """
-    m = _as_symmetric(m)
+    m = check_symmetric(m)
     if minus is not None:
         minus = _as_low_rank(minus, m.shape[0])
     nonzero = m.count_nonzero() if scipy.sparse.issparse(m) else np.count_nonzero(m)
     if not nonzero and (minus is None or not (minus[0].any() and minus[1].any())):
         return 0.0
-    return float(np.abs(_leading_eigs(m, 1, vectors=False, tol=NORM_TOL, minus=minus,
-                                      nnz=nonzero)).max())
+    return float(np.abs(_leading_eigs(m, 1, vectors=False, tol=NORM_TOL, minus=minus)).max())

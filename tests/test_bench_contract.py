@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from dynsc import ExperimentConfig, run_sweep
-from dynsc.spectral import DENSE_EIGEN_LIMIT, SPARSE_OPERATOR_SHARE
+from dynsc.smoothing import SPARSE_OPERATOR_SHARE
+from dynsc.spectral import DENSE_EIGEN_LIMIT
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 

@@ -27,6 +27,16 @@ def test_invalid_config_is_usage_error(tmp_path):
     assert main(["sweep", "--config", str(cfg)]) == EXIT_USAGE
 
 
+def test_unparsable_config_value_is_usage_error(tmp_path, capsys):
+    bad_n, bad_r = tmp_path / "n.cfg", tmp_path / "r.cfg"
+    bad_n.write_text("n=abc\n")
+    bad_r.write_text("r_grid=2.5\n")
+    for argv, key in ((["--lambda-grid", "0.5,abc"], "lambda_grid"),
+                      (["--config", str(bad_n)], "n"), (["--config", str(bad_r)], "r_grid")):
+        assert main(["sweep", *argv, "--out", str(tmp_path)]) == EXIT_USAGE
+        assert f"invalid input: config key '{key}'" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_io_error(tmp_path):
     assert main(["sweep", "--config", str(tmp_path / "nope.cfg")]) == EXIT_IO
 
@@ -108,10 +118,24 @@ def _bad_edge_line(directory):
     path.write_text(path.read_text() + "7 x\n")
 
 
+def _manifest_missing_t_len(directory):
+    path = directory / "manifest.txt"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if not line.startswith("t_len=")))
+
+
+def _manifest_alpha_abc(directory):
+    path = directory / "manifest.txt"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join("alpha=abc\n" if line.startswith("alpha=") else line
+                            for line in lines))
+
+
 @pytest.mark.parametrize("corrupt", [_drop_last_label_row, _manifest_n_999, _snapshots_n_41,
-                                     _ragged_label_row, _bad_edge_line],
+                                     _ragged_label_row, _bad_edge_line, _manifest_missing_t_len,
+                                     _manifest_alpha_abc],
                          ids=["labels_rows", "manifest_n", "snapshot_n", "labels_ragged",
-                              "edge_line"])
+                              "edge_line", "manifest_missing_key", "manifest_bad_value"])
 def test_corrupt_sequence_is_rejected(tmp_path, capsys, corrupt):
     out = tmp_path / "seq"
     assert main(["generate", *TINY, "--out", str(out)]) == EXIT_OK
@@ -310,6 +334,16 @@ def test_verify_laplacian_ineq(capsys):
 def test_verify_bias(capsys):
     assert main(["verify", "bias", *TINY, "--sequences", "4"]) == EXIT_OK
     assert "frobenius_violations=0" in capsys.readouterr().out
+
+
+def test_verify_bias_rejects_markov_mode(capsys, monkeypatch):
+    from dynsc import dynamics
+
+    generated = []
+    monkeypatch.setattr(dynamics, "gen_deterministic_sequence", lambda *a: generated.append(a))
+    assert main(["verify", "bias", *TINY, "--mode", "markov", "--sequences", "2"]) == EXIT_USAGE
+    assert "invalid input: verify bias needs mode=deterministic" in capsys.readouterr().err
+    assert generated == []
 
 
 def test_verify_degrees(capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+import dynsc.smoothing
 import dynsc.spectral
 
 from conftest import random_symmetric
@@ -114,7 +115,7 @@ def test_lanczos_path_matches_eigh_oracle(n, eigsh_operators):
     values, vectors = np.linalg.eigh(m)
     top = np.argsort(-np.abs(values))[:3]
     basis = top_k_eigenpairs(m, 3)
-    assert eigsh_operators == ["csr"]  # about 3% nonzero
+    assert eigsh_operators == ["dsymv"]  # an ndarray is multiplied as it is given
     assert np.allclose(basis.values, values[top], rtol=1e-8, atol=0.0)
     proj_dist = np.linalg.norm(basis.vectors @ basis.vectors.T
                                - vectors[:, top] @ vectors[:, top].T, 2)
@@ -442,15 +443,16 @@ def eigsh_operators(monkeypatch):
 
 def test_csr_operator_matches_dense_oracle(eigsh_operators):
     m = _sparse_sbm_adjacency()
-    assert np.count_nonzero(m) <= dynsc.spectral.SPARSE_OPERATOR_SHARE * m.size
+    assert np.count_nonzero(m) <= dynsc.smoothing.SPARSE_OPERATOR_SHARE * m.size
     values, vectors = np.linalg.eigh(m)
     top = np.argsort(-np.abs(values))[:3]
-    basis = top_k_eigenpairs(m, 3)
+    csr = scipy.sparse.csr_array(m)
+    basis = top_k_eigenpairs(csr, 3)
     assert np.allclose(basis.values, values[top], rtol=1e-10)
     proj_dist = np.linalg.norm(basis.vectors @ basis.vectors.T
                                - vectors[:, top] @ vectors[:, top].T, 2)
     assert proj_dist <= 1e-8
-    assert np.isclose(spectral_norm(m), np.abs(values).max(), rtol=1e-6)
+    assert np.isclose(spectral_norm(csr), np.abs(values).max(), rtol=1e-6)
     assert eigsh_operators == ["csr", "csr"]
 
 
@@ -459,6 +461,20 @@ def test_dense_matrix_keeps_dense_operator(eigsh_operators):
     spectral_norm(m)
     spectral_norm(m - _sparse_sbm_adjacency())
     assert eigsh_operators == ["dsymv", "dsymv"]
+
+
+def test_sparse_ndarray_is_multiplied_without_csr_copy(eigsh_operators, monkeypatch):
+    # the form is picked where a matrix is built, so an ndarray stays dense however sparse
+    m = _sparse_sbm_adjacency(600)
+    assert 0.02 <= np.count_nonzero(m) / m.size <= 0.04
+    real = scipy.sparse.csr_array
+    copies = []
+    monkeypatch.setattr(scipy.sparse, "csr_array",
+                        lambda *a, **kw: copies.append(1) or real(*a, **kw))
+    top_k_eigenpairs(m, 3)
+    spectral_norm(m)
+    assert eigsh_operators == ["dsymv", "dsymv"]
+    assert copies == []
 
 
 @pytest.fixture
@@ -498,13 +514,13 @@ def test_dense_product_matches_matmul(layout):
 @pytest.mark.parametrize("layout", ["C", "F"])
 def test_dense_product_copies_nothing(layout, dsymv_operands, monkeypatch):
     checked = []
-    real = dynsc.spectral._as_symmetric
+    real = dynsc.spectral.check_symmetric
 
-    def spy(m):
-        checked.append(real(m))
+    def spy(m, *args):
+        checked.append(real(m, *args))
         return checked[-1]
 
-    monkeypatch.setattr(dynsc.spectral, "_as_symmetric", spy)
+    monkeypatch.setattr(dynsc.spectral, "check_symmetric", spy)
     m = _symmetric_layout(random_symmetric(300, np.random.default_rng(46)), layout)
     spectral_norm(m)
     top_k_eigenpairs(m, 3)
@@ -588,15 +604,6 @@ def test_spectral_norm_zero_matrix_minus_low_rank():
     assert spectral_norm(np.zeros((40, 40)), minus=(u, np.zeros((3, 3)))) == 0.0
 
 
-def test_eigen_operand_rule():
-    sparse = _sparse_sbm_adjacency(600)
-    assert scipy.sparse.issparse(dynsc.spectral.eigen_operand(sparse))
-    small = _sparse_sbm_adjacency(dynsc.spectral.DENSE_EIGEN_LIMIT)  # at the limit: kept dense
-    assert dynsc.spectral.eigen_operand(small) is small
-    dense = random_symmetric(600, np.random.default_rng(44))
-    assert dynsc.spectral.eigen_operand(dense) is dense
-
-
 def _asymmetric_csr():
     m = scipy.sparse.csr_array(_sparse_sbm_adjacency(600))
     m = m.tolil()
@@ -651,7 +658,7 @@ def arpack_fails(monkeypatch):
 
 
 def _check_fallback_matches_dense_oracle(m, calls):
-    oracle = np.abs(np.linalg.eigvalsh(m))
+    oracle = np.abs(np.linalg.eigvalsh(m.toarray() if scipy.sparse.issparse(m) else m))
     basis = top_k_eigenpairs(m, 3)
     assert np.allclose(np.abs(basis.values), np.sort(oracle)[::-1][:3], rtol=1e-10)
     gram = basis.vectors.T @ basis.vectors
@@ -667,8 +674,9 @@ def test_fallback_matches_dense_oracle(arpack_fails):
 
 
 def test_fallback_matches_dense_oracle_sparse_input(arpack_fails):
-    # the CSR operator fails too; the fallback decomposes the original dense array
-    _check_fallback_matches_dense_oracle(_sparse_sbm_adjacency(), arpack_fails)
+    # the CSR operator fails too; the fallback decomposes the densified array
+    _check_fallback_matches_dense_oracle(scipy.sparse.csr_array(_sparse_sbm_adjacency()),
+                                         arpack_fails)
 
 
 @pytest.mark.parametrize("form", ["dense", "csr"])
