@@ -100,6 +100,8 @@ class MembershipSequence:
     n_max: int | None = None
 
     def __post_init__(self):
+        if self.mode not in ("deterministic", "markov"):
+            raise InvalidInputError(f"mode must be 'deterministic' or 'markov', got {self.mode!r}")
         if not self.thetas:
             raise InvalidInputError("sequence must contain at least Theta_0")
         n, k = self.thetas[0].n, self.thetas[0].k

@@ -175,7 +175,7 @@ def weighted_smooth(snapshots: Sequence[AdjacencySnapshot], betas: np.ndarray) -
         if beta == 0.0:
             continue
         snap = snaps[len(snaps) - 1 - k]
-        upper[snap.rows, snap.cols] += beta
+        upper.reshape(-1)[snap.rows * n + snap.cols] += beta  # a flat view, cheaper to index
     return upper + upper.T
 
 

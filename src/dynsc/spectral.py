@@ -86,12 +86,9 @@ class SpectralClusteringResult:
 
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry is positive."""
+    peaks = vectors[np.abs(vectors).argmax(axis=0), np.arange(vectors.shape[1])]
     out = vectors.copy()
-    for col in range(out.shape[1]):
-        v = out[:, col]
-        j = int(np.argmax(np.abs(v)))
-        if v[j] < 0:
-            out[:, col] = -v
+    out[:, peaks < 0] *= -1.0
     return out
 
 
@@ -204,59 +201,89 @@ def top_k_eigenpairs(m, k: int) -> EigenBasis:
     )
 
 
-def _seed_centroids(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Distance-squared-weighted seeding; duplicate locations get zero mass."""
+def _seed_centroids(x: np.ndarray, k: int, rngs: list) -> np.ndarray:
+    """Distance-squared-weighted seeding, ``(len(rngs), k, d)``; duplicate locations get zero mass.
+
+    Each run draws what ``rng.choice(n, p=d2 / total)`` would, without its argument checks.
+    """
     n = x.shape[0]
-    centers = np.empty((k, x.shape[1]))
-    centers[0] = x[rng.integers(n)]
-    d2 = ((x - centers[0]) ** 2).sum(axis=1)
+    centers = np.empty((len(rngs), k, x.shape[1]))
+    centers[:, 0] = x[[rng.integers(n) for rng in rngs]]
+    d2 = ((x - centers[:, :1]) ** 2).sum(axis=2)
     for j in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            idx = int(rng.integers(n))  # fewer than k distinct points
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
-        centers[j] = x[idx]
-        d2 = np.minimum(d2, ((x - centers[j]) ** 2).sum(axis=1))
+        picks = []
+        for rng, row, total in zip(rngs, d2, d2.sum(axis=1)):
+            if total <= 0.0:
+                picks.append(rng.integers(n))  # fewer than k distinct points
+            else:
+                cdf = (row / total).cumsum()
+                cdf /= cdf[-1]
+                picks.append(cdf.searchsorted(rng.random(), side="right"))
+        centers[:, j] = x[picks]
+        d2 = np.minimum(d2, ((x - centers[:, j, None]) ** 2).sum(axis=2))
     return centers
 
 
-def _assign(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-centroid labels and each point's squared distance to its centroid.
+def _nearest(x: np.ndarray, centers: np.ndarray):
+    """Nearest centroids of ``x`` among each of ``b`` runs' centroids (b, k, d), in one product.
 
-    The argmin is over ``|x|^2 - 2 x c^T + |c|^2`` less the ``|x|^2`` that
-    every centroid shares; the returned distances are recomputed from the
-    exact differences, so no cancellation reaches the cost.
+    The argmin over ``|c|^2 - 2 x c^T`` breaks ties by lowest index. Returns the labels (b, n),
+    the labels offset by ``k`` per run (flat), and the exact squared differences (b, n, d).
     """
-    d2 = (centers ** 2).sum(axis=1) - 2.0 * (x @ centers.T)
-    labels = d2.argmin(axis=1)  # argmin breaks ties by lowest centroid index
-    return labels, ((x - centers[labels]) ** 2).sum(axis=1)
+    n, (b, k, d) = x.shape[0], centers.shape
+    flat = centers.reshape(-1, d)
+    d2 = (flat ** 2).sum(axis=1) - 2.0 * (x @ flat.T)
+    labels = np.ascontiguousarray(d2.reshape(n, b, k).argmin(axis=2).T)
+    offset = labels + np.arange(0, b * k, k)[:, None]
+    return labels, offset.ravel(), (x - np.take(flat, offset, axis=0)) ** 2
 
 
-def _kmeans_single(x: np.ndarray, k: int, rng: np.random.Generator):
-    """One seeded Lloyd run; returns (labels, centers, cost, degenerate, cost_history)."""
-    centers = _seed_centroids(x, k, rng)
-    history = []
+def _assign(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-centroid labels and squared distances: ``(n,)``, or ``(b, n)`` for ``b`` runs."""
+    labels, _, squares = _nearest(x, centers.reshape((-1,) + centers.shape[-2:]))
+    shape = centers.shape[:-2] + (x.shape[0],)
+    return labels.reshape(shape), squares.sum(axis=2).reshape(shape)
+
+
+def _lloyd_round(x: np.ndarray, weights: np.ndarray, k: int, rngs: list) -> list:
+    """Seeded Lloyd runs, one per generator, iterated together; ``weights`` is ``x.T`` tiled.
+
+    One ``bincount`` per coordinate over all runs' offset labels takes the sequential sums of
+    ``x[labels == j].mean(axis=0)``, and a run is frozen once its centroids move less than
+    ``_KMEANS_TOL``. Returns ``(labels, centers, cost, degenerate, cost_history)`` per run.
+    """
+    n, d = x.shape
+    centers = _seed_centroids(x, k, rngs)
+    histories = [[] for _ in rngs]
+    active = np.arange(len(rngs))
     for _ in range(_KMEANS_MAX_ITER):
-        labels, dist = _assign(x, centers)
-        history.append(float(dist.sum()))
-        new_centers = centers.copy()
-        counts = np.bincount(labels, minlength=k)
-        for j in range(k):
-            if counts[j] > 0:
-                new_centers[j] = x[labels == j].mean(axis=0)
-            else:
-                # re-seed an empty cluster at the point farthest from its centroid
-                new_centers[j] = x[int(np.argmax(dist))]
-        movement = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
-        centers = new_centers
-        if movement < _KMEANS_TOL:
+        if not active.size:
             break
+        a = active.size
+        old = centers[active]
+        labels, offset, squares = _nearest(x, old)
+        for r, cost in zip(active, squares.reshape(a, -1).sum(axis=1)):
+            histories[r].append(float(cost))  # summed in another order than the last cost
+        counts = np.bincount(offset, minlength=a * k)
+        if d == 1:  # numpy sums a lone column pairwise, not in order
+            sums = np.array([x[run == j].sum() for run in labels for j in range(k)])[:, None]
+        else:
+            sums = np.array([np.bincount(offset, w, a * k) for w in weights[:, :a * n]]).T
+        new = old.copy()
+        filled = counts > 0
+        new.reshape(-1, d)[filled] = sums[filled] / counts[filled, None]
+        if not filled.all():
+            # re-seed an empty cluster at the point farthest from its centroid
+            runs, empty = np.nonzero(~filled.reshape(a, k))
+            new[runs, empty] = x[squares[runs].sum(axis=2).argmax(axis=1)]
+        movement = np.sqrt(((new - old) ** 2).sum(axis=2)).max(axis=1)
+        centers[active] = new
+        active = active[~(movement < _KMEANS_TOL)]
     labels, dist = _assign(x, centers)
-    cost = float(dist.sum())
-    history.append(cost)
-    degenerate = bool((np.bincount(labels, minlength=k) == 0).any())
-    return labels, centers, cost, degenerate, history
+    costs = [float(run.sum()) for run in dist]
+    degenerate = [bool((np.bincount(run, minlength=k) == 0).any()) for run in labels]
+    return [(labels[r], centers[r], costs[r], degenerate[r], histories[r] + [costs[r]])
+            for r in range(len(rngs))]
 
 
 def kmeans(points: np.ndarray, k: int, restarts: int = 20, seed: int = 0) -> KMeansResult:
@@ -268,7 +295,7 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 20, seed: int = 0) -> KMe
     ``_KMEANS_REPEATS`` of them have reached the best cost within
     ``_KMEANS_REPEAT_RTOL`` relative; the best is the first restart of least
     cost either way. The reported cost is recomputed from the returned labels
-    and centroids.
+    and centroids. Restarts run in rounds, with the result of one at a time.
     """
     x = np.asarray(points, dtype=float)
     if x.ndim != 2:
@@ -277,20 +304,21 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 20, seed: int = 0) -> KMe
         raise InvalidInputError(f"need 1 <= k <= n, got k={k}, n={x.shape[0]}")
     if restarts < 1:
         raise InvalidInputError("restarts must be >= 1")
-    best = None
-    costs = []
-    for ridx in range(restarts):
-        rng = np.random.default_rng(subseed(seed, _KMEANS_TAG, ridx))
-        labels, centers, cost, degenerate, _ = _kmeans_single(x, k, rng)
-        costs.append(cost)
-        if best is None or cost < best[2]:
-            best = (labels, centers, cost, degenerate)
-        repeats = np.count_nonzero(np.asarray(costs) <= best[2] * (1.0 + _KMEANS_REPEAT_RTOL))
-        if best[2] == 0.0 or repeats >= _KMEANS_REPEATS:
-            break
-    labels, centers, cost, degenerate = best
-    return KMeansResult(labels=labels, centroids=centers, cost=cost,
-                        restarts_used=len(costs), degenerate=degenerate)
+    weights = np.tile(x.T, min(restarts, _KMEANS_REPEATS))
+    best, costs, repeats = None, [], 0
+    while True:
+        # seed the restarts that could still end the search: a new best adds one repeat at most
+        size = min(_KMEANS_REPEATS - repeats, restarts - len(costs))
+        rngs = [np.random.default_rng(subseed(seed, _KMEANS_TAG, ridx))
+                for ridx in range(len(costs), len(costs) + size)]
+        for run in _lloyd_round(x, weights, k, rngs):
+            costs.append(run[2])
+            if best is None or run[2] < best[2]:
+                best = run
+            repeats = np.count_nonzero(np.asarray(costs) <= best[2] * (1.0 + _KMEANS_REPEAT_RTOL))
+            if best[2] == 0.0 or repeats >= _KMEANS_REPEATS or len(costs) == restarts:
+                labels, centers, cost, degenerate, _ = best
+                return KMeansResult(labels, centers, cost, len(costs), degenerate)
 
 
 def spectral_cluster(m, k: int, *, restarts: int = 20,

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 
+import dynsc.spectral
 from dynsc import (
     CommunityLabels,
     ConnectivityModel,
@@ -11,6 +12,8 @@ from dynsc import (
     InvalidInputError,
     confusion_matrix,
 )
+from dynsc.spectral import KMeansResult
+from dynsc.util import subseed
 
 
 def random_symmetric(n: int, rng: np.random.Generator, low=-1.0, high=1.0) -> np.ndarray:
@@ -83,3 +86,74 @@ def misclassification_error_bruteforce(pred: CommunityLabels,
     frac = (pred.n - best_matched) / pred.n
     return ErrorReport(e_value=2.0 * frac, misclassified_fraction=frac,
                        best_permutation=np.array(best_perm, dtype=np.int64))
+
+
+def kmeans_oracle_seeds(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Distance-squared-weighted seeding of one run, drawn with ``rng.choice``."""
+    n = x.shape[0]
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[rng.integers(n)]
+    d2 = ((x - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        idx = int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=d2 / total))
+        centers[j] = x[idx]
+        d2 = np.minimum(d2, ((x - centers[j]) ** 2).sum(axis=1))
+    return centers
+
+
+def _kmeans_oracle_run(x: np.ndarray, k: int, rng: np.random.Generator):
+    """One seeded Lloyd run on its own, with per-cluster means.
+
+    Returns (labels, centers, cost, degenerate, cost_history).
+    """
+    centers = kmeans_oracle_seeds(x, k, rng)
+
+    def assign(centers):
+        d2 = (centers ** 2).sum(axis=1) - 2.0 * (x @ centers.T)
+        labels = d2.argmin(axis=1)
+        return labels, ((x - centers[labels]) ** 2).sum(axis=1)
+
+    history = []
+    for _ in range(dynsc.spectral._KMEANS_MAX_ITER):
+        labels, dist = assign(centers)
+        history.append(float(dist.sum()))
+        new_centers = centers.copy()
+        counts = np.bincount(labels, minlength=k)
+        for j in range(k):
+            if counts[j] > 0:
+                new_centers[j] = x[labels == j].mean(axis=0)
+            else:
+                new_centers[j] = x[int(np.argmax(dist))]
+        movement = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
+        centers = new_centers
+        if movement < dynsc.spectral._KMEANS_TOL:
+            break
+    labels, dist = assign(centers)
+    cost = float(dist.sum())
+    history.append(cost)
+    degenerate = bool((np.bincount(labels, minlength=k) == 0).any())
+    return labels, centers, cost, degenerate, history
+
+
+def kmeans_oracle(points, k: int, restarts: int = 20, seed: int = 0) -> KMeansResult:
+    """Sequential twin of ``dynsc.spectral.kmeans``: one restart at a time, same stop rule.
+
+    Independent of the batched rounds; used as their bit-for-bit oracle.
+    """
+    x = np.asarray(points, dtype=float)
+    best = None
+    costs = []
+    for ridx in range(restarts):
+        rng = np.random.default_rng(subseed(seed, dynsc.spectral._KMEANS_TAG, ridx))
+        labels, centers, cost, degenerate, _ = _kmeans_oracle_run(x, k, rng)
+        costs.append(cost)
+        if best is None or cost < best[2]:
+            best = (labels, centers, cost, degenerate)
+        repeats = np.count_nonzero(
+            np.asarray(costs) <= best[2] * (1.0 + dynsc.spectral._KMEANS_REPEAT_RTOL))
+        if best[2] == 0.0 or repeats >= dynsc.spectral._KMEANS_REPEATS:
+            break
+    labels, centers, cost, degenerate = best
+    return KMeansResult(labels=labels, centroids=centers, cost=cost,
+                        restarts_used=len(costs), degenerate=degenerate)

@@ -131,11 +131,19 @@ def _manifest_alpha_abc(directory):
                             for line in lines))
 
 
+def _manifest_mode_foo(directory):
+    path = directory / "manifest.txt"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join("mode=foo\n" if line.startswith("mode=") else line
+                            for line in lines))
+
+
 @pytest.mark.parametrize("corrupt", [_drop_last_label_row, _manifest_n_999, _snapshots_n_41,
                                      _ragged_label_row, _bad_edge_line, _manifest_missing_t_len,
-                                     _manifest_alpha_abc],
+                                     _manifest_alpha_abc, _manifest_mode_foo],
                          ids=["labels_rows", "manifest_n", "snapshot_n", "labels_ragged",
-                              "edge_line", "manifest_missing_key", "manifest_bad_value"])
+                              "edge_line", "manifest_missing_key", "manifest_bad_value",
+                              "manifest_bad_mode"])
 def test_corrupt_sequence_is_rejected(tmp_path, capsys, corrupt):
     out = tmp_path / "seq"
     assert main(["generate", *TINY, "--out", str(out)]) == EXIT_OK

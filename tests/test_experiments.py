@@ -4,7 +4,7 @@ import scipy.sparse
 
 import dynsc
 from dynsc import experiments
-from conftest import random_labels
+from conftest import kmeans_oracle, random_labels
 from dynsc import ExperimentConfig, Exponential, InvalidInputError, run_sweep, summarize, weights_of
 from dynsc.experiments import (
     generate_trial_sequence,
@@ -71,6 +71,22 @@ def test_sweep_deterministic(small_records):
                                  "kmeans_cost", "eigengap", "seed"))
                           for r in recs]
     assert strip(again) == strip(small_records)
+
+
+def test_sweep_records_equal_with_sequential_kmeans_oracle(monkeypatch):
+    # batched k-means restarts must not move any record against one-at-a-time restarts
+    import dataclasses
+
+    cfg = ExperimentConfig(n=200, k=3, tau=0.3, alpha_log_scale=3.0, epsilon=0.01, t_len=12,
+                           trials=2, seed=41, lambda_grid=(0.1, 0.3, 1.0), r_grid=(2, 5),
+                           matrix="both")
+
+    def csv_without_wall_ms():
+        return records_to_csv([dataclasses.replace(r, wall_ms=0.0) for r in run_sweep(cfg)])
+
+    batched = csv_without_wall_ms()
+    monkeypatch.setattr(dynsc.spectral, "kmeans", kmeans_oracle)
+    assert csv_without_wall_ms() == batched
 
 
 def test_sweep_parallel_equals_serial(small_records):

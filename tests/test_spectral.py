@@ -8,7 +8,7 @@ import scipy.sparse
 import dynsc.smoothing
 import dynsc.spectral
 
-from conftest import random_symmetric
+from conftest import kmeans_oracle, kmeans_oracle_seeds, random_symmetric
 from dynsc import (
     CommunityLabels,
     ConnectivityModel,
@@ -26,7 +26,7 @@ from dynsc import (
 from dynsc.experiments import ExperimentConfig, generate_trial_sequence, smoothed_matrix
 from dynsc.sbm import normalized_laplacian_csr
 from dynsc.smoothing import Exponential
-from dynsc.spectral import _assign, _kmeans_single
+from dynsc.spectral import _assign, _lloyd_round, _seed_centroids
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +220,11 @@ def test_kmeans_k1_closed_form():
 def test_kmeans_cost_monotone_descent():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(200, 4))
-    for ridx in range(5):
-        run_rng = np.random.default_rng(ridx)
-        _, _, _, _, history = _kmeans_single(x, 5, run_rng)
+    rngs = [np.random.default_rng(ridx) for ridx in range(5)]
+    runs = _lloyd_round(x, np.tile(x.T, len(rngs)), 5, rngs)
+    assert len(runs) == 5
+    for _, _, cost, _, history in runs:
+        assert len(history) >= 2 and history[-1] == cost
         diffs = np.diff(np.asarray(history))
         assert (diffs <= 1e-9).all()
 
@@ -262,11 +264,11 @@ def _scripted_costs(monkeypatch, costs):
     """Make each Lloyd run return the next of ``costs``, with labels naming the run."""
     runs = iter(range(len(costs)))
 
-    def single(x, k, rng):
-        i = next(runs)
-        return np.full(x.shape[0], i), np.zeros((k, x.shape[1])), costs[i], False, [costs[i]]
+    def lloyd_round(x, weights, k, rngs):
+        return [(np.full(x.shape[0], i), np.zeros((k, x.shape[1])), costs[i], False, [costs[i]])
+                for _, i in zip(rngs, runs)]
 
-    monkeypatch.setattr(dynsc.spectral, "_kmeans_single", single)
+    monkeypatch.setattr(dynsc.spectral, "_lloyd_round", lloyd_round)
 
 
 @pytest.mark.parametrize("costs,used,best", [
@@ -289,6 +291,75 @@ def test_kmeans_zero_cost_stops_at_once(monkeypatch):
     _scripted_costs(monkeypatch, [1.0, 0.0, 0.0, 0.0])
     res = kmeans(np.zeros((6, 2)), 2, restarts=4, seed=0)
     assert (res.restarts_used, res.cost) == (2, 0.0)
+
+
+def _blobs(seed, centers, sigma, size):
+    rng = np.random.default_rng(seed)
+    return np.vstack([rng.normal(mu, sigma, size=(size, len(mu))) for mu in centers])
+
+
+# (points, k, restarts, seed); each is run through kmeans and the sequential oracle
+_KMEANS_CASES = {
+    "k1": (np.random.default_rng(1).normal(size=(30, 3)), 1, 5, 0),
+    "k1_one_column": (np.random.default_rng(2).normal(size=(50, 1)), 1, 5, 3),
+    "one_column": (np.random.default_rng(3).normal(size=(80, 1)) ** 3, 3, 20, 1),
+    "k_equals_n": (np.random.default_rng(4).normal(size=(12, 2)), 12, 20, 2),
+    "fewer_distinct_than_k": (np.repeat(np.eye(3), 4, axis=0), 5, 20, 0),
+    "all_equal": (np.zeros((4, 1)), 2, 20, 0),
+    "empty_cluster_reseed": (np.random.default_rng(2963).normal(size=(20, 2)) ** 3, 6, 3, 0),
+    "zero_cost": (np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 3, 5, 0),
+    "one_restart": (np.random.default_rng(5).normal(size=(100, 3)), 4, 1, 7),
+    "blobs_early_stop": (_blobs(17, [(0, 0), (1, 0), (0, 1)], 0.05, 50), 3, 20, 0),
+    "overlapping_all_restarts": (np.random.default_rng(6).normal(size=(150, 2)), 7, 20, 5),
+    "d8": (np.random.default_rng(7).normal(size=(200, 8)), 5, 20, 1),
+    "d12_offset": (np.random.default_rng(8).normal(size=(120, 12)) + 40.0, 4, 20, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(_KMEANS_CASES))
+def test_kmeans_equals_sequential_oracle(case, monkeypatch):
+    x, k, restarts, seed = _KMEANS_CASES[case]
+    empty_seen = []
+    real_nearest = dynsc.spectral._nearest
+
+    def nearest(x, centers):
+        labels, offset, squares = real_nearest(x, centers)
+        empty_seen.append(any((np.bincount(run, minlength=k) == 0).any() for run in labels))
+        return labels, offset, squares
+
+    monkeypatch.setattr(dynsc.spectral, "_nearest", nearest)
+    got = kmeans(x, k, restarts=restarts, seed=seed)
+    want = kmeans_oracle(x, k, restarts=restarts, seed=seed)
+    assert np.array_equal(got.labels, want.labels)
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    assert got.cost == want.cost
+    assert got.restarts_used == want.restarts_used
+    assert got.degenerate == want.degenerate
+    if case == "empty_cluster_reseed":  # a Lloyd step re-seeds an empty cluster
+        assert any(empty_seen[:-1]) and not got.degenerate
+
+
+def test_kmeans_oracle_cases_cover_the_stops():
+    used = {case: kmeans_oracle(x, k, restarts=r, seed=s).restarts_used
+            for case, (x, k, r, s) in _KMEANS_CASES.items()}
+    assert used["zero_cost"] == 1 and used["one_restart"] == 1
+    assert dynsc.spectral._KMEANS_REPEATS <= used["blobs_early_stop"] < 20
+    assert used["overlapping_all_restarts"] == 20  # more than one round without a stop
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_seeding_draws_what_rng_choice_draws(k):
+    # rng.choice(n, p=d2 / total) against the cumulative-sum search, on the same streams
+    for case, x in enumerate([np.random.default_rng(9).normal(size=(60, 3)) ** 3,
+                              np.repeat(np.random.default_rng(10).normal(size=(3, 2)), 5, axis=0),
+                              np.random.default_rng(11).exponential(size=(200, 9)) * 1e-150]):
+        seeds = range(10 * case, 10 * case + 6)
+        rngs = [np.random.default_rng(s) for s in seeds]
+        twins = [np.random.default_rng(s) for s in seeds]
+        got = _seed_centroids(x, k, rngs)
+        want = np.stack([kmeans_oracle_seeds(x, k, rng) for rng in twins])
+        assert got.tobytes() == want.tobytes()
+        assert [rng.random() for rng in rngs] == [rng.random() for rng in twins]
 
 
 @pytest.mark.parametrize("n,d,k,offset", [(300, 2, 3, 0.0), (500, 5, 8, 0.0),
