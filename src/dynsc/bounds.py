@@ -44,7 +44,6 @@ class RegimeInputs:
     mu_b: float
     gamma: float
     delta: float = 0.0   # k-means cost-ratio proxy
-    nu: float = 1.0      # confidence exponent: failure probability n^-nu
 
     def __post_init__(self):
         if self.n < 1 or self.alpha <= 0.0:
@@ -56,12 +55,12 @@ class RegimeInputs:
 
     @classmethod
     def from_model(cls, model: ConnectivityModel, n: int, n_min: int, n_max: int,
-                   epsilon: float, delta: float = 0.0, nu: float = 1.0) -> "RegimeInputs":
+                   epsilon: float, delta: float = 0.0) -> "RegimeInputs":
         prof = effective_sizes(model, n, n_min, n_max)
         return cls(n=n, k=model.k, alpha=model.alpha, epsilon=epsilon,
                    n_min=prof.n_min, n_max=prof.n_max, n_prime_max=prof.n_prime_max,
                    nbar_min=prof.nbar_min, nbar_max=prof.nbar_max, mu_b=prof.mu_b,
-                   gamma=prof.gamma, delta=delta, nu=nu)
+                   gamma=prof.gamma, delta=delta)
 
 
 @dataclass(frozen=True)

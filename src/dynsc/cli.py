@@ -7,9 +7,9 @@ theory: weight conditions, the deterministic Laplacian perturbation
 inequality, degree deviations, smoothing bias, rate reductions) and ``rates``
 (print the closed-form rate card for a regime).
 
-Configuration is a flat ``key=value`` file with ``#`` comments; any CLI flag
-overrides the file. Exit codes: 0 success, 1 usage error, 2 verification
-failure, 3 I/O error.
+Configuration is a flat ``key=value`` file with ``#`` comments. Every config
+key is also a flag (``t_len`` is ``--t-len``), and a flag overrides the file.
+Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -44,28 +44,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# help text of the config keys that need one; every ExperimentConfig field gets a flag
+_FLAG_HELP = {
+    "mode": "deterministic or markov",
+    "alpha_log_scale": "alpha = c * log(n) / n",
+    "alpha_inv_scale": "alpha = c / n",
+    "lambda_grid": "comma-separated forgetting factors",
+    "r_grid": "comma-separated window sizes",
+    "matrix": "adjacency, laplacian or both",
+    "seed": "root seed",
+    "threads": "worker pool size",
+}
+_ALPHA_KEYS = frozenset({"alpha", "alpha_log_scale", "alpha_inv_scale"})
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="key=value config file")
-    parser.add_argument("--seed", type=int, help="root seed")
     parser.add_argument("--out", type=Path, help="output directory")
-    parser.add_argument("--threads", type=int, help="worker pool size")
-    parser.add_argument("--mode", choices=["deterministic", "markov"])
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--k", type=int)
-    parser.add_argument("--tau", type=float)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--alpha-log-scale", type=float,
-                        help="alpha = c * log(n) / n")
-    parser.add_argument("--alpha-inv-scale", type=float, help="alpha = c / n")
-    parser.add_argument("--epsilon", type=float)
-    parser.add_argument("--t-len", type=int)
-    parser.add_argument("--n-min", type=int)
-    parser.add_argument("--n-max", type=int)
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--restarts", type=int)
-    parser.add_argument("--lambda-grid", help="comma-separated forgetting factors")
-    parser.add_argument("--r-grid", help="comma-separated window sizes")
-    parser.add_argument("--matrix", choices=["adjacency", "laplacian", "both"])
+    # flag values stay strings, parsed by ExperimentConfig.from_kv like file values
+    for f in fields(experiments.ExperimentConfig):
+        parser.add_argument("--" + f.name.replace("_", "-"), help=_FLAG_HELP.get(f.name))
 
 
 def build_parser() -> _Parser:
@@ -100,20 +98,12 @@ def build_parser() -> _Parser:
 
 
 def load_config(args) -> experiments.ExperimentConfig:
-    kv = {}
-    if args.config is not None:
-        kv.update(parse_kv(Path(args.config).read_text()))
-    # every config field has a flag of the same name
-    overrides = {f.name: getattr(args, f.name) for f in fields(experiments.ExperimentConfig)}
-    for key, value in overrides.items():
-        if value is not None:
-            kv[key] = str(value)
-    alphas_set = [key for key in ("alpha", "alpha_log_scale", "alpha_inv_scale") if key in kv]
-    if len(alphas_set) > 1:  # flags override the file's parameterization
-        for key in ("alpha", "alpha_log_scale", "alpha_inv_scale"):
-            if key in kv and getattr(args, key) is None:
-                del kv[key]
-    return experiments.ExperimentConfig.from_kv(kv)
+    kv = parse_kv(Path(args.config).read_text()) if args.config is not None else {}
+    flags = {f.name: getattr(args, f.name) for f in fields(experiments.ExperimentConfig)
+             if getattr(args, f.name) is not None}
+    if flags.keys() & _ALPHA_KEYS:  # an alpha flag replaces the file's parameterization
+        kv = {key: value for key, value in kv.items() if key not in _ALPHA_KEYS}
+    return experiments.ExperimentConfig.from_kv({**kv, **flags})
 
 
 def _out_dir(args) -> Path:
@@ -246,7 +236,7 @@ def _verify_weights(args) -> dict:
 
 
 def _verify_laplacian_ineq(args) -> dict:
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    rng = np.random.default_rng(load_config(args).seed)
     violations = 0
     worst = 0.0
     for _ in range(args.instances):

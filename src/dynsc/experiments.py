@@ -154,9 +154,9 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if value is None:
                 continue
-            if isinstance(value, tuple):
-                value = ",".join(format(v, ".12g") for v in value)
-            out[f.name] = value
+            if isinstance(value, tuple):  # repr round-trips a float exactly
+                value = ",".join(map(repr, value))
+            out[f.name] = repr(value) if isinstance(value, float) else value
         return out
 
     @classmethod

@@ -14,6 +14,7 @@ sampled graphs are sparse.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -427,22 +428,20 @@ def save_snapshot(snap: AdjacencySnapshot, path) -> None:
 
 
 def load_snapshot(path) -> AdjacencySnapshot:
-    text = Path(path).read_text().splitlines()
-    if not text or not text[0].startswith("n="):
+    header, _, body = Path(path).read_text().partition("\n")
+    if not header.startswith("n="):
         raise InvalidInputError(f"{path}: missing 'n=<n>' header")
     try:
-        n = int(text[0][2:])
+        n = int(header[2:])
     except ValueError:
-        raise InvalidInputError(f"{path}: bad header {text[0]!r}") from None
-    rows, cols = [], []
-    for lineno, line in enumerate(text[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            i, j = map(int, line.split())
-        except ValueError:
-            raise InvalidInputError(
-                f"{path}:{lineno}: expected two node indices, got {line!r}") from None
-        rows.append(i)
-        cols.append(j)
-    return AdjacencySnapshot(n, np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))
+        raise InvalidInputError(f"{path}: bad header {header!r}") from None
+    if not body.strip():  # no edges; loadtxt would warn on the empty input
+        return AdjacencySnapshot(n, np.empty(0, np.int64), np.empty(0, np.int64))
+    try:  # blank lines are skipped; a ragged or non-integer line raises
+        edges = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
+    except ValueError as exc:
+        raise InvalidInputError(f"{path}: expected two node indices per line: {exc}") from None
+    if edges.shape[1] != 2:  # loadtxt accepts any column count shared by all lines
+        raise InvalidInputError(
+            f"{path}: expected two node indices per line, got {edges.shape[1]}")
+    return AdjacencySnapshot(n, edges[:, 0], edges[:, 1])

@@ -266,18 +266,6 @@ class WeightReport:
     def all_ok(self) -> bool:
         return self.sum_ok and self.bound_ok and self.square_ok and self.decay_ok
 
-    def to_kv(self) -> dict:
-        return {
-            "sum_ok": self.sum_ok, "bound_ok": self.bound_ok,
-            "square_ok": self.square_ok, "decay_ok": self.decay_ok,
-            "sum_beta": self.sum_beta, "max_beta": self.max_beta,
-            "sum_beta_sq": self.sum_beta_sq, "decay_sum": self.decay_sum,
-            "beta_max": self.beta_max, "c_beta": self.c_beta,
-            "c_beta_prime": self.c_beta_prime,
-            "c_beta_tight": self.c_beta_tight,
-            "c_beta_prime_tight": self.c_beta_prime_tight,
-        }
-
 
 def validate_weights(w: SmoothingWeights, epsilon_n: float) -> WeightReport:
     """Evaluate the weight conditions for ``w`` at regularity ``epsilon_n``.

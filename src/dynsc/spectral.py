@@ -300,6 +300,8 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 20, seed: int = 0) -> KMe
     x = np.asarray(points, dtype=float)
     if x.ndim != 2:
         raise InvalidInputError("points must be a 2-d array")
+    if not np.isfinite(x).all():
+        raise InvalidInputError("points must be finite")
     if not 1 <= k <= x.shape[0]:
         raise InvalidInputError(f"need 1 <= k <= n, got k={k}, n={x.shape[0]}")
     if restarts < 1:

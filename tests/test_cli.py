@@ -1,12 +1,16 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from dynsc import InvalidInputError, load_sequence
+from dynsc import ExperimentConfig, InvalidInputError, load_sequence
 from dynsc.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFICATION,
+    build_parser,
+    load_config,
     main,
 )
 
@@ -32,7 +36,8 @@ def test_unparsable_config_value_is_usage_error(tmp_path, capsys):
     bad_n.write_text("n=abc\n")
     bad_r.write_text("r_grid=2.5\n")
     for argv, key in ((["--lambda-grid", "0.5,abc"], "lambda_grid"),
-                      (["--config", str(bad_n)], "n"), (["--config", str(bad_r)], "r_grid")):
+                      (["--config", str(bad_n)], "n"), (["--config", str(bad_r)], "r_grid"),
+                      (["--n", "abc"], "n"), (["--tau", "x"], "tau"), (["--seed", "1.5"], "seed")):
         assert main(["sweep", *argv, "--out", str(tmp_path)]) == EXIT_USAGE
         assert f"invalid input: config key '{key}'" in capsys.readouterr().err
 
@@ -403,3 +408,49 @@ def test_sweep_rejects_bad_config_before_any_trial(tmp_path, capsys, monkeypatch
     assert main(["sweep", *TINY, bad, "--out", str(tmp_path)]) == EXIT_USAGE
     assert "invalid input:" in capsys.readouterr().err
     assert generated == []
+
+
+# a valid non-default value for every config key
+_KEY_VALUES = {"mode": "markov", "n": "41", "k": "2", "tau": "0.25", "alpha": "0.05",
+               "alpha_log_scale": "2.5", "alpha_inv_scale": "8", "epsilon": "0.02",
+               "t_len": "7", "n_min": "10", "n_max": "30", "lambda_grid": "0.3,1.0",
+               "r_grid": "2,3", "matrix": "adjacency", "trials": "3", "seed": "5",
+               "threads": "2", "restarts": "4"}
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig)])
+def test_every_config_key_is_a_flag(tmp_path, key):
+    parser = build_parser()
+    path = tmp_path / "c.cfg"
+    path.write_text(f"{key}={_KEY_VALUES[key]}\n")
+    flag = "--" + key.replace("_", "-")
+    from_flag = load_config(parser.parse_args(["sweep", flag, _KEY_VALUES[key]]))
+    from_file = load_config(parser.parse_args(["sweep", "--config", str(path)]))
+    assert from_flag == from_file
+    assert getattr(from_flag, key) != getattr(ExperimentConfig(), key)
+
+
+@pytest.mark.parametrize("key", ["alpha", "alpha_log_scale", "alpha_inv_scale"])
+def test_alpha_flag_replaces_the_files_alpha_keys(tmp_path, key):
+    path = tmp_path / "c.cfg"
+    flag = "--" + key.replace("_", "-")
+    for text in ("alpha=0.1\n", "alpha_inv_scale=8\n", "alpha_log_scale=2\n"):
+        path.write_text(text)
+        cfg = load_config(build_parser().parse_args(["sweep", "--config", str(path), flag, "0.5"]))
+        assert {name: getattr(cfg, name) for name in ("alpha", "alpha_log_scale", "alpha_inv_scale")
+                if getattr(cfg, name) is not None} == {key: 0.5}
+
+
+def test_verify_laplacian_ineq_takes_seed_from_config(tmp_path, monkeypatch, capsys):
+    seeds = []
+    real_default_rng = np.random.default_rng
+
+    def spy(seed=None):
+        seeds.append(seed)
+        return real_default_rng(seed)
+
+    path = tmp_path / "c.cfg"
+    path.write_text("seed=5\n")
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    assert main(["verify", "laplacian-ineq", "--config", str(path), "--instances", "2"]) == EXIT_OK
+    assert seeds == [5]

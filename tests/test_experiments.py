@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -16,6 +18,7 @@ from dynsc.experiments import (
     write_records_csv,
 )
 from dynsc.spectral import DENSE_EIGEN_LIMIT
+from dynsc.util import dump_kv, parse_kv
 
 SMALL = ExperimentConfig(n=60, k=2, tau=0.2, alpha_log_scale=4.0, epsilon=0.05,
                          t_len=10, trials=3, seed=123, lambda_grid=(0.3, 1.0),
@@ -49,6 +52,14 @@ def test_config_kv_roundtrip():
     kv = SMALL.to_kv()
     back = ExperimentConfig.from_kv({k: str(v) for k, v in kv.items()})
     assert back == SMALL
+
+
+@pytest.mark.parametrize("cfg", [ExperimentConfig(),
+                                 ExperimentConfig(n=2000, epsilon=1 / math.log(2000) ** 2)],
+                         ids=["default", "epsilon_1_over_log2n"])
+def test_saved_config_text_reproduces_config(cfg):
+    # sweep writes config.txt with dump_kv(cfg.to_kv()); reading it back must give cfg
+    assert ExperimentConfig.from_kv(parse_kv(dump_kv(cfg.to_kv()))) == cfg
 
 
 def test_sweep_produces_full_grid(small_records):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -509,3 +511,27 @@ def test_load_snapshot_rejects_malformed_edge_line(tmp_path):
         path.write_text(f"n=4\n0 1\n{bad}\n")
         with pytest.raises(InvalidInputError):
             load_snapshot(path)
+
+
+def test_load_snapshot_header_only_is_empty(tmp_path):
+    path = tmp_path / "snap.txt"
+    save_snapshot(AdjacencySnapshot(5, np.empty(0, np.int64), np.empty(0, np.int64)), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = load_snapshot(path)
+    assert back.n == 5 and back.edge_count == 0
+
+
+@pytest.mark.parametrize("body", ["0 1 2\n1 2 3\n", "0\n1\n"], ids=["three_columns", "one_column"])
+def test_load_snapshot_rejects_uniform_wrong_column_count(tmp_path, body):
+    path = tmp_path / "snap.txt"
+    path.write_text(f"n=4\n{body}")
+    with pytest.raises(InvalidInputError):
+        load_snapshot(path)
+
+
+def test_load_snapshot_skips_blank_lines(tmp_path):
+    path = tmp_path / "snap.txt"
+    path.write_text("n=4\n\n0 1\n   \n2\t3\n\n")
+    back = load_snapshot(path)
+    assert back.rows.tolist() == [0, 2] and back.cols.tolist() == [1, 3]

@@ -195,6 +195,15 @@ def test_kmeans_k_distinct_points_zero_cost():
     assert not res.degenerate
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_kmeans_rejects_non_finite_points(bad):
+    # a NaN once ran every restart and returned cost=nan with no error
+    x = np.random.default_rng(0).normal(size=(50, 2))
+    x[7, 1] = bad
+    with pytest.raises(InvalidInputError, match="finite"):
+        kmeans(x, 2, restarts=5, seed=0)
+
+
 def test_kmeans_two_separated_blobs():
     # construction with known optimum: blobs 10 sigma apart
     rng = np.random.default_rng(5)
