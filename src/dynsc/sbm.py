@@ -154,7 +154,7 @@ class AdjacencySnapshot:
             if not (rows < cols).all():
                 raise InvalidInputError("edges must satisfy i < j (no self-loops)")
             key = rows * self.n + cols
-            if np.unique(key).size != key.size:
+            if (np.diff(np.sort(key)) == 0).any():
                 raise InvalidInputError("duplicate edges")
 
     @property

@@ -9,7 +9,9 @@ Eigenpairs and norms are computed only as accurately as the theory needs:
 above ``DENSE_EIGEN_LIMIT`` a Lanczos solver stops at relative tolerance
 ``EIGENPAIR_TOL`` (eigenvectors; by Davis-Kahan their error is at most
 ``tol * |lambda_1| / gap``, far below the statistical error) or ``NORM_TOL``
-(spectral norms).
+(spectral norms, whose Ritz values err roughly by the square of that). The
+eigengap's first discarded magnitude is such a norm, of the matrix with the
+selected pairs deflated.
 
 The k-means step uses distance-squared-weighted random seeding plus Lloyd
 iterations with restarts, and stops restarting once the best cost has been
@@ -35,7 +37,7 @@ from .util import subseed
 DENSE_EIGEN_LIMIT = 128
 DENSE_FALLBACK_LIMIT = 4096
 EIGENPAIR_TOL = 1e-8  # Lanczos relative tolerance of top_k_eigenpairs
-NORM_TOL = 1e-6  # Lanczos relative tolerance of spectral_norm
+NORM_TOL = 1e-4  # Lanczos relative tolerance of spectral_norm and the eigengap
 _V0_SEED = 0x5EED
 _KMEANS_TAG = 77
 _KMEANS_MAX_ITER = 300
@@ -50,8 +52,8 @@ class EigenBasis:
     """Selected eigenpairs: ``values[i]`` with orthonormal column ``vectors[:, i]``.
 
     ``gap`` is the magnitude gap ``|value_k| - |value_{k+1}|`` between the last
-    selected and the first discarded eigenvalue; ``gap_degenerate`` flags a
-    numerically vanishing gap.
+    selected and the first discarded eigenvalue; ``gap_degenerate`` flags a gap
+    within the accuracy of ``|value_{k+1}|`` (see :func:`top_k_eigenpairs`).
     """
 
     values: np.ndarray
@@ -120,19 +122,19 @@ class _SymmetricDense(scipy.sparse.linalg.LinearOperator):
         return blas.dsymv(1.0, self.fortran, x.ravel())  # matmat passes (n, 1) columns
 
 
-def _leading_eigs(m, k: int, vectors: bool, tol: float, minus=None):
+def _leading_eigs(m, k: int, vectors: bool, tol: float, minus=None, draw: int = 0):
     """Eigenvalues (and eigenvectors if ``vectors``) of ``m - U C Uᵀ``, for magnitude selection.
 
     ``m`` is a checked symmetric ndarray or CSR array and ``minus`` the
     checked factors ``(U, C)``, or None for ``m`` alone. Matrices up to
     ``DENSE_EIGEN_LIMIT``, or with ``k > n - 2``, are decomposed densely and
     all ``n`` pairs are returned. Larger ones use a Lanczos solver for the
-    ``k`` pairs of largest magnitude, with a fixed starting vector and
-    relative tolerance ``tol``, multiplying by ``m`` in the form it is given
-    (an ndarray through BLAS ``dsymv``, a CSR array as CSR) and applying
-    ``U C Uᵀ`` in factored form, and falling back to the dense path (up to
-    ``DENSE_FALLBACK_LIMIT``) on non-convergence. Returns ``eigh``'s
-    ``(values, vectors)`` or ``eigvalsh``'s ``values``.
+    ``k`` pairs of largest magnitude, started from draw number ``draw`` of the
+    ``_V0_SEED`` stream, at relative tolerance ``tol``, multiplying by ``m`` in
+    the form it is given (an ndarray through BLAS ``dsymv``, a CSR array as
+    CSR) and applying ``U C Uᵀ`` in factored form, and falling back to the
+    dense path (up to ``DENSE_FALLBACK_LIMIT``) on non-convergence. Returns
+    ``eigh``'s ``(values, vectors)`` or ``eigvalsh``'s ``values``.
     """
     n = m.shape[0]
 
@@ -146,17 +148,17 @@ def _leading_eigs(m, k: int, vectors: bool, tol: float, minus=None):
 
     if n <= DENSE_EIGEN_LIMIT or k > n - 2:
         return dense()
-    v0 = np.random.default_rng(_V0_SEED).standard_normal(n)
+    v0 = np.random.default_rng(_V0_SEED).standard_normal((draw + 1, n))[draw]
     op = _SymmetricDense(m) if isinstance(m, np.ndarray) else m
     if minus is not None:
         u, c = minus
-        base = op
+        product = op._matvec if isinstance(m, np.ndarray) else m.__matmul__
 
         def apply(x):
-            return base @ x - u @ (c @ (u.T @ x))
+            x = x.ravel()
+            return product(x) - u @ (c @ (u.T @ x))
 
-        op = scipy.sparse.linalg.LinearOperator((n, n), matvec=apply, matmat=apply,
-                                                dtype=float)
+        op = scipy.sparse.linalg.LinearOperator((n, n), matvec=apply, dtype=float)
     try:
         return scipy.sparse.linalg.eigsh(op, k=k, which="LM", v0=v0, tol=tol,
                                          return_eigenvectors=vectors)
@@ -170,35 +172,39 @@ def _leading_eigs(m, k: int, vectors: bool, tol: float, minus=None):
 def top_k_eigenpairs(m, k: int) -> EigenBasis:
     """The ``k`` eigenpairs of largest magnitude of a symmetric ndarray or ``scipy.sparse`` matrix.
 
-    Deterministic up to sign, with signs canonicalized. ``k + 1`` pairs are
-    computed so the gap to the first discarded eigenvalue can be reported;
-    above ``DENSE_EIGEN_LIMIT`` they are accurate to ``EIGENPAIR_TOL`` relative.
+    Deterministic up to sign, with signs canonicalized. Above
+    ``DENSE_EIGEN_LIMIT`` the ``k`` pairs are accurate to ``EIGENPAIR_TOL``
+    relative, and the first discarded magnitude is the norm of ``m - V Λ Vᵀ``
+    to ``NORM_TOL``, from a start vector of its own so that it finds further
+    copies of a repeated eigenvalue; the dense path takes it from ``eigh``.
+    The gap is flagged degenerate when it is at most that accuracy (1e-12 on
+    the dense path) times ``max(1, |value_1|)``.
     """
     m = check_symmetric(m)
     n = m.shape[0]
     if not 1 <= k <= n:
         raise InvalidInputError(f"need 1 <= k <= n, got k={k}, n={n}")
-    values, vectors = _leading_eigs(m, k + 1, vectors=True, tol=EIGENPAIR_TOL)
+    values, vectors = _leading_eigs(m, k, vectors=True, tol=EIGENPAIR_TOL)
 
     keys = np.abs(values)
     order = np.argsort(-keys, kind="stable")
     top = order[:k]
-    if k < len(values):
-        gap = float(keys[top[-1]] - keys[order[k]])
-        scale = max(1.0, float(keys.max()))
-        degenerate = gap <= 1e-12 * scale
+    values, vectors = values[top].astype(float), vectors[:, top].astype(float)
+    gap, degenerate = float("inf"), False
+    if k < n:
+        if k < len(keys):  # the dense path returns all n eigenvalues
+            rest, tol = keys[order[k]], 1e-12
+        else:
+            deflated = _leading_eigs(m, 1, vectors=False, tol=NORM_TOL,
+                                     minus=(vectors, np.diag(values)), draw=1)
+            rest, tol = np.abs(deflated).max(), NORM_TOL
+        gap = float(keys[top[-1]] - rest)
+        degenerate = gap <= tol * max(1.0, float(keys.max()))
         if degenerate:
             warnings.warn(f"eigengap {gap:.3e} is numerically degenerate", RuntimeWarning,
                           stacklevel=2)
-    else:
-        gap = float("inf")
-        degenerate = False
-    return EigenBasis(
-        values=values[top].astype(float),
-        vectors=_canonical_signs(vectors[:, top].astype(float)),
-        gap=gap,
-        gap_degenerate=bool(degenerate),
-    )
+    return EigenBasis(values=values, vectors=_canonical_signs(vectors), gap=gap,
+                      gap_degenerate=bool(degenerate))
 
 
 def _seed_centroids(x: np.ndarray, k: int, rngs: list) -> np.ndarray:

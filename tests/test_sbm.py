@@ -79,6 +79,14 @@ def test_snapshot_validation():
     assert AdjacencySnapshot.from_dense(dense).edge_count == 2
 
 
+def test_snapshot_rejects_duplicate_edge_in_unsorted_input():
+    # the repeated pair (1, 4) is neither first nor adjacent in input order
+    rows, cols = np.array([2, 1, 0, 3, 1]), np.array([3, 4, 2, 4, 4])
+    with pytest.raises(InvalidInputError, match="duplicate"):
+        AdjacencySnapshot(5, rows, cols)
+    assert AdjacencySnapshot(5, rows[:4], cols[:4]).edge_count == 4
+
+
 # ---------------------------------------------------------------------------
 # build_probability_matrix
 # ---------------------------------------------------------------------------

@@ -109,17 +109,41 @@ def test_degenerate_gap_warns():
     assert basis.gap_degenerate
 
 
+def _eigvalsh_gap(m, k):
+    keys = np.sort(np.abs(np.linalg.eigvalsh(m)))[::-1]
+    return keys[k - 1] - keys[k], keys[0]
+
+
 @pytest.mark.parametrize("n", [129, 300, 512])  # just above the dense limit
 def test_lanczos_path_matches_eigh_oracle(n, eigsh_operators):
     m = _sparse_sbm_adjacency(n)
     values, vectors = np.linalg.eigh(m)
     top = np.argsort(-np.abs(values))[:3]
     basis = top_k_eigenpairs(m, 3)
-    assert eigsh_operators == ["dsymv"]  # an ndarray is multiplied as it is given
+    assert eigsh_operators == ["dsymv", "operator"]  # the pairs, then the deflated gap
     assert np.allclose(basis.values, values[top], rtol=1e-8, atol=0.0)
     proj_dist = np.linalg.norm(basis.vectors @ basis.vectors.T
                                - vectors[:, top] @ vectors[:, top].T, 2)
     assert proj_dist <= 1e-6
+    gap, lead = _eigvalsh_gap(m, 3)
+    assert abs(basis.gap - gap) <= 1e-6 * lead and not basis.gap_degenerate
+
+
+def test_lanczos_path_solves_k_pairs_then_deflated_norm(monkeypatch):
+    import scipy.sparse.linalg
+
+    real = scipy.sparse.linalg.eigsh
+    calls = []
+
+    def spy(op, *args, **kwargs):
+        calls.append(kwargs)
+        return real(op, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+    top_k_eigenpairs(_sparse_sbm_adjacency(300), 3)
+    assert [(c["k"], c["tol"], c["return_eigenvectors"]) for c in calls] == [
+        (3, dynsc.spectral.EIGENPAIR_TOL, True), (1, dynsc.spectral.NORM_TOL, False)]
+    assert not np.array_equal(calls[0]["v0"], calls[1]["v0"])
 
 
 def test_spectral_norm_lanczos_path_matches_eigvalsh(eigsh_operators):
@@ -138,7 +162,7 @@ def test_degenerate_gap_warns_on_lanczos_path(eigsh_operators):
     with pytest.warns(RuntimeWarning, match="degenerate"):
         basis = top_k_eigenpairs(m, 2)
     assert basis.gap_degenerate
-    assert eigsh_operators == ["dsymv"]
+    assert eigsh_operators == ["dsymv", "operator"]
 
 
 def _static_sparse_laplacian():
@@ -163,14 +187,12 @@ def test_static_sparse_laplacian_has_zero_gap():
     assert np.allclose(keys[:3], 1.0, rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="Lanczos at EIGENPAIR_TOL finds one copy of a repeated leading "
-                          "eigenvalue and reports the gap to the next distinct one")
 def test_lanczos_path_flags_repeated_leading_eigenvalue(eigsh_operators):
+    # the eigenpair solve finds one copy of +1; the gap solve's own start vector finds another
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         basis = top_k_eigenpairs(_static_sparse_laplacian(), 2)
-    assert eigsh_operators == ["csr"]
+    assert eigsh_operators == ["csr", "operator"]
     assert np.allclose(np.abs(basis.values), 1.0, rtol=0.0, atol=1e-8)
     assert basis.gap_degenerate
     assert any("degenerate" in str(w.message) for w in caught)
@@ -533,7 +555,7 @@ def test_csr_operator_matches_dense_oracle(eigsh_operators):
                                - vectors[:, top] @ vectors[:, top].T, 2)
     assert proj_dist <= 1e-8
     assert np.isclose(spectral_norm(csr), np.abs(values).max(), rtol=1e-6)
-    assert eigsh_operators == ["csr", "csr"]
+    assert eigsh_operators == ["csr", "operator", "csr"]
 
 
 def test_dense_matrix_keeps_dense_operator(eigsh_operators):
@@ -553,7 +575,7 @@ def test_sparse_ndarray_is_multiplied_without_csr_copy(eigsh_operators, monkeypa
                         lambda *a, **kw: copies.append(1) or real(*a, **kw))
     top_k_eigenpairs(m, 3)
     spectral_norm(m)
-    assert eigsh_operators == ["dsymv", "dsymv"]
+    assert eigsh_operators == ["dsymv", "operator", "dsymv"]
     assert copies == []
 
 
@@ -768,6 +790,26 @@ def test_fallback_with_low_rank_term_matches_dense_oracle(arpack_fails, form):
     operand = scipy.sparse.csr_array(m) if form == "csr" else m
     assert np.isclose(spectral_norm(operand, minus=(u, c)), oracle, rtol=1e-10)
     assert len(arpack_fails) == 1
+
+
+def test_gap_solve_non_convergence_falls_back_to_dense(monkeypatch):
+    import scipy.sparse.linalg
+
+    real = scipy.sparse.linalg.eigsh
+    calls = []
+
+    def gap_solve_fails(op, *args, **kwargs):
+        calls.append(kwargs["k"])
+        if kwargs["k"] == 1:
+            raise scipy.sparse.linalg.ArpackNoConvergence("forced", np.array([]), np.array([]))
+        return real(op, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", gap_solve_fails)
+    m = _sparse_sbm_adjacency(600)
+    gap, lead = _eigvalsh_gap(m, 3)
+    basis = top_k_eigenpairs(m, 3)
+    assert calls == [3, 1]
+    assert abs(basis.gap - gap) <= 1e-6 * lead
 
 
 def test_fallback_above_limit_raises(arpack_fails, monkeypatch):
