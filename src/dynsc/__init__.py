@@ -10,7 +10,6 @@ from .bounds import (
     DegreeDeviationStats,
     LaplacianPerturbationCheck,
     RateCard,
-    RegimeInputs,
     SmoothingBiasCheck,
     degree_deviation_stats,
     frobenius_diff_sq,

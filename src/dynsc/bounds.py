@@ -10,7 +10,7 @@ not just booleans.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,48 +19,15 @@ from .errors import InvalidInputError
 from .sbm import (
     CommunityLabels,
     ConnectivityModel,
-    build_probability_matrix,
+    SizeProfile,
     check_symmetric,
     effective_sizes,
     normalized_laplacian,
 )
-from .smoothing import SmoothingWeights
+from .smoothing import SmoothingWeights, tuning_profile
 from .spectral import DENSE_FALLBACK_LIMIT, spectral_norm
 
-
-@dataclass(frozen=True)
-class RegimeInputs:
-    """Model and size quantities entering the rates."""
-
-    n: int
-    k: int
-    alpha: float
-    epsilon: float
-    n_min: int
-    n_max: int
-    n_prime_max: int
-    nbar_min: float
-    nbar_max: float
-    mu_b: float
-    gamma: float
-    delta: float = 0.0   # k-means cost-ratio proxy
-
-    def __post_init__(self):
-        if self.n < 1 or self.alpha <= 0.0:
-            raise InvalidInputError("n and alpha must be positive")
-        if not 0.0 < self.epsilon <= 1.0:
-            raise InvalidInputError(f"epsilon must be in (0, 1], got {self.epsilon}")
-        if self.nbar_min <= 0.0 or self.nbar_max < self.nbar_min:
-            raise InvalidInputError("need 0 < nbar_min <= nbar_max")
-
-    @classmethod
-    def from_model(cls, model: ConnectivityModel, n: int, n_min: int, n_max: int,
-                   epsilon: float, delta: float = 0.0) -> "RegimeInputs":
-        prof = effective_sizes(model, n, n_min, n_max)
-        return cls(n=n, k=model.k, alpha=model.alpha, epsilon=epsilon,
-                   n_min=prof.n_min, n_max=prof.n_max, n_prime_max=prof.n_prime_max,
-                   nbar_min=prof.nbar_min, nbar_max=prof.nbar_max, mu_b=prof.mu_b,
-                   gamma=prof.gamma, delta=delta)
+PERTURBATION_TOL = 1e-9  # absolute slack of laplacian_perturbation_check
 
 
 @dataclass(frozen=True)
@@ -91,43 +58,43 @@ class RateCard:
     cond_adj_static_improved: float   # alpha vs log(n)/nbar_min
 
     def to_kv(self) -> dict:
+        """Rates as they are; each ``cond_*`` as its ``_ratio`` and ``_ok`` (ratio >= 1)."""
         out = {}
-        for name in ("rho_n", "rho_coarse", "adj_static_rate", "adj_static_improved_rate",
-                     "lap_static_rate", "adj_dyn_rate", "adj_dyn_markov_rate",
-                     "lap_dyn_rate", "recovery_adj_coeff", "recovery_lap_coeff",
-                     "recovery_available"):
-            out[name] = getattr(self, name)
-        for name in ("cond_adj_dyn", "cond_markov_eps", "cond_lap_dyn",
-                     "cond_lap_static", "cond_adj_static_improved"):
-            ratio = getattr(self, name)
-            out[name + "_ratio"] = ratio
-            out[name + "_ok"] = ratio >= 1.0
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.startswith("cond_"):
+                out.update({f.name + "_ratio": value, f.name + "_ok": value >= 1.0})
+            else:
+                out[f.name] = value
         return out
 
 
-def rate_card(inp: RegimeInputs) -> RateCard:
-    """Evaluate every rate and condition margin for the given regime."""
-    n, alpha, eps = inp.n, inp.alpha, inp.epsilon
+def rate_card(sizes: SizeProfile, alpha: float, epsilon: float, delta: float = 0.0) -> RateCard:
+    """Every rate and condition margin for community sizes ``sizes`` (see
+    :func:`effective_sizes`), density ``alpha`` and regularity ``epsilon``.
+
+    ``rho_n`` and ``rho_coarse`` are :func:`tuning_profile`'s; ``delta`` is the
+    k-means cost-ratio proxy.
+    """
+    tuning = tuning_profile(sizes.n, alpha, epsilon, sizes.nbar_max)
+    if sizes.nbar_min <= 0.0 or sizes.nbar_max < sizes.nbar_min:
+        raise InvalidInputError("need 0 < nbar_min <= nbar_max")
+    n, rho_n, rho_coarse = sizes.n, tuning.rho_n, tuning.rho_coarse
     logn = math.log(n)
-    rho_n = min(1.0, math.sqrt(inp.nbar_max * alpha * eps))
-    rho_coarse = min(1.0, math.sqrt(n * alpha * eps))
-    if inp.gamma > 0.0:
-        recovery_adj = (1.0 + inp.delta) * inp.n_prime_max * inp.k / (
-            n * alpha ** 2 * inp.n_min ** 2 * inp.gamma ** 2)
-        recovery_lap = (1.0 + inp.delta) * inp.n_prime_max * inp.k * inp.nbar_max ** 2 / (
-            n * inp.n_min ** 2 * inp.gamma ** 2)
-        available = True
-    else:
-        recovery_adj = float("nan")
-        recovery_lap = float("nan")
-        available = False
+    available = sizes.gamma > 0.0
+    recovery_adj = recovery_lap = float("nan")
+    if available:
+        recovery_adj = (1.0 + delta) * sizes.n_prime_max * sizes.k / (
+            n * alpha ** 2 * sizes.n_min ** 2 * sizes.gamma ** 2)
+        recovery_lap = (1.0 + delta) * sizes.n_prime_max * sizes.k * sizes.nbar_max ** 2 / (
+            n * sizes.n_min ** 2 * sizes.gamma ** 2)
     adj_static = math.sqrt(n * alpha)
-    lap_static = inp.mu_b * math.sqrt(n) / (inp.nbar_min * math.sqrt(alpha))
+    lap_static = sizes.mu_b * math.sqrt(n) / (sizes.nbar_min * math.sqrt(alpha))
     return RateCard(
         rho_n=rho_n,
         rho_coarse=rho_coarse,
         adj_static_rate=adj_static,
-        adj_static_improved_rate=math.sqrt(inp.nbar_max * alpha),
+        adj_static_improved_rate=math.sqrt(sizes.nbar_max * alpha),
         lap_static_rate=lap_static,
         # written as static * sqrt(rho) so the rho = 1 reduction is exact
         adj_dyn_rate=adj_static * math.sqrt(rho_n),
@@ -137,10 +104,10 @@ def rate_card(inp: RegimeInputs) -> RateCard:
         recovery_lap_coeff=recovery_lap,
         recovery_available=available,
         cond_adj_dyn=(alpha / rho_n) / (logn / n),
-        cond_markov_eps=eps / math.sqrt(logn / n),
-        cond_lap_dyn=(alpha / rho_n) / (inp.mu_b * logn / inp.nbar_min),
-        cond_lap_static=alpha / (inp.mu_b * logn / inp.nbar_min),
-        cond_adj_static_improved=alpha / (logn / inp.nbar_min),
+        cond_markov_eps=epsilon / math.sqrt(logn / n),
+        cond_lap_dyn=(alpha / rho_n) / (sizes.mu_b * logn / sizes.nbar_min),
+        cond_lap_static=alpha / (sizes.mu_b * logn / sizes.nbar_min),
+        cond_adj_static_improved=alpha / (logn / sizes.nbar_min),
     )
 
 
@@ -163,8 +130,7 @@ def _opnorm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
-def laplacian_perturbation_check(a: np.ndarray, p: np.ndarray,
-                                 tol: float = 1e-9) -> LaplacianPerturbationCheck:
+def laplacian_perturbation_check(a: np.ndarray, p: np.ndarray) -> LaplacianPerturbationCheck:
     """Check ``|L(A) - L(P)| <= |A - P| / d_min + |(D - D_P) P| / d_min^2``.
 
     Both matrices must be symmetric and non-negative with strictly positive
@@ -184,7 +150,7 @@ def laplacian_perturbation_check(a: np.ndarray, p: np.ndarray,
     lhs = spectral_norm(normalized_laplacian(a) - normalized_laplacian(p))
     rhs = spectral_norm(a - p) / d_min + _opnorm((da - dp)[:, None] * p) / d_min ** 2
     return LaplacianPerturbationCheck(lhs=lhs, rhs=rhs, d_min=d_min,
-                                      holds=bool(lhs <= rhs + tol))
+                                      holds=bool(lhs <= rhs + PERTURBATION_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -281,29 +247,37 @@ class SmoothingBiasCheck:
 
 def smoothing_bias_check(seq: MembershipSequence, model: ConnectivityModel,
                          weights: SmoothingWeights) -> SmoothingBiasCheck:
-    """Compare ``|P_smooth - P_t|`` and the per-step Frobenius chain with their bounds."""
+    """Compare ``|P_smooth - P_t|`` and the per-step Frobenius chain with their bounds.
+
+    ``P_smooth = sum_k beta_k P_{t-k}``. The bias costs a sort of the nodes'
+    label histories and the norm of an h-by-h matrix, h the number of distinct
+    histories (at most n; about 600 at n = 20000 in the sparse regime).
+    """
     if seq.mode != "deterministic":
         raise InvalidInputError("bias check requires a deterministic-mode sequence")
     if weights.betas.size > len(seq.thetas):
         raise InvalidInputError("more weights than labelings")
     n, s = seq.n, seq.s
     prof = effective_sizes(model, n, seq.n_min, seq.n_max)
-    alpha = model.alpha
-    eps = seq.epsilon
+    alpha, eps = model.alpha, seq.epsilon
 
     frob_sq = frobenius_trajectory(seq, model)[:weights.betas.size]
     ks = np.arange(frob_sq.size)
     frob_bound = 8.0 * alpha ** 2 * prof.nbar_max * np.minimum(n, ks * s)
     frobenius_ok = bool((frob_sq <= frob_bound + 1e-9).all())
 
-    p_last = build_probability_matrix(seq.thetas[-1], model)
-    p_smooth = np.zeros_like(p_last)
-    last = len(seq.thetas) - 1
-    for k, beta in enumerate(weights.betas):
-        if beta == 0.0:
-            continue
-        p_smooth += beta * build_probability_matrix(seq.thetas[last - k], model)
-    spectral_err = spectral_norm(p_smooth - p_last)
+    # Nodes with the same labels at the weighted steps and at t share their rows
+    # of P_smooth - P_t = W M Wᵀ (W: node-to-history indicator, M: history by
+    # history), whose nonzero spectrum is that of D^(1/2) M D^(1/2), D the counts.
+    steps = np.flatnonzero(weights.betas)
+    histories = np.stack([seq.thetas[-1 - k].labels for k in [*steps, 0]], axis=1)
+    types, counts = np.unique(histories, axis=0, return_counts=True)
+    c = alpha * model.b0
+    bias = np.zeros((counts.size, counts.size))
+    for col, k in enumerate(steps):  # the order of a dense sum over P_{t-k}
+        bias += weights.betas[k] * c[np.ix_(types[:, col], types[:, col])]
+    bias -= c[np.ix_(types[:, -1], types[:, -1])]
+    spectral_err = spectral_norm(bias * np.sqrt(np.outer(counts, counts)))
     if eps > 0:
         spectral_bound = weights.c_beta_prime * alpha * math.sqrt(
             n * prof.nbar_max * eps / weights.beta_max)

@@ -182,14 +182,17 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _regime(cfg) -> tuple[sbm.SizeProfile, smoothing.TuningProfile]:
+    """The config's community-size profile and the tuning it implies."""
+    sizes = sbm.effective_sizes(cfg.model(), cfg.n, cfg.resolved_n_min, cfg.resolved_n_max)
+    return sizes, smoothing.tuning_profile(cfg.n, cfg.resolved_alpha, cfg.epsilon, sizes.nbar_max)
+
+
 def cmd_rates(args) -> int:
     cfg = load_config(args)
-    inp = bounds.RegimeInputs.from_model(cfg.model(), cfg.n, cfg.resolved_n_min,
-                                         cfg.resolved_n_max, cfg.epsilon)
-    card = bounds.rate_card(inp)
-    profile = smoothing.tuning_profile(cfg.n, cfg.resolved_alpha, cfg.epsilon,
-                                       inp.nbar_max)
-    _print_kv({**card.to_kv(), **profile.to_kv()})
+    sizes, tuning = _regime(cfg)
+    card = bounds.rate_card(sizes, cfg.resolved_alpha, cfg.epsilon)
+    _print_kv({**card.to_kv(), **tuning.to_kv()})
     return EXIT_OK
 
 
@@ -257,9 +260,7 @@ def _verify_laplacian_ineq(args) -> dict:
 def _verify_degrees(args) -> dict:
     cfg = load_config(args)
     model = cfg.model()
-    prof = sbm.effective_sizes(model, cfg.n, cfg.resolved_n_min, cfg.resolved_n_max)
-    tuning = smoothing.tuning_profile(cfg.n, cfg.resolved_alpha, cfg.epsilon,
-                                      prof.nbar_max)
+    sizes, tuning = _regime(cfg)
     r = min(tuning.optimal_r, cfg.t_len + 1)
     cs = []
     for trial in range(cfg.trials):
@@ -267,7 +268,7 @@ def _verify_degrees(args) -> dict:
         w = smoothing.weights_of(smoothing.Uniform(r), seq.t_len)
         expected = np.stack([sbm.expected_degrees(th, model) for th in seq.thetas])
         stats = bounds.degree_deviation_stats(snaps, w, expected, cfg.resolved_alpha,
-                                              prof.nbar_min)
+                                              sizes.nbar_min)
         cs.append(stats.c_n_alpha)
     cs = np.sort(np.asarray(cs))
     q95 = float(np.quantile(cs, 0.95))
@@ -283,8 +284,7 @@ def _verify_bias(args) -> dict:
     if cfg.mode != "deterministic":  # smoothing_bias_check takes deterministic sequences only
         raise InvalidInputError(f"verify bias needs mode=deterministic, got mode={cfg.mode}")
     model = cfg.model()
-    prof = sbm.effective_sizes(model, cfg.n, cfg.resolved_n_min, cfg.resolved_n_max)
-    tuning = smoothing.tuning_profile(cfg.n, cfg.resolved_alpha, cfg.epsilon, prof.nbar_max)
+    _, tuning = _regime(cfg)
     w = smoothing.weights_of(smoothing.Exponential(tuning.optimal_lambda), cfg.t_len)
     failures = 0
     ratios = []
@@ -307,13 +307,10 @@ def _verify_bias(args) -> dict:
 
 def _verify_rates(args) -> dict:
     cfg = load_config(args)
-    inp = bounds.RegimeInputs.from_model(cfg.model(), cfg.n, cfg.resolved_n_min,
-                                         cfg.resolved_n_max, cfg.epsilon)
-    card = bounds.rate_card(inp)
+    sizes, _ = _regime(cfg)
+    card = bounds.rate_card(sizes, cfg.resolved_alpha, cfg.epsilon)
     # reduction self-check: forcing rho_n = 1 must collapse dynamic onto static
-    forced = bounds.RegimeInputs.from_model(cfg.model(), cfg.n, cfg.resolved_n_min,
-                                            cfg.resolved_n_max, epsilon=1.0)
-    forced_card = bounds.rate_card(forced)
+    forced_card = bounds.rate_card(sizes, cfg.resolved_alpha, epsilon=1.0)
     reduction_ok = (forced_card.rho_n == 1.0
                     and forced_card.adj_dyn_rate == forced_card.adj_static_rate
                     and forced_card.lap_dyn_rate == forced_card.lap_static_rate)

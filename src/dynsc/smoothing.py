@@ -388,7 +388,7 @@ def tuning_profile(n: int, alpha_n: float, epsilon_n: float, nbar_max: float) ->
     if n < 1 or alpha_n <= 0.0 or nbar_max <= 0.0:
         raise InvalidInputError("n, alpha_n and nbar_max must be positive")
     if not 0.0 < epsilon_n <= 1.0:
-        raise InvalidInputError(f"epsilon_n must be in (0, 1], got {epsilon_n}")
+        raise InvalidInputError(f"epsilon must be in (0, 1], got {epsilon_n}")
     rho_n = min(1.0, math.sqrt(nbar_max * alpha_n * epsilon_n))
     rho_coarse = min(1.0, math.sqrt(n * alpha_n * epsilon_n))
     return TuningProfile(

@@ -10,7 +10,9 @@ from dynsc import (
     ConnectivityModel,
     ErrorReport,
     InvalidInputError,
+    build_probability_matrix,
     confusion_matrix,
+    spectral_norm,
 )
 from dynsc.spectral import KMeansResult
 from dynsc.util import subseed
@@ -34,6 +36,18 @@ def dense_probability_oracle(labels: CommunityLabels, model: ConnectivityModel) 
         for j in range(n):
             p[i, j] = model.alpha * model.b0[labels.labels[i], labels.labels[j]]
     return p
+
+
+def dense_bias_oracle(seq, model: ConnectivityModel, weights) -> float:
+    """``|sum_k beta_k P_{t-k} - P_t|`` summed over dense n-by-n probability matrices."""
+    p_last = build_probability_matrix(seq.thetas[-1], model)
+    p_smooth = np.zeros_like(p_last)
+    last = len(seq.thetas) - 1
+    for k, beta in enumerate(weights.betas):
+        if beta == 0.0:
+            continue
+        p_smooth += beta * build_probability_matrix(seq.thetas[last - k], model)
+    return spectral_norm(p_smooth - p_last)
 
 
 def enumerate_effective_sizes(b0: np.ndarray, n: int, n_min: int, n_max: int):

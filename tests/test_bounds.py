@@ -1,15 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import random_nonneg_symmetric
+from conftest import dense_bias_oracle, random_nonneg_symmetric
 from dynsc import (
     CommunityLabels,
     ConnectivityModel,
     DeterministicDsbmConfig,
     InvalidInputError,
-    RegimeInputs,
+    SizeProfile,
     Uniform,
     build_probability_matrix,
     degree_deviation_stats,
@@ -24,16 +25,19 @@ from dynsc import (
     rate_card,
     sample_snapshot_sequence,
     smoothing_bias_check,
+    tuning_profile,
     weights_of,
 )
 from dynsc.smoothing import Exponential
 
 
-def _inputs(**kw):
-    base = dict(n=1000, k=4, alpha=0.05, epsilon=0.001, n_min=250, n_max=250,
+def _card(**kw):
+    """``rate_card`` of a SizeProfile built from ``kw``, at ``kw``'s alpha, epsilon, delta."""
+    base = dict(n=1000, k=4, alpha=0.05, epsilon=0.001, delta=0.0, n_min=250, n_max=250,
                 n_prime_max=250, nbar_min=400.0, nbar_max=500.0, mu_b=1.25, gamma=0.7)
     base.update(kw)
-    return RegimeInputs(**base)
+    alpha, epsilon, delta = (base.pop(name) for name in ("alpha", "epsilon", "delta"))
+    return rate_card(SizeProfile(**base), alpha, epsilon, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +45,7 @@ def _inputs(**kw):
 # ---------------------------------------------------------------------------
 
 def test_rate_card_worked_example():
-    card = rate_card(_inputs())
+    card = _card()
     assert np.isclose(card.rho_n, math.sqrt(500 * 0.05 * 0.001))
     assert np.isclose(card.rho_n, 0.15811388300841897)
     assert np.isclose(card.adj_dyn_rate, math.sqrt(1000 * 0.05 * card.rho_n))
@@ -52,17 +56,15 @@ def test_rate_card_balanced_reduction():
     # balanced sizes: the adjacency recovery coefficient collapses to
     # (1 + delta) K^2 / (n^2 alpha^2 gamma^2)
     n, k, alpha, gamma, delta = 900, 3, 0.04, 0.7, 0.25
-    inp = _inputs(n=n, k=k, alpha=alpha, gamma=gamma, delta=delta,
-                  n_min=n // k, n_max=n // k, n_prime_max=n // k,
-                  nbar_min=300.0, nbar_max=300.0, mu_b=1.0)
-    card = rate_card(inp)
+    card = _card(n=n, k=k, alpha=alpha, gamma=gamma, delta=delta,
+                 n_min=n // k, n_max=n // k, n_prime_max=n // k,
+                 nbar_min=300.0, nbar_max=300.0, mu_b=1.0)
     assert np.isclose(card.recovery_adj_coeff,
                       (1 + delta) * k ** 2 / (n ** 2 * alpha ** 2 * gamma ** 2))
 
 
 def test_rate_card_rho_one_reduces_to_static():
-    inp = _inputs(epsilon=1.0, alpha=0.5)
-    card = rate_card(inp)
+    card = _card(epsilon=1.0, alpha=0.5)
     assert card.rho_n == 1.0
     assert card.adj_dyn_rate == card.adj_static_rate
     assert card.lap_dyn_rate == card.lap_static_rate
@@ -70,15 +72,14 @@ def test_rate_card_rho_one_reduces_to_static():
 
 
 def test_rate_card_gamma_nonpositive():
-    card = rate_card(_inputs(gamma=0.0))
+    card = _card(gamma=0.0)
     assert not card.recovery_available
     assert math.isnan(card.recovery_adj_coeff)
     assert card.adj_dyn_rate > 0  # concentration rates unaffected
 
 
 def test_rate_card_condition_ratios():
-    inp = _inputs()
-    card = rate_card(inp)
+    card = _card()
     logn = math.log(1000)
     assert np.isclose(card.cond_adj_dyn, (0.05 / card.rho_n) / (logn / 1000))
     assert np.isclose(card.cond_lap_static, 0.05 / (1.25 * logn / 400))
@@ -88,20 +89,20 @@ def test_rate_card_condition_ratios():
 
 
 def test_rate_card_monotonicity():
-    base = rate_card(_inputs())
+    base = _card()
     # lap_dyn decreasing in nbar_min and alpha (other fields held fixed)
-    assert rate_card(_inputs(nbar_min=450.0)).lap_dyn_rate < base.lap_dyn_rate
-    assert rate_card(_inputs(alpha=0.08)).lap_dyn_rate < base.lap_dyn_rate
+    assert _card(nbar_min=450.0).lap_dyn_rate < base.lap_dyn_rate
+    assert _card(alpha=0.08).lap_dyn_rate < base.lap_dyn_rate
     # adj_dyn increasing in alpha on the clamped branch (rho pinned at 1)
-    a = rate_card(_inputs(epsilon=1.0, alpha=0.3))
-    b = rate_card(_inputs(epsilon=1.0, alpha=0.5))
+    a = _card(epsilon=1.0, alpha=0.3)
+    b = _card(epsilon=1.0, alpha=0.5)
     assert a.rho_n == b.rho_n == 1.0
     assert b.adj_dyn_rate > a.adj_dyn_rate
 
 
 def test_regime_inputs_from_model():
     model = ConnectivityModel.planted_partition(3, 0.1, 0.3)
-    inp = RegimeInputs.from_model(model, 300, 80, 120, epsilon=0.01)
+    inp = effective_sizes(model, 300, 80, 120)
     assert inp.gamma == 0.7
     assert np.isclose(inp.nbar_max, 0.7 * 120 + 0.3 * 300)
     assert inp.n_prime_max == 110  # min(120, (300 - 80) // 2)
@@ -173,8 +174,6 @@ def test_degree_deviation_monte_carlo_quantile():
     # of trials (recorded sanity threshold, not a theory constant)
     n, k, tau, eps = 2000, 2, 0.3, 0.01
     alpha = 5 * np.log(n) / n
-    from dynsc import tuning_profile
-
     model = ConnectivityModel.planted_partition(k, alpha, tau)
     prof = effective_sizes(model, n, n // k, n // k)
     r = tuning_profile(n, alpha, eps, prof.nbar_max).optimal_r
@@ -253,6 +252,46 @@ def test_bias_zero_when_static():
     assert check.spectral_err == 0.0
     assert check.spectral_bound == 0.0
     assert check.frobenius_ok
+
+
+@pytest.mark.parametrize("n, k, eps, t_len, smoother, alpha", [
+    (60, 3, 0.05, 10, Exponential(0.4), 0.3),     # 25 histories: eigvalsh on both sides
+    (60, 3, 0.05, 10, Uniform(5), 0.3),
+    (120, 2, 0.0, 8, Uniform(4), 0.3),            # static: the bias is 0
+    (200, 3, 0.0, 6, Exponential(0.5), 0.3),
+    (300, 3, 0.1, 12, Exponential(0.3), 0.3),     # 169 histories: Lanczos on both sides
+    (400, 4, 0.2, 15, Uniform(8), 0.3),           # 235 histories
+    (500, 2, 1 / math.log(500) ** 2, 30, Exponential(0.25), 8 / 500),  # 144 histories
+])
+def test_bias_matches_dense_oracle(n, k, eps, t_len, smoother, alpha):
+    seq, model = _det_seq(n=n, k=k, eps=eps, t_len=t_len, seed=n + k, alpha=alpha)
+    w = weights_of(smoother, t_len)
+    want = dense_bias_oracle(seq, model, w)
+    got = smoothing_bias_check(seq, model, w).spectral_err
+    # bound NORM_TOL**2, fixed before the first run; measured at most 4.1e-16
+    assert abs(got - want) <= 1e-8 * want
+
+
+def test_bias_at_paper_scale_stays_small():
+    # n = 20000, alpha = 8/n: one dense P_t alone would take 3.2 GB
+    n, k, t_len = 20000, 2, 30
+    alpha, eps = 8.0 / n, 1.0 / math.log(n) ** 2
+    model = ConnectivityModel.planted_partition(k, alpha, 0.1)
+    cfg = DeterministicDsbmConfig.from_epsilon(n=n, model=model, t_len=t_len, epsilon=eps,
+                                               n_min=int(0.4 * n), n_max=int(0.6 * n),
+                                               seed=7)
+    seq = gen_deterministic_sequence(cfg)
+    nbar_max = effective_sizes(model, n, cfg.n_min, cfg.n_max).nbar_max
+    w = weights_of(Exponential(tuning_profile(n, alpha, eps, nbar_max).optimal_lambda), t_len)
+    tracemalloc.start()
+    try:
+        check = smoothing_bias_check(seq, model, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * 2 ** 20
+    assert check.frobenius_ok
+    assert 0.0 < check.spectral_err <= check.spectral_bound
 
 
 def test_bias_frobenius_chain_holds():
