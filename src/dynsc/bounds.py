@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+import scipy.linalg
 
 from .dynamics import MembershipSequence, SnapshotSequence
 from .errors import InvalidInputError
@@ -249,15 +250,15 @@ def smoothing_bias_check(seq: MembershipSequence, model: ConnectivityModel,
                          weights: SmoothingWeights) -> SmoothingBiasCheck:
     """Compare ``|P_smooth - P_t|`` and the per-step Frobenius chain with their bounds.
 
-    ``P_smooth = sum_k beta_k P_{t-k}``. The bias costs a sort of the nodes'
-    label histories and the norm of an h-by-h matrix, h the number of distinct
-    histories (at most n; about 600 at n = 20000 in the sparse regime).
+    ``P_smooth = sum_k beta_k P_{t-k}``. The bias costs O(n g^2) label counts
+    and the norm of a gK-by-gK matrix, g the number of distinct labelings among
+    the weighted steps and t (at most T + 1); nothing n-by-n is built.
     """
     if seq.mode != "deterministic":
         raise InvalidInputError("bias check requires a deterministic-mode sequence")
     if weights.betas.size > len(seq.thetas):
         raise InvalidInputError("more weights than labelings")
-    n, s = seq.n, seq.s
+    n, s, k = seq.n, seq.s, model.k
     prof = effective_sizes(model, n, seq.n_min, seq.n_max)
     alpha, eps = model.alpha, seq.epsilon
 
@@ -266,18 +267,28 @@ def smoothing_bias_check(seq: MembershipSequence, model: ConnectivityModel,
     frob_bound = 8.0 * alpha ** 2 * prof.nbar_max * np.minimum(n, ks * s)
     frobenius_ok = bool((frob_sq <= frob_bound + 1e-9).all())
 
-    # Nodes with the same labels at the weighted steps and at t share their rows
-    # of P_smooth - P_t = W M Wᵀ (W: node-to-history indicator, M: history by
-    # history), whose nonzero spectrum is that of D^(1/2) M D^(1/2), D the counts.
+    # P_smooth - P_t = U B Uᵀ: U the n-by-gK one-hot labels of the distinct
+    # labelings, B block-diagonal in their summed weights times C = alpha * b0
+    # (-C at t). Its nonzero spectrum is that of G^(1/2) B G^(1/2), G = UᵀU the
+    # label co-occurrence counts between the labelings. Steps with the same
+    # labeling share one block, summed in the dense loop's order, so a static
+    # sequence gives exactly 0.
     steps = np.flatnonzero(weights.betas)
-    histories = np.stack([seq.thetas[-1 - k].labels for k in [*steps, 0]], axis=1)
-    types, counts = np.unique(histories, axis=0, return_counts=True)
+    labs = [seq.thetas[-1 - step].labels for step in [*steps, 0]]
+    keys = [lab.tobytes() for lab in labs]
+    # distinct: the first column of each labeling; group: each column's labeling
+    distinct, group = np.unique([keys.index(key) for key in keys], return_inverse=True)
     c = alpha * model.b0
-    bias = np.zeros((counts.size, counts.size))
-    for col, k in enumerate(steps):  # the order of a dense sum over P_{t-k}
-        bias += weights.betas[k] * c[np.ix_(types[:, col], types[:, col])]
-    bias -= c[np.ix_(types[:, -1], types[:, -1])]
-    spectral_err = spectral_norm(bias * np.sqrt(np.outer(counts, counts)))
+    blocks = np.zeros((distinct.size, k, k))
+    for col, step in enumerate(steps):  # the order of a dense sum over P_{t-k}
+        blocks[group[col]] += weights.betas[step] * c
+    blocks[group[-1]] -= c
+    gram = np.block([[np.bincount(labs[a] * k + labs[b], minlength=k * k).reshape(k, k)
+                      for b in distinct] for a in distinct])
+    w, q = np.linalg.eigh(gram)
+    root = (q * np.sqrt(np.clip(w, 0.0, None))) @ q.T
+    core = root @ scipy.linalg.block_diag(*blocks) @ root
+    spectral_err = spectral_norm((core + core.T) / 2)
     if eps > 0:
         spectral_bound = weights.c_beta_prime * alpha * math.sqrt(
             n * prof.nbar_max * eps / weights.beta_max)

@@ -3,6 +3,7 @@
 import itertools
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 import dynsc.spectral
 from dynsc import (
@@ -48,6 +49,31 @@ def dense_bias_oracle(seq, model: ConnectivityModel, weights) -> float:
             continue
         p_smooth += beta * build_probability_matrix(seq.thetas[last - k], model)
     return spectral_norm(p_smooth - p_last)
+
+
+def operator_bias_oracle(seq, model: ConnectivityModel, weights) -> float:
+    """``|sum_k beta_k P_{t-k} - P_t|`` by Lanczos on the n-by-n operator, step by step.
+
+    ``P x`` is applied as ``C[labels] @ bincount(labels, x)`` with ``C = alpha * b0``,
+    so no P is built and nothing is grouped; suits the sizes the dense oracle cannot.
+    """
+    c = model.alpha * model.b0
+    labels = [theta.labels for theta in seq.thetas]
+
+    def apply(lab, x):
+        return c[lab] @ np.bincount(lab, weights=x, minlength=model.k)
+
+    def matvec(x):
+        x = np.ravel(x)
+        out = -apply(labels[-1], x)
+        for k, beta in enumerate(weights.betas):
+            if beta != 0.0:
+                out += beta * apply(labels[-1 - k], x)
+        return out
+
+    op = LinearOperator((seq.n, seq.n), matvec=matvec, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(seq.n)
+    return float(np.abs(eigsh(op, k=1, v0=v0, tol=1e-12, return_eigenvectors=False)).max())
 
 
 def enumerate_effective_sizes(b0: np.ndarray, n: int, n_min: int, n_max: int):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import dense_bias_oracle, random_nonneg_symmetric
+from conftest import dense_bias_oracle, operator_bias_oracle, random_nonneg_symmetric
 from dynsc import (
     CommunityLabels,
     ConnectivityModel,
@@ -272,10 +272,10 @@ def test_bias_matches_dense_oracle(n, k, eps, t_len, smoother, alpha):
     assert abs(got - want) <= 1e-8 * want
 
 
-def test_bias_at_paper_scale_stays_small():
-    # n = 20000, alpha = 8/n: one dense P_t alone would take 3.2 GB
+def _paper_scale(eps):
+    """n = 20000, K = 2, alpha = 8/n, T = 30 (seed 7), with the tuned exponential weights."""
     n, k, t_len = 20000, 2, 30
-    alpha, eps = 8.0 / n, 1.0 / math.log(n) ** 2
+    alpha = 8.0 / n
     model = ConnectivityModel.planted_partition(k, alpha, 0.1)
     cfg = DeterministicDsbmConfig.from_epsilon(n=n, model=model, t_len=t_len, epsilon=eps,
                                                n_min=int(0.4 * n), n_max=int(0.6 * n),
@@ -283,15 +283,38 @@ def test_bias_at_paper_scale_stays_small():
     seq = gen_deterministic_sequence(cfg)
     nbar_max = effective_sizes(model, n, cfg.n_min, cfg.n_max).nbar_max
     w = weights_of(Exponential(tuning_profile(n, alpha, eps, nbar_max).optimal_lambda), t_len)
+    return seq, model, w
+
+
+def _traced_bias_check(seq, model, w):
     tracemalloc.start()
     try:
         check = smoothing_bias_check(seq, model, w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return check, peak
+
+
+def test_bias_at_paper_scale_stays_small():
+    # n = 20000, alpha = 8/n: one dense P_t alone would take 3.2 GB
+    seq, model, w = _paper_scale(1.0 / math.log(20000) ** 2)
+    check, peak = _traced_bias_check(seq, model, w)
     assert peak <= 256 * 2 ** 20
     assert check.frobenius_ok
     assert 0.0 < check.spectral_err <= check.spectral_bound
+
+
+def test_bias_with_many_label_histories_stays_small():
+    # epsilon = 0.1: 11,421 distinct label histories, so one history-by-history
+    # matrix would take 1 GiB; the bias never forms one
+    seq, model, w = _paper_scale(0.1)
+    check, peak = _traced_bias_check(seq, model, w)
+    assert peak <= 64 * 2 ** 20  # fixed before the first run
+    assert check.frobenius_ok
+    assert 0.0 < check.spectral_err <= check.spectral_bound
+    want = operator_bias_oracle(seq, model, w)
+    assert abs(check.spectral_err - want) <= 1e-8 * want
 
 
 def test_bias_frobenius_chain_holds():

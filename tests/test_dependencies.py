@@ -1,4 +1,4 @@
-"""dynsc runs on numpy and scipy alone."""
+"""dynsc runs on numpy and scipy alone, and never loads ``scipy.optimize``."""
 
 import json
 import os
@@ -6,15 +6,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Run under ``python -S``, so that no ``.pth`` file imports anything first:
 # puts site-packages on the path, hides every installed package but numpy
-# and scipy, imports dynsc and its CLI, and prints the installed packages
-# the loaded modules came from. numpy and scipy import some packages when
-# present (numpy.f2py, which scipy's array API layer loads, tries
-# charset_normalizer), so hiding the others tells a dependency of dynsc
-# apart from an optional one of numpy or scipy.
+# and scipy, imports dynsc and its CLI, lists the loaded ``scipy.optimize``
+# modules, evaluates one clustering cell, lists them again, and prints both
+# lists and the installed packages the loaded modules came from. numpy and
+# scipy import some packages when present (numpy.f2py, which scipy's array
+# API layer loads, tries charset_normalizer), so hiding the others tells a
+# dependency of dynsc apart from an optional one of numpy or scipy.
 _PROBE = r"""
 import importlib.abc, importlib.machinery, json, os, site, sys
 
@@ -41,19 +44,42 @@ class OnlyAllowed(importlib.abc.MetaPathFinder):
         return None
 
 
+def optimize_modules():
+    return sorted(name for name in sys.modules if name.startswith("scipy.optimize"))
+
+
 sys.meta_path.insert(0, OnlyAllowed())
 import dynsc, dynsc.cli
+from dynsc import experiments
 
+optimize = {"import": optimize_modules()}
+truth = dynsc.CommunityLabels([0, 1] * 20, 2)
+model = dynsc.ConnectivityModel.planted_partition(2, 0.5, 0.2)
+experiments.evaluate_cell(dynsc.build_probability_matrix(truth, model), "adjacency",
+                          experiments.reference_matrices(truth, model, ("adjacency",))["adjacency"],
+                          truth, 2, seed=0, restarts=2)
+optimize["evaluate_cell"] = optimize_modules()
 packages = {installed_package(getattr(module, "__file__", None) or "")
             for module in list(sys.modules.values())}
-print(json.dumps(sorted(packages - {None})))
+print(json.dumps({"packages": sorted(packages - {None}), "optimize": optimize}))
 """
 
 
-def test_only_numpy_and_scipy_are_imported():
+@pytest.fixture(scope="module")
+def probe():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-S", "-c", _PROBE], env=env, capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == ["numpy", "scipy"]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_only_numpy_and_scipy_are_imported(probe):
+    assert probe["packages"] == ["numpy", "scipy"]
+
+
+def test_scipy_optimize_is_never_loaded(probe):
+    # the assignment of metrics runs on scipy.sparse.csgraph; scipy.optimize
+    # alone would add about a quarter to the import time
+    assert probe["optimize"] == {"import": [], "evaluate_cell": []}

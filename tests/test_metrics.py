@@ -102,6 +102,27 @@ def test_assignment_equals_bruteforce_random():
         assert fast.e_value == slow.e_value
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_assignment_cross_check_with_ties_and_unused_labels(k):
+    # few nodes per label, so many confusion entries tie and several
+    # relabelings reach the optimum; half the draws predict only the first
+    # `used` labels, leaving the others unused
+    rng = np.random.default_rng(100 + k)
+    for case in range(60 if k <= 6 else 4):
+        n = int(rng.integers(1, 3 * k + 1))
+        used = k if case % 2 else int(rng.integers(1, k + 1))
+        pred = CommunityLabels(rng.integers(0, used, size=n), k)
+        truth = random_labels(n, k, rng)
+        fast = misclassification_error(pred, truth)
+        slow = misclassification_error_bruteforce(pred, truth)
+        assert fast.e_value == slow.e_value
+        assert fast.misclassified_fraction == slow.misclassified_fraction
+        perm = fast.best_permutation
+        assert sorted(perm.tolist()) == list(range(k))
+        matched = confusion_matrix(pred, truth)[np.arange(k), perm].sum()
+        assert (n - matched) / n == fast.misclassified_fraction
+
+
 def test_confusion_matrix_counts():
     pred = CommunityLabels([0, 0, 1], 2)
     truth = CommunityLabels([0, 1, 1], 2)

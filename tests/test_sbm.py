@@ -29,7 +29,7 @@ from dynsc import (
     sample_sbm,
     save_snapshot,
 )
-from dynsc.sbm import _triu_decode
+from dynsc.sbm import _SYMMETRY_BLOCK, _triu_decode, check_symmetric
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +127,13 @@ def test_probability_matrix_matches_loop_oracle():
                           dense_probability_oracle(lab, model))
 
 
+def test_probability_matrix_is_c_ordered():
+    # row sums, hence the Laplacian of P, depend on the memory order
+    lab = random_labels(50, 3, np.random.default_rng(4))
+    p = build_probability_matrix(lab, ConnectivityModel.planted_partition(3, 0.4, 0.2))
+    assert p.flags.c_contiguous
+
+
 def test_probability_matrix_label_mismatch():
     with pytest.raises(InvalidInputError):
         build_probability_matrix(CommunityLabels([0, 1], 2),
@@ -143,6 +150,41 @@ def test_probability_matrix_permutation_equivariant(seed, k, n):
     pi = rng.permutation(n)
     permuted = CommunityLabels(lab.labels[pi], k)
     assert np.array_equal(build_probability_matrix(permuted, model), p[np.ix_(pi, pi)])
+
+
+# ---------------------------------------------------------------------------
+# check_symmetric
+# ---------------------------------------------------------------------------
+
+_SYM_N = 3 * _SYMMETRY_BLOCK + 8  # the last block is partial
+
+
+def test_check_symmetric_accepts_exactly_symmetric():
+    m = random_symmetric(_SYM_N, np.random.default_rng(21))
+    assert np.array_equal(check_symmetric(m), m)
+
+
+@pytest.mark.parametrize("i, j", [
+    (_SYM_N - 2, _SYM_N - 5),                    # only in the last, partial block
+    (10, 20),                                    # only inside the first diagonal block
+    (2 * _SYMMETRY_BLOCK + 1, 2 * _SYMMETRY_BLOCK + 63),  # inside a full diagonal block
+    (_SYM_N - 1, 0),                             # far corner, off every diagonal block
+], ids=["last-block", "first-diagonal-block", "inner-diagonal-block", "corner"])
+def test_check_symmetric_finds_one_ulp_asymmetry(i, j):
+    m = random_symmetric(_SYM_N, np.random.default_rng(22))
+    m[i, j] = np.nextafter(m[i, j], np.inf)
+    with pytest.raises(InvalidInputError, match="matrix is not symmetric"):
+        check_symmetric(m)
+    with pytest.raises(InvalidInputError, match="matrix is not symmetric"):
+        check_symmetric(m.T)
+
+
+def test_check_symmetric_reports_non_finite_before_asymmetry():
+    m = random_symmetric(_SYM_N, np.random.default_rng(23))
+    m[3, 100] += 1.0
+    m[_SYM_N - 1, _SYM_N - 1] = np.nan
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        check_symmetric(m)
 
 
 # ---------------------------------------------------------------------------
