@@ -28,7 +28,7 @@ from .sbm import (
     sample_sbm,
     save_snapshot,
 )
-from .util import dump_kv, parse_kv, subseed
+from .util import dump_kv, format_ints, parse_kv, subseed
 
 # sub-seed stream tags (arbitrary but fixed)
 _TAG_MEMBERSHIP = 101
@@ -244,8 +244,10 @@ def save_sequence(directory, seq: MembershipSequence, snaps: SnapshotSequence,
         raise InvalidInputError("membership and snapshot sequences have different lengths")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    labels = np.stack([th.labels for th in seq.thetas])
-    np.savetxt(directory / _LABELS_NAME, labels, delimiter=",", fmt="%d")
+    seps = b"," * (seq.n - 1) + b"\n"
+    with open(directory / _LABELS_NAME, "wb") as fh:
+        for th in seq.thetas:
+            fh.write(format_ints(th.labels, seps))
     for t, snap in enumerate(snaps.snapshots):
         save_snapshot(snap, directory / f"snapshot_{t:04d}.txt")
     manifest = {

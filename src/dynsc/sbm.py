@@ -22,6 +22,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import InvalidInputError, ZeroDegreeError
+from .util import format_ints
 
 _SYMMETRY_BLOCK = 64  # rows per block of the dense symmetry check
 
@@ -429,9 +430,8 @@ def effective_sizes(model: ConnectivityModel, n: int, n_min: int, n_max: int) ->
 
 def save_snapshot(snap: AdjacencySnapshot, path) -> None:
     """Write a snapshot as a plain-text edge list: header ``n=<n>``, then ``i j`` per line."""
-    lines = [f"n={snap.n}"]
-    lines.extend(f"{i} {j}" for i, j in zip(snap.rows.tolist(), snap.cols.tolist()))
-    Path(path).write_text("\n".join(lines) + "\n")
+    edges = format_ints(np.column_stack([snap.rows, snap.cols]), b" \n")
+    Path(path).write_bytes(f"n={snap.n}\n".encode() + edges)
 
 
 def load_snapshot(path) -> AdjacencySnapshot:

@@ -354,7 +354,7 @@ def spectral_norm(m, minus=None) -> float:
     m = check_symmetric(m)
     if minus is not None:
         minus = _as_low_rank(minus, m.shape[0])
-    nonzero = m.count_nonzero() if scipy.sparse.issparse(m) else np.count_nonzero(m)
-    if not nonzero and (minus is None or not (minus[0].any() and minus[1].any())):
-        return 0.0
+    if minus is None or not (minus[0].any() and minus[1].any()):
+        if not (m.data if scipy.sparse.issparse(m) else m).any():
+            return 0.0
     return float(np.abs(_leading_eigs(m, 1, vectors=False, tol=NORM_TOL, minus=minus)).max())

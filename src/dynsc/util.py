@@ -1,4 +1,5 @@
-"""Small shared helpers: seed derivation, the flat key=value text format, free memory."""
+"""Small shared helpers: seed derivation, the flat key=value text format, free memory,
+and ``format_ints``, the vectorized integer writer behind the edge-list and label files."""
 
 from __future__ import annotations
 
@@ -43,6 +44,41 @@ def parse_kv(text: str) -> dict[str, str]:
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out
+
+
+def format_ints(values, seps: bytes) -> bytes:
+    r"""ASCII decimals of non-negative ints, each followed by its own separator byte.
+
+    ``values`` is an integer array whose last axis has ``len(seps)`` entries;
+    ``seps[j]`` follows every value in column ``j``, and the values are written
+    in C order. ``np.column_stack([rows, cols])`` with ``b" \n"`` gives the
+    bytes of ``f"{i} {j}\n"`` per edge, and a label row with
+    ``b"," * (n - 1) + b"\n"`` those of ``np.savetxt(..., fmt="%d", delimiter=",")``.
+
+    One ``divmod`` by 10 per digit place fills an ``(m, width + 1)`` uint8
+    array, and a mask of the same shape drops the leading zeros. The transient
+    memory is those two arrays and a few m-long integer arrays for ``m``
+    values, so callers pass one snapshot or one label row at a time.
+    """
+    v = np.asarray(values)
+    sep = np.broadcast_to(np.frombuffer(seps, dtype=np.uint8), v.shape).ravel()
+    if not v.size:
+        return b""
+    if v.min() < 0:
+        raise InvalidInputError("format_ints writes non-negative integers only")
+    top = int(v.max())
+    width = len(str(top))
+    rest = v.ravel().astype(np.min_scalar_type(top))  # narrow types divide faster
+    out = np.empty((rest.size, width + 1), dtype=np.uint8)
+    keep = np.ones(out.shape, dtype=bool)
+    out[:, width] = sep
+    for place in range(width - 1, -1, -1):
+        if place < width - 1:  # a digit left of the units is kept while digits remain
+            np.greater(rest, 0, out=keep[:, place])
+        rest, digit = np.divmod(rest, 10)
+        out[:, place] = digit
+    out[:, :width] += ord("0")
+    return out[keep].tobytes()
 
 
 def available_memory() -> int | None:

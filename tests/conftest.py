@@ -1,6 +1,7 @@
 """Shared test helpers: independent oracles used to freeze expected values."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
@@ -27,6 +28,18 @@ def random_symmetric(n: int, rng: np.random.Generator, low=-1.0, high=1.0) -> np
 
 def random_nonneg_symmetric(n: int, rng: np.random.Generator, low=0.1, high=1.0) -> np.ndarray:
     return random_symmetric(n, rng, low, high)
+
+
+def save_snapshot_oracle(snap, path) -> None:
+    """Per-line edge-list writer, one f-string per edge: the bytes ``save_snapshot`` must write."""
+    lines = [f"n={snap.n}"]
+    lines.extend(f"{i} {j}" for i, j in zip(snap.rows.tolist(), snap.cols.tolist()))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def save_labels_oracle(labels: np.ndarray, path) -> None:
+    """``np.savetxt`` of a (T+1)-by-n label array: the bytes ``labels.csv`` must hold."""
+    np.savetxt(path, labels, delimiter=",", fmt="%d")
 
 
 def dense_probability_oracle(labels: CommunityLabels, model: ConnectivityModel) -> np.ndarray:

@@ -1,13 +1,19 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import changed_counts
+from conftest import changed_counts, save_labels_oracle
 from dynsc import (
+    AdjacencySnapshot,
+    CommunityLabels,
     ConnectivityModel,
     DeterministicDsbmConfig,
     GenerationError,
     InvalidInputError,
     MarkovDsbmConfig,
+    MembershipSequence,
+    SnapshotSequence,
     gen_deterministic_sequence,
     gen_markov_sequence,
     load_sequence,
@@ -208,3 +214,69 @@ def test_sequence_roundtrip_general_kernel(tmp_path):
     _, _, back_model, _ = load_sequence(out)
     assert back_model.tau is None
     assert np.array_equal(back_model.b0, b0)
+
+
+# Byte-level pins of the on-disk format: tests/data holds sequences written by
+# the per-line writer (an f-string per edge, np.savetxt for the labels) that
+# save_sequence replaced. The deterministic one has n = 12, so node ids cross 9 -> 10.
+DATA = Path(__file__).parent / "data"
+B0 = np.array([[1.0, 0.25], [0.25, 0.5]])
+
+
+def _fixture_sequence(name):
+    if name == "deterministic_n12":
+        model = ConnectivityModel.planted_partition(3, 0.5, 0.3)
+        seq = gen_deterministic_sequence(DeterministicDsbmConfig(
+            n=12, model=model, t_len=3, s=2, n_min=3, n_max=5, seed=7))
+        seed = 7
+    else:
+        model = ConnectivityModel.from_kernel(2, 0.6, B0)
+        seq = gen_markov_sequence(MarkovDsbmConfig(n=11, model=model, t_len=2, epsilon=0.2,
+                                                   seed=8))
+        seed = 8
+    return seq, sample_snapshot_sequence(seq, model, seed), model, seed
+
+
+@pytest.mark.parametrize("name", ["deterministic_n12", "markov_n11"])
+def test_save_sequence_reproduces_fixture_bytes(tmp_path, name):
+    seq, snaps, model, seed = _fixture_sequence(name)
+    out = save_sequence(tmp_path / name, seq, snaps, model, seed=seed)
+    want = sorted(p.name for p in (DATA / name).iterdir())
+    assert sorted(p.name for p in out.iterdir()) == want
+    for fname in want:
+        assert (out / fname).read_bytes() == (DATA / name / fname).read_bytes(), fname
+
+
+@pytest.mark.parametrize("name", ["deterministic_n12", "markov_n11"])
+def test_load_sequence_fixture_roundtrip(name):
+    seq, snaps, model, _ = _fixture_sequence(name)
+    back_seq, back_snaps, back_model, _ = load_sequence(DATA / name)
+    assert back_seq.mode == seq.mode
+    assert back_seq.epsilon == pytest.approx(seq.epsilon, rel=1e-11)  # manifest keeps 12 digits
+    assert (back_seq.s, back_seq.n_min, back_seq.n_max) == (seq.s, seq.n_min, seq.n_max)
+    assert np.array_equal(back_model.b0, model.b0) and back_model.alpha == model.alpha
+    for x, y in zip(back_seq.thetas, seq.thetas, strict=True):
+        assert np.array_equal(x.labels, y.labels)
+    for x, y in zip(back_snaps.snapshots, snaps.snapshots, strict=True):
+        assert np.array_equal(x.rows, y.rows) and np.array_equal(x.cols, y.cols)
+
+
+@pytest.mark.parametrize("k, t_len, n", [
+    (1, 3, 20),     # all zeros
+    (3, 0, 15),     # a single row
+    (4, 5, 1),      # a single column
+    (12, 4, 101),   # two-digit labels
+])
+def test_labels_csv_matches_savetxt_oracle(tmp_path, k, t_len, n):
+    rng = np.random.default_rng(k * 1000 + n)
+    labels = rng.integers(0, k, size=(t_len + 1, n))
+    seq = MembershipSequence(tuple(CommunityLabels(row, k) for row in labels),
+                             mode="markov", epsilon=0.0)
+    empty = AdjacencySnapshot(n, np.empty(0, np.int64), np.empty(0, np.int64))
+    snaps = SnapshotSequence((empty,) * (t_len + 1))
+    model = ConnectivityModel.planted_partition(k, 0.5, 0.3)
+    out = save_sequence(tmp_path / "seq", seq, snaps, model, seed=0)
+    save_labels_oracle(labels, tmp_path / "oracle.csv")
+    assert (out / "labels.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    back_seq, _, _, _ = load_sequence(out)
+    assert np.array_equal(np.stack([th.labels for th in back_seq.thetas]), labels)

@@ -11,6 +11,7 @@ from conftest import (
     enumerate_effective_sizes,
     random_labels,
     random_symmetric,
+    save_snapshot_oracle,
 )
 from dynsc import (
     AdjacencySnapshot,
@@ -553,6 +554,29 @@ def test_snapshot_roundtrip(tmp_path):
     back = load_snapshot(path)
     assert back.n == 25
     assert np.array_equal(back.rows, snap.rows) and np.array_equal(back.cols, snap.cols)
+
+
+def _edge_snapshot(n: int, m: int, seed: int) -> AdjacencySnapshot:
+    """No edges when ``m = 0``, else up to ``m`` random edges and ``(0, 1)``, ``(0, n - 1)``."""
+    if n < 2 or m == 0:
+        return AdjacencySnapshot(n, np.empty(0, np.int64), np.empty(0, np.int64))
+    rng = np.random.default_rng(seed)
+    i, j = rng.integers(0, n, size=(2, m))
+    pairs = np.concatenate([np.column_stack([np.minimum(i, j), np.maximum(i, j)])[i != j],
+                            [[0, 1], [0, n - 1]]])
+    pairs = np.unique(pairs, axis=0)
+    return AdjacencySnapshot(n, pairs[:, 0], pairs[:, 1])
+
+
+@pytest.mark.parametrize("n, m", [(n, 500) for n in (1, 2, 9, 10, 11, 99, 100, 101, 1000, 100003)]
+                         + [(10, 0), (100003, 0)])
+def test_save_snapshot_matches_per_line_oracle(tmp_path, n, m):
+    snap = _edge_snapshot(n, m, n)
+    if snap.edge_count:
+        assert snap.rows.min() == 0 and snap.cols.max() == n - 1
+    save_snapshot(snap, tmp_path / "new.txt")
+    save_snapshot_oracle(snap, tmp_path / "old.txt")
+    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
 
 
 def test_load_snapshot_rejects_malformed_edge_line(tmp_path):

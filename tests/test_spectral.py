@@ -643,7 +643,8 @@ def test_spectral_norm_minus_multiplies_dense_base_by_dsymv(eigsh_operators, dsy
     assert dsymv_operands and all(np.shares_memory(a, m) for a in dsymv_operands)
 
 
-def test_spectral_norm_counts_nonzeros_once(monkeypatch):
+def test_spectral_norm_zero_test_counts_no_nonzeros(monkeypatch):
+    """The zero test is ``any()``, not a full ``count_nonzero`` pass over the n-by-n matrix."""
     n = 300
     m = random_symmetric(n, np.random.default_rng(48))
     real = np.count_nonzero
@@ -654,9 +655,10 @@ def test_spectral_norm_counts_nonzeros_once(monkeypatch):
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "count_nonzero", spy)
-    spectral_norm(m)
+    oracle = np.abs(np.linalg.eigvalsh(m)).max()
+    assert np.isclose(spectral_norm(m), oracle, rtol=1e-6)
     spectral_norm(m, minus=_low_rank(n))
-    assert shapes.count((n, n)) == 2
+    assert (n, n) not in shapes
 
 
 def _low_rank(n, r=3, seed=43):
@@ -704,6 +706,17 @@ def test_spectral_norm_zero_matrix_minus_low_rank():
     oracle = np.abs(np.linalg.eigvalsh(u @ c @ u.T)).max()
     assert np.isclose(spectral_norm(np.zeros((40, 40)), minus=(u, c)), oracle, rtol=1e-12)
     assert spectral_norm(np.zeros((40, 40)), minus=(u, np.zeros((3, 3)))) == 0.0
+    assert spectral_norm(np.zeros((40, 40)), minus=(np.zeros_like(u), c)) == 0.0
+
+
+def test_spectral_norm_zero_test_ignores_signed_and_stored_zeros():
+    assert spectral_norm(np.full((4, 4), -0.0)) == 0.0
+    stored = scipy.sparse.csr_array((np.zeros(2), [1, 0], [0, 1, 2]), shape=(2, 2))
+    assert stored.nnz == 2 and spectral_norm(stored) == 0.0
+    u, c = _low_rank(40)
+    oracle = np.abs(np.linalg.eigvalsh(u @ c @ u.T)).max()
+    zero = scipy.sparse.csr_array((40, 40))
+    assert np.isclose(spectral_norm(zero, minus=(u, c)), oracle, rtol=1e-12)
 
 
 def _asymmetric_csr():
