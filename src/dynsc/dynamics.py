@@ -263,6 +263,9 @@ def save_sequence(directory, seq: MembershipSequence, snaps: SnapshotSequence,
         manifest.update(s=seq.s, n_min=seq.n_min, n_max=seq.n_max)
     else:
         manifest["s_equivalent"] = int(round(seq.epsilon * seq.n))
+    # repr round-trips a float exactly, so load_sequence returns the generated alpha and epsilon
+    manifest = {key: repr(float(value)) if isinstance(value, float) else value
+                for key, value in manifest.items()}
     (directory / _MANIFEST_NAME).write_text(dump_kv(manifest, header="dynsc sequence manifest"))
     return directory
 

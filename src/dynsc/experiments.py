@@ -312,6 +312,7 @@ def evaluate_smoothed(cfg: ExperimentConfig, trial: int, seq: MembershipSequence
                 seed=cseed,
                 wall_ms=wall_ms,
             ))
+        del smoothed  # so the next grid point's matrix is built without this one alive
     return records
 
 

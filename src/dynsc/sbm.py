@@ -9,7 +9,9 @@ concentration rates.
 Dense symmetric matrices are plain ``numpy`` arrays; every constructor in this
 module mirrors values so that ``M[i, j] == M[j, i]`` holds exactly, not just up
 to rounding. Adjacency snapshots are kept as upper-triangle edge lists because
-sampled graphs are sparse.
+sampled graphs are sparse; the lists hold 32-bit endpoints (64-bit only for n
+beyond the int32 range), 8 bytes per edge, and ``AdjacencySnapshot.keys`` is
+the one place that widens them to the int64 keys ``i * n + j``.
 """
 
 from __future__ import annotations
@@ -141,7 +143,11 @@ class ConnectivityModel:
 
 @dataclass(frozen=True)
 class AdjacencySnapshot:
-    """One simple undirected 0/1 graph, stored as an upper-triangle edge list."""
+    """One simple undirected 0/1 graph, stored as an upper-triangle edge list.
+
+    ``rows`` and ``cols`` are int32 when ``n`` fits that range, else int64;
+    inputs of any integer type are validated in int64 before they are narrowed.
+    """
 
     n: int
     rows: np.ndarray = field(repr=False)
@@ -150,18 +156,31 @@ class AdjacencySnapshot:
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.int64)
         cols = np.asarray(self.cols, dtype=np.int64)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
         if rows.shape != cols.shape or rows.ndim != 1:
             raise InvalidInputError("rows/cols must be 1-d arrays of equal length")
-        if rows.size:
-            if rows.min() < 0 or cols.max() >= self.n:
-                raise InvalidInputError("edge endpoint out of range")
-            if not (rows < cols).all():
-                raise InvalidInputError("edges must satisfy i < j (no self-loops)")
-            key = rows * self.n + cols
-            if (np.diff(np.sort(key)) == 0).any():
-                raise InvalidInputError("duplicate edges")
+        if rows.size and (rows.min() < 0 or cols.max() >= self.n):
+            raise InvalidInputError("edge endpoint out of range")
+        if not (rows < cols).all():
+            raise InvalidInputError("edges must satisfy i < j (no self-loops)")
+        # every endpoint now lies in [0, n), so it fits the narrower type exactly
+        index = np.int32 if self.n - 1 <= np.iinfo(np.int32).max else np.int64
+        object.__setattr__(self, "rows", rows.astype(index, copy=False))
+        object.__setattr__(self, "cols", cols.astype(index, copy=False))
+        key = self.keys()
+        # strictly increasing keys hold no duplicate; only other orders are sorted
+        if not (key[1:] > key[:-1]).all() and (np.diff(np.sort(key)) == 0).any():
+            raise InvalidInputError("duplicate edges")
+
+    def keys(self) -> np.ndarray:
+        """The int64 edge keys ``i * n + j``, which order edges row-major.
+
+        The product is taken in int64: in the 32-bit endpoint type it would
+        wrap once n exceeds 46340.
+        """
+        key = self.rows.astype(np.int64)
+        key *= self.n
+        key += self.cols
+        return key
 
     @property
     def edge_count(self) -> int:

@@ -26,10 +26,11 @@ from .spectral import DENSE_EIGEN_LIMIT
 from .util import available_memory
 
 WEIGHT_SUM_TOL = 1e-12
-# n x n float64 arrays the sweep and cluster paths hold at their peak: the
-# smoothed matrix, and the scale matrix and result of its Laplacian, with room
-# for the boolean temporaries of the symmetry checks
+# n x n float64 arrays reserved for the sweep and cluster paths: the smoothed
+# matrix and its Laplacian (the measured peak, about 2.2 of them), and the
+# copies the dense eigensolver fallback makes on top
 DENSE_WORKSPACE_MATRICES = 4
+_MIRROR_BLOCK = 64  # rows per block of weighted_smooth's in-place mirror
 # Above DENSE_EIGEN_LIMIT, a smoothed matrix at most this share nonzero is built
 # and multiplied as CSR, and a denser one as a dense array multiplied by BLAS
 # dsymv. Measured with 1 BLAS thread on a 2-core x86 machine: at n = 1000-4000
@@ -170,13 +171,18 @@ def weighted_smooth(snapshots: Sequence[AdjacencySnapshot], betas: np.ndarray) -
     """
     snaps, n, betas = _checked_history(snapshots, betas)
     _check_dense_fits(n)
-    upper = np.zeros((n, n))
+    out = np.zeros((n, n))
     for k, beta in enumerate(betas):
         if beta == 0.0:
             continue
         snap = snaps[len(snaps) - 1 - k]
-        upper.reshape(-1)[snap.rows * n + snap.cols] += beta  # a flat view, cheaper to index
-    return upper + upper.T
+        out.reshape(-1)[snap.keys()] += beta  # a flat view, cheaper to index
+    # mirror the strict upper triangle into the zero lower one, a row block at a
+    # time: each entry becomes acc + 0.0 or 0.0 + acc, the bits of upper + upper.T,
+    # without a second n x n array
+    for i in range(0, n, _MIRROR_BLOCK):
+        out[i:, i:i + _MIRROR_BLOCK] += out[i:i + _MIRROR_BLOCK, i:].T
+    return out
 
 
 def _upper_csr(snaps: list[AdjacencySnapshot], n: int,
@@ -188,7 +194,7 @@ def _upper_csr(snaps: list[AdjacencySnapshot], n: int,
     """
     live = [(beta, snaps[len(snaps) - 1 - k]) for k, beta in enumerate(betas) if beta != 0.0]
     keys = np.concatenate([np.empty(0, dtype=np.int64)]
-                          + [snap.rows * n + snap.cols for _, snap in live])
+                          + [snap.keys() for _, snap in live])
     weights = np.repeat([beta for beta, _ in live], [snap.edge_count for _, snap in live])
     # the stable sort keeps each key's weights in loop order, and bincount adds them
     # in array order (a COO sum_duplicates sorts unstably and would reorder them)

@@ -96,6 +96,31 @@ def test_cluster_on_generated_sequence(tmp_path, capsys):
     assert float(kv["adjacency.spec_err"]) > 0
 
 
+def test_cluster_on_saved_sequence_equals_in_process_run(tmp_path, monkeypatch, capsys):
+    # alpha = 4 log(40) / 40 needs more than the 12 digits dump_kv prints; the manifest
+    # must give back the generated alpha, so every score matches in full precision
+    import dynsc.experiments
+
+    assert main(["generate", *TINY, "--out", str(tmp_path)]) == EXIT_OK
+    real_evaluate = dynsc.experiments.evaluate_cell
+    seen = []
+
+    def spy(*args, **kwargs):
+        result = real_evaluate(*args, **kwargs)
+        seen.append(result[0])
+        return result
+
+    monkeypatch.setattr(dynsc.experiments, "evaluate_cell", spy)
+    runs = []
+    for extra in (["--sequence", str(tmp_path / "sequence")], []):
+        capsys.readouterr()
+        seen.clear()
+        assert main(["cluster", *TINY, *extra, "--smoother", "exp:0.4"]) == EXIT_OK
+        runs.append((list(seen), capsys.readouterr().out))
+    assert len(runs[0][0]) == 2  # one score dict per matrix kind
+    assert runs[0] == runs[1]
+
+
 def _drop_last_label_row(directory):
     path = directory / "labels.csv"
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))

@@ -252,13 +252,37 @@ def test_load_sequence_fixture_roundtrip(name):
     seq, snaps, model, _ = _fixture_sequence(name)
     back_seq, back_snaps, back_model, _ = load_sequence(DATA / name)
     assert back_seq.mode == seq.mode
-    assert back_seq.epsilon == pytest.approx(seq.epsilon, rel=1e-11)  # manifest keeps 12 digits
+    assert back_seq.epsilon == seq.epsilon
     assert (back_seq.s, back_seq.n_min, back_seq.n_max) == (seq.s, seq.n_min, seq.n_max)
     assert np.array_equal(back_model.b0, model.b0) and back_model.alpha == model.alpha
     for x, y in zip(back_seq.thetas, seq.thetas, strict=True):
         assert np.array_equal(x.labels, y.labels)
     for x, y in zip(back_snaps.snapshots, snaps.snapshots, strict=True):
         assert np.array_equal(x.rows, y.rows) and np.array_equal(x.cols, y.cols)
+
+
+def test_load_sequence_reads_12_digit_manifest_floats(tmp_path):
+    # manifests written before floats were saved with repr hold 12 significant digits
+    seq_dir = tmp_path / "old"
+    seq_dir.mkdir()
+    for path in (DATA / "deterministic_n12").iterdir():
+        (seq_dir / path.name).write_bytes(path.read_bytes())
+    manifest = seq_dir / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("epsilon=0.16666666666666666",
+                                                     "epsilon=0.166666666667"))
+    back_seq, _, _, _ = load_sequence(seq_dir)
+    assert back_seq.epsilon == 0.166666666667
+
+
+def test_save_sequence_keeps_manifest_floats_exact(tmp_path):
+    model = ConnectivityModel.planted_partition(2, 3 * np.log(40) / 40, 1 / 3)
+    seq = gen_markov_sequence(MarkovDsbmConfig(n=40, model=model, t_len=1, epsilon=0.1 / 3,
+                                               seed=4))
+    out = save_sequence(tmp_path / "seq", seq, sample_snapshot_sequence(seq, model, 4),
+                        model, seed=4)
+    back_seq, _, back_model, _ = load_sequence(out)
+    assert back_seq.epsilon == seq.epsilon
+    assert (back_model.alpha, back_model.tau) == (model.alpha, model.tau)
 
 
 @pytest.mark.parametrize("k, t_len, n", [

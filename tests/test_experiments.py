@@ -305,3 +305,25 @@ def test_csr_path_matches_forced_dense_run(monkeypatch):
         # CSR and dense products (and the Laplacian's degrees) sum in another order
         assert np.isclose(a.kmeans_cost, b.kmeans_cost, rtol=1e-12, atol=0.0)
         assert np.isclose(a.eigengap, b.eigengap, rtol=1e-12, atol=0.0)
+
+
+def test_dense_evaluation_peak_is_about_two_matrices():
+    # two dense grid points at n = 400: each smoothed matrix is mirrored in place and
+    # the previous one released first, so the peak is one smoothed matrix and its
+    # Laplacian (about 2.2 n x n arrays); upper + upper.T with the previous point's
+    # matrix still alive peaked at 3.1
+    import tracemalloc
+
+    n = 400
+    cfg = ExperimentConfig(n=n, k=2, tau=0.2, alpha=0.3, alpha_log_scale=None, epsilon=0.01,
+                           t_len=3, lambda_grid=(1.0, 0.5), trials=1, seed=3, restarts=2)
+    seq, snaps = generate_trial_sequence(cfg, 0)
+    assert isinstance(experiments.smoothed_matrix(snaps, Exponential(1.0)), np.ndarray)
+    tracemalloc.start()
+    try:
+        records = experiments.evaluate_smoothed(cfg, 0, seq, snaps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 4
+    assert peak < 2.5 * 8 * n * n

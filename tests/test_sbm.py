@@ -88,6 +88,56 @@ def test_snapshot_rejects_duplicate_edge_in_unsorted_input():
     assert AdjacencySnapshot(5, rows[:4], cols[:4]).edge_count == 4
 
 
+def test_snapshot_rejects_duplicate_edge_in_sorted_input():
+    # row-major order with the repeated pair (1, 4) adjacent, past the first edge
+    rows, cols = np.array([0, 1, 1, 2]), np.array([1, 4, 4, 3])
+    with pytest.raises(InvalidInputError, match="duplicate"):
+        AdjacencySnapshot(5, rows, cols)
+    assert AdjacencySnapshot(5, np.delete(rows, 2), np.delete(cols, 2)).edge_count == 3
+
+
+def test_sorted_edges_are_validated_without_a_sort(monkeypatch):
+    sorts = []
+    real_sort = np.sort
+    monkeypatch.setattr(np, "sort", lambda *a, **kw: sorts.append(1) or real_sort(*a, **kw))
+    AdjacencySnapshot(5, np.array([0, 1, 2]), np.array([1, 4, 3]))
+    AdjacencySnapshot.from_dense(np.ones((4, 4)) - np.eye(4))
+    assert sorts == []
+    AdjacencySnapshot(5, np.array([1, 0]), np.array([4, 1]))  # valid, but out of order
+    assert sorts == [1]
+
+
+def test_snapshot_endpoints_are_range_checked_before_narrowing():
+    # 2**32 + 1 would read as 1 in 32 bits
+    with pytest.raises(InvalidInputError, match="out of range"):
+        AdjacencySnapshot(10, np.array([0]), np.array([2**32 + 1]))
+
+
+def test_snapshot_keeps_64_bit_endpoints_beyond_the_int32_range():
+    n = 2**31 + 10
+    snap = AdjacencySnapshot(n, np.array([2**31 + 1]), np.array([2**31 + 5]))
+    assert snap.rows.dtype == snap.cols.dtype == np.int64
+    assert snap.keys().tolist() == [(2**31 + 1) * n + 2**31 + 5]
+
+
+@pytest.mark.parametrize("source", ["sample_sbm", "load_snapshot", "from_dense", "int64_lists"])
+def test_snapshot_stores_8_bytes_per_edge(tmp_path, source):
+    lab = random_labels(60, 3, np.random.default_rng(35))
+    sampled = sample_sbm(lab, ConnectivityModel.planted_partition(3, 0.3, 0.4), 9)
+    save_snapshot(sampled, tmp_path / "snap.txt")
+    snap = {
+        "sample_sbm": lambda: sampled,
+        "load_snapshot": lambda: load_snapshot(tmp_path / "snap.txt"),
+        "from_dense": lambda: AdjacencySnapshot.from_dense(sampled.to_dense()),
+        "int64_lists": lambda: AdjacencySnapshot(sampled.n, sampled.rows.astype(np.int64).tolist(),
+                                                 sampled.cols.astype(np.int64).tolist()),
+    }[source]()
+    assert snap.edge_count > 0
+    assert snap.rows.dtype == snap.cols.dtype == np.int32
+    assert snap.rows.nbytes + snap.cols.nbytes == 8 * snap.edge_count
+    assert np.array_equal(snap.keys(), sampled.keys())
+
+
 # ---------------------------------------------------------------------------
 # build_probability_matrix
 # ---------------------------------------------------------------------------
@@ -250,10 +300,6 @@ KERNEL3 = ConnectivityModel.from_kernel(
     3, 1.0, np.array([[1.0, 0.3, 0.0], [0.3, 0.5, 0.2], [0.0, 0.2, 0.6]]))
 
 
-def _edge_keys(snap):
-    return snap.rows * snap.n + snap.cols
-
-
 def test_sample_sbm_unbiasedness():
     # empirical edge frequency approaches P - diag(P), per entry within 4 sd
     lab = random_labels(25, 3, np.random.default_rng(31))
@@ -312,8 +358,8 @@ def test_sample_sbm_determinism_and_order():
     a, b = sample_sbm(lab, model, 7), sample_sbm(lab, model, 7)
     assert np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols)
     assert a.edge_count > 0 and (a.rows < a.cols).all()
-    assert (np.diff(_edge_keys(a)) > 0).all()  # row-major, as np.nonzero returns them
-    assert not np.array_equal(_edge_keys(a), _edge_keys(sample_sbm(lab, model, 8)))
+    assert (np.diff(a.keys()) > 0).all()  # row-major, as np.nonzero returns them
+    assert not np.array_equal(a.keys(), sample_sbm(lab, model, 8).keys())
 
 
 def test_sample_sbm_label_mismatch():

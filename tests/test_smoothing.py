@@ -153,6 +153,8 @@ def _csr_cases():
     cases["exponential"] = (snaps, weights_of(Exponential(0.27), 12).betas)
     cases["short_betas"] = (snaps, weights_of(Exponential(0.27), 6).betas)
     cases["one_snapshot"] = (snaps[:1], [1.0])
+    big = [sample_adjacency(np.full((150, 150), 0.3), rng) for _ in range(4)]
+    cases["n150"] = (big, weights_of(Exponential(0.4), 3).betas)  # several mirror blocks
     cases["no_edges"] = ([_empty_snapshot(7), _empty_snapshot(7)], [0.5, 0.5])
     cases["some_empty"] = ([snaps[0], _empty_snapshot(30)], [0.5, 0.5])
     return cases
@@ -204,6 +206,25 @@ def test_weighted_smooth_csr_memory_is_linear_in_edges():
     assert lap.shape == (n, n)
     assert 0 < lap.nnz <= 2 * sum(s.edge_count for s in snaps)
     assert peak < 128 * 2**20
+
+
+def test_keys_do_not_wrap_beyond_n_46340():
+    # in 32 bits 49998 * 50000 wraps negative; the int64 key lands the weight on its entry
+    import tracemalloc
+
+    n = 50000
+    snap = AdjacencySnapshot(n, np.array([49998, 0]), np.array([49999, 1]))
+    assert snap.rows.dtype == np.int32
+    assert snap.keys().dtype == np.int64
+    assert snap.keys().tolist() == [49998 * n + 49999, 1]
+    tracemalloc.start()
+    try:
+        out = weighted_smooth_csr([snap], [1.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nnz == 4 and out[49998, 49999] == 1.0 and out[49999, 49998] == 1.0
+    assert peak < 100 * n  # O(n + edges); an n x n array would be 20 GB
 
 
 def test_available_memory_reads_a_positive_byte_count():
