@@ -17,6 +17,7 @@ import scipy.linalg
 
 from .dynamics import MembershipSequence, SnapshotSequence
 from .errors import InvalidInputError
+from .metrics import confusion_matrix
 from .sbm import (
     CommunityLabels,
     ConnectivityModel,
@@ -211,8 +212,7 @@ def frobenius_diff_sq(a: CommunityLabels, b: CommunityLabels,
     """
     if a.n != b.n or a.k != b.k or a.k != model.k:
         raise InvalidInputError("label shapes must match the model")
-    k = model.k
-    joint = np.bincount(a.labels * k + b.labels, minlength=k * k).reshape(k, k).astype(float)
+    joint = confusion_matrix(a, b).astype(float)
     # diff[(x, y), (u, v)] = b0[x, u] - b0[y, v] over joint classes
     b0 = model.b0
     diff = b0[:, None, :, None] - b0[None, :, None, :]
@@ -274,8 +274,8 @@ def smoothing_bias_check(seq: MembershipSequence, model: ConnectivityModel,
     # labeling share one block, summed in the dense loop's order, so a static
     # sequence gives exactly 0.
     steps = np.flatnonzero(weights.betas)
-    labs = [seq.thetas[-1 - step].labels for step in [*steps, 0]]
-    keys = [lab.tobytes() for lab in labs]
+    thetas = [seq.thetas[-1 - step] for step in [*steps, 0]]
+    keys = [theta.labels.tobytes() for theta in thetas]
     # distinct: the first column of each labeling; group: each column's labeling
     distinct, group = np.unique([keys.index(key) for key in keys], return_inverse=True)
     c = alpha * model.b0
@@ -283,8 +283,8 @@ def smoothing_bias_check(seq: MembershipSequence, model: ConnectivityModel,
     for col, step in enumerate(steps):  # the order of a dense sum over P_{t-k}
         blocks[group[col]] += weights.betas[step] * c
     blocks[group[-1]] -= c
-    gram = np.block([[np.bincount(labs[a] * k + labs[b], minlength=k * k).reshape(k, k)
-                      for b in distinct] for a in distinct])
+    gram = np.block([[confusion_matrix(thetas[a], thetas[b]) for b in distinct]
+                     for a in distinct])
     w, q = np.linalg.eigh(gram)
     root = (q * np.sqrt(np.clip(w, 0.0, None))) @ q.T
     core = root @ scipy.linalg.block_diag(*blocks) @ root

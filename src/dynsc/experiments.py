@@ -156,7 +156,8 @@ class ExperimentConfig:
                 continue
             if isinstance(value, tuple):  # repr round-trips a float exactly
                 value = ",".join(map(repr, value))
-            out[f.name] = repr(value) if isinstance(value, float) else value
+            # float() first: a numpy float's repr is "np.float64(...)", which from_kv rejects
+            out[f.name] = repr(float(value)) if isinstance(value, float) else value
         return out
 
     @classmethod

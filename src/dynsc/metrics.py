@@ -44,11 +44,22 @@ def _check_pair(pred: CommunityLabels, truth: CommunityLabels) -> int:
     return pred.k
 
 
+def _pair_counts(a: np.ndarray, ka: int, b: np.ndarray, kb: int) -> np.ndarray:
+    """``ka``-by-``kb`` counts of the label pairs ``(a[i], b[i])``.
+
+    The pair codes ``a * kb + b`` are formed in int64: in the labels' own
+    narrow type (uint8 up to K = 256) they would wrap.
+    """
+    idx = a.astype(np.int64)
+    idx *= kb
+    idx += b
+    return np.bincount(idx, minlength=ka * kb).reshape(ka, kb)
+
+
 def confusion_matrix(pred: CommunityLabels, truth: CommunityLabels) -> np.ndarray:
     """K-by-K counts: entry ``(p, t)`` is the number of nodes with pred p, truth t."""
     k = _check_pair(pred, truth)
-    idx = pred.labels * k + truth.labels
-    return np.bincount(idx, minlength=k * k).reshape(k, k)
+    return _pair_counts(pred.labels, k, truth.labels, k)
 
 
 def misclassification_error(pred: CommunityLabels, truth: CommunityLabels) -> ErrorReport:
@@ -89,7 +100,7 @@ def adjusted_rand_index(pred: CommunityLabels, truth: CommunityLabels) -> float:
         raise InvalidInputError("adjusted Rand index needs at least 2 nodes")
     kp = max(pred.k, int(pred.labels.max()) + 1)
     kt = max(truth.k, int(truth.labels.max()) + 1)
-    conf = np.bincount(pred.labels * kt + truth.labels, minlength=kp * kt).reshape(kp, kt)
+    conf = _pair_counts(pred.labels, kp, truth.labels, kt)
 
     def comb2(a: np.ndarray) -> int:
         a = a.astype(object)  # python ints: no overflow for large n

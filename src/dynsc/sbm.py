@@ -9,9 +9,12 @@ concentration rates.
 Dense symmetric matrices are plain ``numpy`` arrays; every constructor in this
 module mirrors values so that ``M[i, j] == M[j, i]`` holds exactly, not just up
 to rounding. Adjacency snapshots are kept as upper-triangle edge lists because
-sampled graphs are sparse; the lists hold 32-bit endpoints (64-bit only for n
-beyond the int32 range), 8 bytes per edge, and ``AdjacencySnapshot.keys`` is
-the one place that widens them to the int64 keys ``i * n + j``.
+sampled graphs are sparse. Stored integers take the narrowest unsigned type
+that holds their range, ``np.min_scalar_type(n - 1)`` for endpoints and
+``np.min_scalar_type(k - 1)`` for labels: 4 bytes per edge for every n up to
+65536 and one byte per node for K up to 256. ``AdjacencySnapshot.keys`` is
+the one place that widens endpoints, to the int64 keys ``i * n + j``; label
+pair codes are formed, in int64, only in :mod:`dynsc.metrics`.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ from .errors import InvalidInputError, ZeroDegreeError
 from .util import format_ints
 
 _SYMMETRY_BLOCK = 64  # rows per block of the dense symmetry check
+# the largest n whose largest edge key (n - 2) * n + (n - 1) fits int64, so
+# endpoints never need more than uint32
+_MAX_SNAPSHOT_N = 3_037_000_500
 
 
 def check_symmetric(m, name: str = "matrix"):
@@ -47,32 +53,44 @@ def check_symmetric(m, name: str = "matrix"):
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInputError(f"{name} must be square, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise InvalidInputError(f"{name} contains non-finite entries")
-    # each row block of the upper triangle against its column block: half the
-    # matrix read, in cache-sized pieces
+    # each row block of the upper triangle is checked finite, then against its
+    # column block: one pass in cache-sized pieces, with no n x n temporary. A
+    # finite, symmetric upper triangle leaves the lower one finite too; on a
+    # mismatch the whole matrix is scanned, so a non-finite lower entry is
+    # still reported as such
     for i in range(0, m.shape[0], _SYMMETRY_BLOCK):
-        if not np.array_equal(m[i:i + _SYMMETRY_BLOCK, i:], m[i:, i:i + _SYMMETRY_BLOCK].T):
+        upper = m[i:i + _SYMMETRY_BLOCK, i:]
+        if not np.isfinite(upper).all():
+            raise InvalidInputError(f"{name} contains non-finite entries")
+        if not np.array_equal(upper, m[i:, i:i + _SYMMETRY_BLOCK].T):
+            if not np.isfinite(m).all():
+                raise InvalidInputError(f"{name} contains non-finite entries")
             raise InvalidInputError(f"{name} is not symmetric")
     return m
 
 
 @dataclass(frozen=True)
 class CommunityLabels:
-    """Per-node community assignment: ``labels[i]`` in ``[0, k)``."""
+    """Per-node community assignment: ``labels[i]`` in ``[0, k)``.
+
+    ``labels`` is stored as ``np.min_scalar_type(k - 1)``, uint8 for K up to
+    256; inputs of any integer type are validated in int64 before they are
+    narrowed.
+    """
 
     labels: np.ndarray
     k: int
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int64)
-        object.__setattr__(self, "labels", labels)
         if labels.ndim != 1:
             raise InvalidInputError("labels must be a 1-d sequence")
         if self.k < 1:
             raise InvalidInputError(f"k must be >= 1, got {self.k}")
         if labels.size and (labels.min() < 0 or labels.max() >= self.k):
             raise InvalidInputError(f"labels must lie in [0, {self.k})")
+        object.__setattr__(self, "labels",
+                           labels.astype(np.min_scalar_type(self.k - 1), copy=False))
 
     @property
     def n(self) -> int:
@@ -145,8 +163,10 @@ class ConnectivityModel:
 class AdjacencySnapshot:
     """One simple undirected 0/1 graph, stored as an upper-triangle edge list.
 
-    ``rows`` and ``cols`` are int32 when ``n`` fits that range, else int64;
-    inputs of any integer type are validated in int64 before they are narrowed.
+    ``rows`` and ``cols`` are stored as ``np.min_scalar_type(n - 1)``: uint16
+    for n from 257 to 65536, uint8 below, uint32 above; inputs of any integer
+    type are validated in int64 before they are narrowed. ``n`` may not exceed
+    3,037,000,500, beyond which the int64 edge keys would wrap.
     """
 
     n: int
@@ -154,6 +174,9 @@ class AdjacencySnapshot:
     cols: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        if self.n > _MAX_SNAPSHOT_N:
+            raise InvalidInputError(
+                f"n={self.n} exceeds {_MAX_SNAPSHOT_N}, the largest n whose edge keys fit int64")
         rows = np.asarray(self.rows, dtype=np.int64)
         cols = np.asarray(self.cols, dtype=np.int64)
         if rows.shape != cols.shape or rows.ndim != 1:
@@ -163,7 +186,7 @@ class AdjacencySnapshot:
         if not (rows < cols).all():
             raise InvalidInputError("edges must satisfy i < j (no self-loops)")
         # every endpoint now lies in [0, n), so it fits the narrower type exactly
-        index = np.int32 if self.n - 1 <= np.iinfo(np.int32).max else np.int64
+        index = np.min_scalar_type(self.n - 1)
         object.__setattr__(self, "rows", rows.astype(index, copy=False))
         object.__setattr__(self, "cols", cols.astype(index, copy=False))
         key = self.keys()
@@ -174,8 +197,8 @@ class AdjacencySnapshot:
     def keys(self) -> np.ndarray:
         """The int64 edge keys ``i * n + j``, which order edges row-major.
 
-        The product is taken in int64: in the 32-bit endpoint type it would
-        wrap once n exceeds 46340.
+        The product is taken in int64: ``i * n`` does not fit the narrow
+        endpoint type.
         """
         key = self.rows.astype(np.int64)
         key *= self.n

@@ -14,11 +14,13 @@ from dynsc import (
     MarkovDsbmConfig,
     MembershipSequence,
     SnapshotSequence,
+    build_probability_matrix,
     gen_deterministic_sequence,
     gen_markov_sequence,
     load_sequence,
     sample_snapshot_sequence,
     save_sequence,
+    spectral_cluster,
 )
 
 MODEL3 = ConnectivityModel.planted_partition(3, 0.3, 0.2)
@@ -304,3 +306,22 @@ def test_labels_csv_matches_savetxt_oracle(tmp_path, k, t_len, n):
     assert (out / "labels.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
     back_seq, _, _, _ = load_sequence(out)
     assert np.array_equal(np.stack([th.labels for th in back_seq.thetas]), labels)
+
+
+@pytest.mark.parametrize("source", ["markov", "deterministic", "load_sequence",
+                                    "spectral_cluster"])
+def test_labels_store_one_byte_per_node(tmp_path, source):
+    seq = gen_markov_sequence(MarkovDsbmConfig(n=30, model=MODEL3, t_len=3, epsilon=0.2, seed=4))
+    if source == "deterministic":
+        seq = gen_deterministic_sequence(_det_cfg(t_len=3))
+    elif source == "load_sequence":
+        out = save_sequence(tmp_path / "seq", seq, sample_snapshot_sequence(seq, MODEL3, 5),
+                            MODEL3, seed=5)
+        seq = load_sequence(out)[0]
+    elif source == "spectral_cluster":
+        p = build_probability_matrix(seq.thetas[0], MODEL3)
+        seq = MembershipSequence((spectral_cluster(p, 3, seed=6).labels,), mode="markov",
+                                 epsilon=0.0)
+    for theta in seq.thetas:
+        assert theta.labels.dtype == np.uint8
+        assert theta.labels.nbytes == theta.n

@@ -55,8 +55,11 @@ def test_config_kv_roundtrip():
 
 
 @pytest.mark.parametrize("cfg", [ExperimentConfig(),
-                                 ExperimentConfig(n=2000, epsilon=1 / math.log(2000) ** 2)],
-                         ids=["default", "epsilon_1_over_log2n"])
+                                 ExperimentConfig(n=2000, epsilon=1 / math.log(2000) ** 2),
+                                 ExperimentConfig(alpha=np.float64(0.1), alpha_log_scale=None,
+                                                  n=100, tau=np.float64(0.3),
+                                                  epsilon=np.float64(0.05))],
+                         ids=["default", "epsilon_1_over_log2n", "numpy_floats"])
 def test_saved_config_text_reproduces_config(cfg):
     # sweep writes config.txt with dump_kv(cfg.to_kv()); reading it back must give cfg
     assert ExperimentConfig.from_kv(parse_kv(dump_kv(cfg.to_kv()))) == cfg

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from conftest import misclassification_error_bruteforce, random_labels, relabeled
 from dynsc import (
     CommunityLabels,
+    ConnectivityModel,
     InvalidInputError,
     adjusted_rand_index,
     confusion_matrix,
+    frobenius_diff_sq,
     misclassification_error,
 )
 
@@ -127,6 +129,26 @@ def test_confusion_matrix_counts():
     pred = CommunityLabels([0, 0, 1], 2)
     truth = CommunityLabels([0, 1, 1], 2)
     assert confusion_matrix(pred, truth).tolist() == [[1, 1], [0, 1]]
+
+
+def _int64_copy(lab: CommunityLabels) -> CommunityLabels:
+    """``lab`` with its labels held in int64, the width they had before narrowing."""
+    wide = CommunityLabels(lab.labels, lab.k)
+    object.__setattr__(wide, "labels", lab.labels.astype(np.int64))
+    return wide
+
+
+def test_pair_codes_do_not_wrap_in_narrow_labels():
+    # at K = 20 the pair codes a * 20 + b reach 399, past uint8's 255
+    rng = np.random.default_rng(41)
+    k = 20
+    a, b = random_labels(400, k, rng), random_labels(400, k, rng)
+    assert a.labels.dtype == b.labels.dtype == np.uint8
+    wa, wb = _int64_copy(a), _int64_copy(b)
+    assert np.array_equal(confusion_matrix(a, b), confusion_matrix(wa, wb))
+    assert adjusted_rand_index(a, b) == adjusted_rand_index(wa, wb)
+    model = ConnectivityModel.planted_partition(k, 0.5, 0.3)
+    assert frobenius_diff_sq(a, b, model) == frobenius_diff_sq(wa, wb, model)
 
 
 @settings(max_examples=50, deadline=None)

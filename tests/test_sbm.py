@@ -37,6 +37,15 @@ from dynsc.sbm import _SYMMETRY_BLOCK, _triu_decode, check_symmetric
 # types
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("k, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16),
+                                      (300, np.uint16)])
+def test_labels_take_the_narrowest_type_for_k(k, dtype):
+    lab = CommunityLabels(np.arange(2 * k, dtype=np.int64) % k, k)
+    assert lab.labels.dtype == dtype
+    assert lab.labels.tolist() == [i % k for i in range(2 * k)]
+    assert lab.sizes().tolist() == [2] * k
+
+
 def test_labels_validation():
     with pytest.raises(InvalidInputError):
         CommunityLabels([0, 1, 2], 2)
@@ -113,17 +122,39 @@ def test_snapshot_endpoints_are_range_checked_before_narrowing():
         AdjacencySnapshot(10, np.array([0]), np.array([2**32 + 1]))
 
 
-def test_snapshot_keeps_64_bit_endpoints_beyond_the_int32_range():
+def test_snapshot_keeps_32_bit_endpoints_beyond_n_65536():
     n = 2**31 + 10
     snap = AdjacencySnapshot(n, np.array([2**31 + 1]), np.array([2**31 + 5]))
-    assert snap.rows.dtype == snap.cols.dtype == np.int64
+    assert snap.rows.dtype == snap.cols.dtype == np.uint32
     assert snap.keys().tolist() == [(2**31 + 1) * n + 2**31 + 5]
 
 
+@pytest.mark.parametrize("n, dtype", [(256, np.uint8), (257, np.uint16),
+                                      (65536, np.uint16), (65537, np.uint32)])
+def test_snapshot_endpoint_width_at_type_boundaries(n, dtype):
+    snap = AdjacencySnapshot(n, np.array([0, n - 3, n - 2]), np.array([n - 1, n - 2, n - 1]))
+    assert snap.rows.dtype == snap.cols.dtype == dtype
+    assert snap.keys().dtype == np.int64
+    assert snap.keys().tolist() == [n - 1, (n - 3) * n + n - 2, (n - 2) * n + n - 1]
+
+
+def test_snapshot_rejects_n_whose_edge_keys_overflow_int64(tmp_path):
+    # 3_037_000_500 is the largest n with (n - 2) * n + (n - 1) < 2**63; one more
+    # and keys() wraps negative, which breaks the duplicate check and the smoothers
+    n = 3_037_000_500
+    assert AdjacencySnapshot(n, [n - 2], [n - 1]).keys().tolist() == [(n - 2) * n + n - 1]
+    with pytest.raises(InvalidInputError, match="fit int64"):
+        AdjacencySnapshot(n + 1, [n - 1], [n])
+    path = tmp_path / "huge.txt"
+    path.write_text(f"n={n + 1}\n0 1\n")
+    with pytest.raises(InvalidInputError, match="fit int64"):
+        load_snapshot(path)
+
+
 @pytest.mark.parametrize("source", ["sample_sbm", "load_snapshot", "from_dense", "int64_lists"])
-def test_snapshot_stores_8_bytes_per_edge(tmp_path, source):
-    lab = random_labels(60, 3, np.random.default_rng(35))
-    sampled = sample_sbm(lab, ConnectivityModel.planted_partition(3, 0.3, 0.4), 9)
+def test_snapshot_stores_4_bytes_per_edge(tmp_path, source):
+    lab = random_labels(1000, 3, np.random.default_rng(35))
+    sampled = sample_sbm(lab, ConnectivityModel.planted_partition(3, 0.02, 0.4), 9)
     save_snapshot(sampled, tmp_path / "snap.txt")
     snap = {
         "sample_sbm": lambda: sampled,
@@ -133,8 +164,8 @@ def test_snapshot_stores_8_bytes_per_edge(tmp_path, source):
                                                  sampled.cols.astype(np.int64).tolist()),
     }[source]()
     assert snap.edge_count > 0
-    assert snap.rows.dtype == snap.cols.dtype == np.int32
-    assert snap.rows.nbytes + snap.cols.nbytes == 8 * snap.edge_count
+    assert snap.rows.dtype == snap.cols.dtype == np.uint16
+    assert snap.rows.nbytes + snap.cols.nbytes == 4 * snap.edge_count
     assert np.array_equal(snap.keys(), sampled.keys())
 
 
@@ -228,6 +259,32 @@ def test_check_symmetric_finds_one_ulp_asymmetry(i, j):
         check_symmetric(m)
     with pytest.raises(InvalidInputError, match="matrix is not symmetric"):
         check_symmetric(m.T)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("i, j", [(3, 100), (100, 3), (_SYM_N - 1, 0)],
+                         ids=["upper", "lower", "lower-corner"])
+def test_check_symmetric_reports_one_non_finite_entry(i, j, value):
+    m = random_symmetric(_SYM_N, np.random.default_rng(24))
+    m[i, j] = value
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        check_symmetric(m)
+
+
+def test_check_symmetric_allocates_no_n_by_n_temporary():
+    import tracemalloc
+
+    # the check holds O(block * n) masks plus numpy's fixed 64 KiB iterator
+    # buffers, about 250 KB here; one n x n boolean mask alone is n * n bytes
+    n = 2000
+    m = random_symmetric(n, np.random.default_rng(25))
+    tracemalloc.start()
+    try:
+        check_symmetric(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n // 8
 
 
 def test_check_symmetric_reports_non_finite_before_asymmetry():

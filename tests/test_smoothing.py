@@ -209,12 +209,13 @@ def test_weighted_smooth_csr_memory_is_linear_in_edges():
 
 
 def test_keys_do_not_wrap_beyond_n_46340():
-    # in 32 bits 49998 * 50000 wraps negative; the int64 key lands the weight on its entry
+    # 49998 * 50000 fits neither the uint16 endpoints nor 32 bits; the int64 key
+    # lands the weight on its entry
     import tracemalloc
 
     n = 50000
     snap = AdjacencySnapshot(n, np.array([49998, 0]), np.array([49999, 1]))
-    assert snap.rows.dtype == np.int32
+    assert snap.rows.dtype == np.uint16
     assert snap.keys().dtype == np.int64
     assert snap.keys().tolist() == [49998 * n + 49999, 1]
     tracemalloc.start()
