@@ -26,7 +26,7 @@ from .sbm import (
     effective_sizes,
     normalized_laplacian,
 )
-from .smoothing import SmoothingWeights, tuning_profile
+from .smoothing import SmoothingWeights, tuning_profile, weighted_history
 from .spectral import DENSE_FALLBACK_LIMIT, spectral_norm
 
 PERTURBATION_TOL = 1e-9  # absolute slack of laplacian_perturbation_check
@@ -176,21 +176,15 @@ def degree_deviation_stats(seq: SnapshotSequence, weights: SmoothingWeights,
     ``expected_degrees[j]`` must hold the expected sampled degrees (diagonal
     excluded) under the labeling of snapshot ``j``.
     """
-    snaps = seq.snapshots
-    betas = weights.betas
-    if betas.size > len(snaps):
-        raise InvalidInputError(f"{betas.size} weights but only {len(snaps)} snapshots")
     expected_degrees = np.asarray(expected_degrees, dtype=float)
-    if expected_degrees.shape != (len(snaps), seq.n):
+    if expected_degrees.shape != (len(seq.snapshots), seq.n):
         raise InvalidInputError("expected_degrees must be (t+1, n)")
     smoothed = np.zeros(seq.n)
     expected = np.zeros(seq.n)
-    last = len(snaps) - 1
-    for k, beta in enumerate(betas):
-        if beta == 0.0:
-            continue
-        smoothed += beta * snaps[last - k].degrees()
-        expected += beta * expected_degrees[last - k]
+    steps = list(zip(seq.snapshots, expected_degrees))
+    for beta, (snap, expected_row) in weighted_history(steps, weights.betas):
+        smoothed += beta * snap.degrees()
+        expected += beta * expected_row
     dev = float(np.abs(smoothed - expected).max())
     return DegreeDeviationStats(
         max_abs_deviation=dev,
@@ -256,8 +250,7 @@ def smoothing_bias_check(seq: MembershipSequence, model: ConnectivityModel,
     """
     if seq.mode != "deterministic":
         raise InvalidInputError("bias check requires a deterministic-mode sequence")
-    if weights.betas.size > len(seq.thetas):
-        raise InvalidInputError("more weights than labelings")
+    live = weighted_history(seq.thetas, weights.betas)
     n, s, k = seq.n, seq.s, model.k
     prof = effective_sizes(model, n, seq.n_min, seq.n_max)
     alpha, eps = model.alpha, seq.epsilon
@@ -273,15 +266,14 @@ def smoothing_bias_check(seq: MembershipSequence, model: ConnectivityModel,
     # label co-occurrence counts between the labelings. Steps with the same
     # labeling share one block, summed in the dense loop's order, so a static
     # sequence gives exactly 0.
-    steps = np.flatnonzero(weights.betas)
-    thetas = [seq.thetas[-1 - step] for step in [*steps, 0]]
+    thetas = [theta for _, theta in live] + [seq.thetas[-1]]
     keys = [theta.labels.tobytes() for theta in thetas]
     # distinct: the first column of each labeling; group: each column's labeling
     distinct, group = np.unique([keys.index(key) for key in keys], return_inverse=True)
     c = alpha * model.b0
     blocks = np.zeros((distinct.size, k, k))
-    for col, step in enumerate(steps):  # the order of a dense sum over P_{t-k}
-        blocks[group[col]] += weights.betas[step] * c
+    for col, (beta, _) in enumerate(live):  # the order of a dense sum over P_{t-k}
+        blocks[group[col]] += beta * c
     blocks[group[-1]] -= c
     gram = np.block([[confusion_matrix(thetas[a], thetas[b]) for b in distinct]
                      for a in distinct])

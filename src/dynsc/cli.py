@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bounds, dynamics, experiments, sbm, smoothing
 from .errors import DynscError, InvalidInputError
-from .util import dump_kv, parse_kv, subseed
+from .util import dump_kv, format_ints, parse_kv, subseed
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -151,7 +151,7 @@ def cmd_cluster(args) -> int:
         model = cfg.model()
     kinds = cfg.matrix_kinds()
 
-    smoothed = experiments.smoothed_matrix(snaps, smoother)
+    smoothed = smoothing.smoothed_matrix(snaps, smoother)
     truth = seq.thetas[-1]
     refs = experiments.reference_matrices(truth, model, kinds)
     report: dict = {"t": seq.t_len, "smoother": args.smoother}
@@ -162,7 +162,7 @@ def cmd_cluster(args) -> int:
         report.update({f"{kind}.{name}": value for name, value in scores.items()})
         if args.out is not None:
             path = _out_dir(args) / f"labels_{kind}.csv"
-            np.savetxt(path, labels.labels[None, :], delimiter=",", fmt="%d")
+            path.write_bytes(format_ints(labels.labels, b"," * (labels.n - 1) + b"\n"))
             report[f"{kind}.labels_file"] = path
     _print_kv(report)
     return EXIT_OK

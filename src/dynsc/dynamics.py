@@ -296,7 +296,9 @@ def load_sequence(directory):
             [[float(v) for v in row.split()] for row in text.split(";")])))
     n, t_len = value("n", int), value("t_len", int)
     try:
-        labels = np.loadtxt(directory / _LABELS_NAME, delimiter=",", dtype=np.int64, ndmin=2)
+        # at the width CommunityLabels keeps: a negative or too-wide label fails to parse
+        labels = np.loadtxt(directory / _LABELS_NAME, delimiter=",",
+                            dtype=np.min_scalar_type(model.k - 1), ndmin=2)
     except ValueError as exc:
         raise InvalidInputError(f"{directory / _LABELS_NAME}: {exc}") from None
     if labels.shape != (t_len + 1, n):

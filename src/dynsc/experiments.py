@@ -4,7 +4,9 @@ A sweep runs ``trials`` independent dynamic-SBM realizations and, for each
 smoother grid point (forgetting factors and/or window sizes) and matrix kind
 (adjacency / normalized Laplacian), records the spectral estimation error at
 the final time step together with the clustering metrics of the spectral
-algorithm run on the smoothed input.
+algorithm run on the smoothed input. The smoothed input of each grid point is
+:func:`dynsc.smoothing.smoothed_matrix`, dense or CSR, and every later layer of
+the cell keeps its form.
 
 Rows are reproducible in isolation: every record carries the sub-seed that
 drove its clustering, and sequences are regenerable from ``(seed, trial)``.
@@ -42,15 +44,7 @@ from .sbm import (
     normalized_laplacian,
     normalized_laplacian_csr,
 )
-from .smoothing import (
-    Exponential,
-    SmootherKind,
-    Uniform,
-    prefers_csr,
-    weighted_smooth,
-    weighted_smooth_csr,
-    weights_of,
-)
+from .smoothing import Exponential, SmootherKind, Uniform, smoothed_matrix
 from .spectral import spectral_cluster, spectral_norm
 from .util import subseed
 
@@ -240,23 +234,6 @@ def reference_matrices(truth: CommunityLabels, model: ConnectivityModel,
             raise ZeroDegreeError("expected probability matrix has a non-positive row sum")
         refs["laplacian"] = (z * (1.0 / np.sqrt(d))[:, None], c)
     return refs
-
-
-def smoothed_matrix(snaps: SnapshotSequence, smoother: SmootherKind):
-    """The final-step estimate of ``smoother`` over ``snaps``, in the form every later layer keeps.
-
-    The form is chosen before anything is built: a CSR array
-    (:func:`weighted_smooth_csr`) when :func:`smoothing.prefers_csr` holds,
-    else the dense :func:`weighted_smooth`, memory guard included. The rule
-    counts twice the edges of the snapshots with a nonzero weight, an upper
-    bound on the smoothed matrix's nonzeros (shared edges count once there).
-    """
-    betas = weights_of(smoother, snaps.t_len).betas
-    nnz_bound = 2 * sum(snap.edge_count for beta, snap in zip(betas, reversed(snaps.snapshots))
-                        if beta != 0.0)
-    if prefers_csr(snaps.n, nnz_bound):
-        return weighted_smooth_csr(snaps.snapshots, betas)
-    return weighted_smooth(snaps.snapshots, betas)
 
 
 def evaluate_cell(smoothed, kind: str, ref: tuple[np.ndarray, np.ndarray],

@@ -131,8 +131,6 @@ class ConnectivityModel:
             raise InvalidInputError(f"b0 must be {self.k}x{self.k}")
         if b0.min() < 0.0 or b0.max() > 1.0:
             raise InvalidInputError("b0 entries must lie in [0, 1]")
-        if self.alpha * b0.max() > 1.0:
-            raise InvalidInputError("alpha * max(b0) must not exceed 1")
         object.__setattr__(self, "b0", b0)
 
     @classmethod
@@ -441,8 +439,6 @@ def effective_sizes(model: ConnectivityModel, n: int, n_min: int, n_max: int) ->
         raise InvalidInputError(
             f"size bounds infeasible: k*n_min={k * n_min}, n={n}, k*n_max={k * n_max}"
         )
-    if not (n_min <= n / k <= n_max):
-        raise InvalidInputError("need n_min <= n/k <= n_max")
 
     maxima = [_extremal_linear(model.b0[row], n, n_min, n_max, maximize=True) for row in range(k)]
     minima = [_extremal_linear(model.b0[row], n, n_min, n_max, maximize=False) for row in range(k)]

@@ -2,12 +2,14 @@
 
 Both the uniform window estimator (mean of the last ``r`` snapshots) and the
 exponential estimator (recursive update with forgetting factor ``lambda``) are
-special cases of a weighted sum ``sum_k beta_k A_{t-k}``, built as a dense
-array (:func:`weighted_smooth`) or, bit for bit equal, as a CSR array
-(:func:`weighted_smooth_csr`). The weight
-conditions certifying concentration are checked numerically by
-:func:`validate_weights`; the optimal amount of smoothing is
-``rho = min(1, sqrt(nbar_max * alpha * epsilon))``, evaluated by
+special cases of a weighted sum ``sum_k beta_k A_{t-k}``: :func:`weights_of`
+gives the ``beta_k``, and :func:`weighted_history` pairs each nonzero one with
+its step for every such sum, here and in :mod:`dynsc.bounds`. The sum is built
+as a dense array (:func:`weighted_smooth`) or, bit for bit equal, as a CSR
+array (:func:`weighted_smooth_csr`); :func:`smoothed_matrix` picks the form for
+the sweep and ``cluster``. The weight conditions certifying concentration are
+checked numerically by :func:`validate_weights`; the optimal amount of
+smoothing is ``rho = min(1, sqrt(nbar_max * alpha * epsilon))``, evaluated by
 :func:`tuning_profile` together with the warm-up horizons ``t_min``.
 """
 
@@ -20,6 +22,7 @@ from typing import Sequence, Union
 import numpy as np
 import scipy.sparse
 
+from .dynamics import SnapshotSequence
 from .errors import InvalidInputError, MemoryBudgetError
 from .sbm import AdjacencySnapshot
 from .spectral import DENSE_EIGEN_LIMIT
@@ -117,16 +120,6 @@ def weights_of(kind: SmootherKind, t: int) -> SmoothingWeights:
     raise InvalidInputError(f"unknown smoother kind {kind!r}")
 
 
-def prefers_csr(n: int, nnz: int) -> bool:
-    """Whether an n x n smoothed matrix with ``nnz`` nonzeros should be built as CSR.
-
-    True above ``DENSE_EIGEN_LIMIT`` when at most ``SPARSE_OPERATOR_SHARE`` of
-    the entries are nonzero. The Laplacian and the eigensolver keep the form
-    the matrix is built in.
-    """
-    return n > DENSE_EIGEN_LIMIT and nnz <= SPARSE_OPERATOR_SHARE * n * n
-
-
 def _check_dense_fits(n: int) -> None:
     """Raise :class:`MemoryBudgetError` when the dense workspace for size ``n`` exceeds free memory.
 
@@ -144,9 +137,19 @@ def _check_dense_fits(n: int) -> None:
             "smoothing window")
 
 
-def _checked_history(snapshots: Sequence[AdjacencySnapshot],
-                     betas: np.ndarray) -> tuple[list[AdjacencySnapshot], int, np.ndarray]:
-    """The snapshots as a list, their common ``n`` and ``betas`` as floats, checked."""
+def weighted_history(items: Sequence, betas) -> list:
+    """The ``(beta, item)`` pairs of ``sum_k betas[k] * items[t - k]`` with a nonzero weight.
+
+    ``items`` is ordered by time (oldest first) and ``betas[k]`` weights the
+    item ``k`` steps before the last one, so the pairs come newest first.
+    """
+    if len(betas) > len(items):
+        raise InvalidInputError(f"{len(betas)} weights but only {len(items)} steps")
+    return [(beta, items[-1 - k]) for k, beta in enumerate(betas) if beta != 0.0]
+
+
+def _checked_history(snapshots: Sequence[AdjacencySnapshot], betas) -> tuple[int, list]:
+    """The snapshots' common ``n`` and their :func:`weighted_history` under float ``betas``."""
     snaps = list(snapshots)
     if not snaps:
         raise InvalidInputError("need at least one snapshot")
@@ -155,10 +158,7 @@ def _checked_history(snapshots: Sequence[AdjacencySnapshot],
     n = snaps[0].n
     if any(s.n != n for s in snaps):
         raise InvalidInputError("snapshots must share n")
-    betas = np.asarray(betas, dtype=float)
-    if betas.size > len(snaps):
-        raise InvalidInputError(f"{betas.size} weights but only {len(snaps)} snapshots")
-    return snaps, n, betas
+    return n, weighted_history(snaps, np.asarray(betas, dtype=float))
 
 
 def weighted_smooth(snapshots: Sequence[AdjacencySnapshot], betas: np.ndarray) -> np.ndarray:
@@ -169,13 +169,10 @@ def weighted_smooth(snapshots: Sequence[AdjacencySnapshot], betas: np.ndarray) -
     workspace of the evaluation path is checked against free memory, and
     :class:`MemoryBudgetError` is raised if it does not fit.
     """
-    snaps, n, betas = _checked_history(snapshots, betas)
+    n, live = _checked_history(snapshots, betas)
     _check_dense_fits(n)
     out = np.zeros((n, n))
-    for k, beta in enumerate(betas):
-        if beta == 0.0:
-            continue
-        snap = snaps[len(snaps) - 1 - k]
+    for beta, snap in live:
         out.reshape(-1)[snap.keys()] += beta  # a flat view, cheaper to index
     # mirror the strict upper triangle into the zero lower one, a row block at a
     # time: each entry becomes acc + 0.0 or 0.0 + acc, the bits of upper + upper.T,
@@ -185,14 +182,12 @@ def weighted_smooth(snapshots: Sequence[AdjacencySnapshot], betas: np.ndarray) -
     return out
 
 
-def _upper_csr(snaps: list[AdjacencySnapshot], n: int,
-               betas: np.ndarray) -> scipy.sparse.csr_array:
-    """The strict upper triangle of ``sum_k betas[k] * A_{t-k}`` as a canonical CSR array.
+def _upper_csr(live: list, n: int) -> scipy.sparse.csr_array:
+    """The strict upper triangle of a :func:`weighted_history` sum as a canonical CSR array.
 
     Each entry adds its weights in the order of :func:`weighted_smooth`'s
     loop, starting from zero, so the values match it bit for bit.
     """
-    live = [(beta, snaps[len(snaps) - 1 - k]) for k, beta in enumerate(betas) if beta != 0.0]
     keys = np.concatenate([np.empty(0, dtype=np.int64)]
                           + [snap.keys() for _, snap in live])
     weights = np.repeat([beta for beta, _ in live], [snap.edge_count for _, snap in live])
@@ -217,9 +212,25 @@ def weighted_smooth_csr(snapshots: Sequence[AdjacencySnapshot],
     ``toarray()`` of the result equals :func:`weighted_smooth` bit for bit.
     There is no memory guard: nothing n x n is allocated.
     """
-    snaps, n, betas = _checked_history(snapshots, betas)
-    upper = _upper_csr(snaps, n, betas)  # its edge-sized temporaries are freed by now
+    n, live = _checked_history(snapshots, betas)
+    upper = _upper_csr(live, n)  # its edge-sized temporaries are freed by now
     return upper + upper.T
+
+
+def smoothed_matrix(snaps: SnapshotSequence, smoother: SmootherKind):
+    """The final-step estimate of ``smoother`` over ``snaps``, in the form every later layer keeps.
+
+    The form is chosen before anything is built: CSR (:func:`weighted_smooth_csr`)
+    above ``DENSE_EIGEN_LIMIT`` when at most ``SPARSE_OPERATOR_SHARE`` of the
+    entries can be nonzero, else the dense :func:`weighted_smooth`, memory
+    guard included. The rule counts twice the edges of the weighted snapshots,
+    an upper bound on the smoothed matrix's nonzeros (shared edges count once).
+    """
+    n, betas = snaps.n, weights_of(smoother, snaps.t_len).betas
+    nnz_bound = 2 * sum(snap.edge_count for _, snap in weighted_history(snaps.snapshots, betas))
+    if n > DENSE_EIGEN_LIMIT and nnz_bound <= SPARSE_OPERATOR_SHARE * n * n:
+        return weighted_smooth_csr(snaps.snapshots, betas)
+    return weighted_smooth(snaps.snapshots, betas)
 
 
 def exp_smooth_update(state: np.ndarray, a_t: AdjacencySnapshot, lam: float) -> np.ndarray:
@@ -228,8 +239,7 @@ def exp_smooth_update(state: np.ndarray, a_t: AdjacencySnapshot, lam: float) -> 
     Keeps exactly one dense n-by-n state and no history. The state array is
     mutated and returned.
     """
-    if not 0.0 < lam <= 1.0:
-        raise InvalidInputError(f"forgetting factor must be in (0, 1], got {lam}")
+    Exponential(lam)  # validates the forgetting factor
     state = np.asarray(state)
     if state.shape != (a_t.n, a_t.n):
         raise InvalidInputError(f"state shape {state.shape} does not match n={a_t.n}")

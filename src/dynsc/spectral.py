@@ -256,11 +256,10 @@ def _lloyd_round(x: np.ndarray, weights: np.ndarray, k: int, rngs: list) -> list
 
     One ``bincount`` per coordinate over all runs' offset labels takes the sequential sums of
     ``x[labels == j].mean(axis=0)``, and a run is frozen once its centroids move less than
-    ``_KMEANS_TOL``. Returns ``(labels, centers, cost, degenerate, cost_history)`` per run.
+    ``_KMEANS_TOL``. Returns ``(labels, centers, cost, degenerate)`` per run.
     """
     n, d = x.shape
     centers = _seed_centroids(x, k, rngs)
-    histories = [[] for _ in rngs]
     active = np.arange(len(rngs))
     for _ in range(_KMEANS_MAX_ITER):
         if not active.size:
@@ -268,8 +267,6 @@ def _lloyd_round(x: np.ndarray, weights: np.ndarray, k: int, rngs: list) -> list
         a = active.size
         old = centers[active]
         labels, offset, squares = _nearest(x, old)
-        for r, cost in zip(active, squares.reshape(a, -1).sum(axis=1)):
-            histories[r].append(float(cost))  # summed in another order than the last cost
         counts = np.bincount(offset, minlength=a * k)
         if d == 1:  # numpy sums a lone column pairwise, not in order
             sums = np.array([x[run == j].sum() for run in labels for j in range(k)])[:, None]
@@ -288,8 +285,7 @@ def _lloyd_round(x: np.ndarray, weights: np.ndarray, k: int, rngs: list) -> list
     labels, dist = _assign(x, centers)
     costs = [float(run.sum()) for run in dist]
     degenerate = [bool((np.bincount(run, minlength=k) == 0).any()) for run in labels]
-    return [(labels[r], centers[r], costs[r], degenerate[r], histories[r] + [costs[r]])
-            for r in range(len(rngs))]
+    return [(labels[r], centers[r], costs[r], degenerate[r]) for r in range(len(rngs))]
 
 
 def kmeans(points: np.ndarray, k: int, restarts: int = 20, seed: int = 0) -> KMeansResult:
@@ -325,7 +321,7 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 20, seed: int = 0) -> KMe
                 best = run
             repeats = np.count_nonzero(np.asarray(costs) <= best[2] * (1.0 + _KMEANS_REPEAT_RTOL))
             if best[2] == 0.0 or repeats >= _KMEANS_REPEATS or len(costs) == restarts:
-                labels, centers, cost, degenerate, _ = best
+                labels, centers, cost, degenerate = best
                 return KMeansResult(labels, centers, cost, len(costs), degenerate)
 
 

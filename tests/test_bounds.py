@@ -351,3 +351,33 @@ def test_markov_frobenius_trajectory_exposed():
     assert traj.shape == (7,)
     assert traj[0] == 0.0
     assert (traj >= 0).all()
+
+
+def _short_history():
+    """A 4-step deterministic sequence: its model, labelings, snapshots and expected degrees."""
+    model = ConnectivityModel.planted_partition(2, 0.3, 0.2)
+    seq = gen_deterministic_sequence(DeterministicDsbmConfig(n=20, model=model, t_len=3, s=1,
+                                                             n_min=8, n_max=12, seed=0))
+    expected = np.stack([expected_degrees(th, model) for th in seq.thetas])
+    return model, seq, sample_snapshot_sequence(seq, model, 1), expected
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: _card(nbar_min=0.0), "need 0 < nbar_min <= nbar_max"),
+    (lambda: laplacian_perturbation_check(np.eye(3), np.eye(2)), "shape mismatch"),
+    (lambda: frobenius_diff_sq(CommunityLabels([0, 1], 2), CommunityLabels([0, 1, 1], 2),
+                               ConnectivityModel.planted_partition(2, 0.3, 0.2)),
+     "label shapes must match"),
+    (lambda: degree_deviation_stats(_short_history()[2], weights_of(Uniform(2), 4),
+                                    _short_history()[3], alpha=0.3, nbar_min=8.0),
+     "5 weights but only 4 steps"),
+    (lambda: degree_deviation_stats(_short_history()[2], weights_of(Uniform(2), 3),
+                                    _short_history()[3][1:], alpha=0.3, nbar_min=8.0),
+     "expected_degrees must be"),
+    (lambda: smoothing_bias_check(_short_history()[1], _short_history()[0],
+                                  weights_of(Uniform(2), 4)), "5 weights but only 4 steps"),
+], ids=["rate_card_nbar_min", "perturbation_shapes", "frobenius_shapes",
+        "degrees_more_weights", "degrees_expected_shape", "bias_more_weights"])
+def test_bounds_input_checks(call, match):
+    with pytest.raises(InvalidInputError, match=match):
+        call()

@@ -3,6 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from conftest import save_labels_oracle
 from dynsc import ExperimentConfig, InvalidInputError, load_sequence
 from dynsc.cli import (
     EXIT_IO,
@@ -168,12 +169,23 @@ def _manifest_mode_foo(directory):
                             for line in lines))
 
 
+def _first_label_of_row_1(value):
+    def corrupt(directory):
+        path = directory / "labels.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = f"{value}," + lines[1].split(",", 1)[1]
+        path.write_text("".join(lines))
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt", [_drop_last_label_row, _manifest_n_999, _snapshots_n_41,
                                      _ragged_label_row, _bad_edge_line, _manifest_missing_t_len,
-                                     _manifest_alpha_abc, _manifest_mode_foo],
+                                     _manifest_alpha_abc, _manifest_mode_foo,
+                                     _first_label_of_row_1(-1), _first_label_of_row_1(300),
+                                     _first_label_of_row_1(2)],
                          ids=["labels_rows", "manifest_n", "snapshot_n", "labels_ragged",
                               "edge_line", "manifest_missing_key", "manifest_bad_value",
-                              "manifest_bad_mode"])
+                              "manifest_bad_mode", "label_negative", "label_300", "label_k"])
 def test_corrupt_sequence_is_rejected(tmp_path, capsys, corrupt):
     out = tmp_path / "seq"
     assert main(["generate", *TINY, "--out", str(out)]) == EXIT_OK
@@ -300,10 +312,18 @@ def test_cluster_writes_labels(tmp_path, capsys):
     labels = np.loadtxt(out / "labels_adjacency.csv", delimiter=",", dtype=int, ndmin=1)
     assert labels.shape == (40,)
     assert set(labels.tolist()) <= {0, 1}
+    save_labels_oracle(labels[None, :], tmp_path / "oracle.csv")
+    assert (out / "labels_adjacency.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 def test_cluster_bad_smoother(capsys):
     assert main(["cluster", "--smoother", "gauss:1"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("spec", ["exp:abc", "unif:1.5", "exp"])
+def test_cluster_unparsable_smoother_value(capsys, spec):
+    assert main(["cluster", "--smoother", spec]) == EXIT_USAGE
+    assert f"bad smoother {spec!r}" in capsys.readouterr().err
 
 
 def test_sweep_writes_outputs(tmp_path, capsys):

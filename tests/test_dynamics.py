@@ -325,3 +325,57 @@ def test_labels_store_one_byte_per_node(tmp_path, source):
     for theta in seq.thetas:
         assert theta.labels.dtype == np.uint8
         assert theta.labels.nbytes == theta.n
+
+
+def test_load_sequence_parses_labels_at_their_stored_width(tmp_path):
+    # labels.csv is parsed straight into uint8 for K = 2, so the transient parse
+    # no longer holds 8 bytes per label: 4 bytes per label of slack here, where
+    # an int64 parse needs 8 on top of the 1 kept
+    import tracemalloc
+
+    n, t_len = 2000, 40
+    model = ConnectivityModel.planted_partition(2, 2.0 / n, 0.5)
+    seq = gen_markov_sequence(MarkovDsbmConfig(n=n, model=model, t_len=t_len, epsilon=0.1,
+                                               seed=3))
+    out = save_sequence(tmp_path / "seq", seq, sample_snapshot_sequence(seq, model, 3),
+                        model, seed=3)
+    tracemalloc.start()
+    try:
+        back = load_sequence(out)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(th.labels.dtype == np.uint8 for th in back[0].thetas)
+    assert peak - kept <= 4 * (t_len + 1) * n
+
+
+_LAB3 = CommunityLabels([0, 1, 2], 3)
+_SNAP3 = AdjacencySnapshot(3, [0], [1])
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda tmp: _det_cfg(s=-1), "need 0 <= s <= n"),
+    (lambda tmp: _det_cfg(s=31), "need 0 <= s <= n"),
+    (lambda tmp: _det_cfg(t_len=-1), "t_len must be >= 0"),
+    (lambda tmp: DeterministicDsbmConfig.from_epsilon(30, MODEL3, 8, 1.5, 6, 14),
+     "epsilon must be in"),
+    (lambda tmp: MarkovDsbmConfig(n=30, model=MODEL3, t_len=8, epsilon=-0.1), "epsilon must be in"),
+    (lambda tmp: MarkovDsbmConfig(n=30, model=MODEL3, t_len=-1, epsilon=0.1), "t_len must be >= 0"),
+    (lambda tmp: MembershipSequence((), mode="markov", epsilon=0.0), "at least Theta_0"),
+    (lambda tmp: MembershipSequence((_LAB3, CommunityLabels([0, 1], 3)), mode="markov",
+                                    epsilon=0.0), "share"),
+    (lambda tmp: MembershipSequence((_LAB3, CommunityLabels([0, 1, 2], 4)), mode="markov",
+                                    epsilon=0.0), "share"),
+    (lambda tmp: SnapshotSequence(()), "at least one snapshot"),
+    (lambda tmp: SnapshotSequence((_SNAP3, AdjacencySnapshot(4, [0], [1]))), "share n"),
+    (lambda tmp: save_sequence(tmp / "seq", MembershipSequence((_LAB3,) * 2, mode="markov",
+                                                               epsilon=0.0),
+                               SnapshotSequence((_SNAP3,) * 3), MODEL3, seed=0),
+     "different lengths"),
+], ids=["det_s_negative", "det_s_above_n", "det_t_len", "det_epsilon", "markov_epsilon",
+        "markov_t_len", "membership_empty", "membership_mixed_n", "membership_mixed_k",
+        "snapshots_empty", "snapshots_mixed_n", "save_mismatched_lengths"])
+def test_dynamics_input_checks(tmp_path, call, match):
+    with pytest.raises(InvalidInputError, match=match):
+        call(tmp_path)
+    assert not (tmp_path / "seq").exists()  # save_sequence writes nothing first

@@ -37,6 +37,10 @@ def test_config_validation():
         ExperimentConfig(lambda_grid=(), r_grid=())
     with pytest.raises(InvalidInputError):
         ExperimentConfig(t_len=5, r_grid=(7,))
+    with pytest.raises(InvalidInputError, match="unknown mode"):
+        ExperimentConfig(mode="static")
+    with pytest.raises(InvalidInputError, match="set only one alpha"):
+        ExperimentConfig.from_kv({"alpha": "0.1", "alpha_inv_scale": "3"})
     cfg = ExperimentConfig(n=100, alpha_inv_scale=8.0, alpha_log_scale=None)
     assert np.isclose(cfg.resolved_alpha, 0.08)
 
@@ -236,6 +240,11 @@ def test_laplacian_factors_match_laplacian_of_probability_matrix():
     assert np.allclose(_factor_product(*refs["laplacian"]), lap_p, rtol=1e-12, atol=0.0)
 
 
+def test_reference_matrices_reject_a_k_mismatch():
+    with pytest.raises(InvalidInputError, match="labels declare k=2, model has k=3"):
+        reference_matrices(dynsc.CommunityLabels([0, 1], 2), KERNEL3, ("adjacency",))
+
+
 def test_laplacian_factors_reject_zero_degree():
     b0 = np.array([[1.0, 0.0], [0.0, 0.0]])  # community 1 has no possible edges
     model = dynsc.ConnectivityModel.from_kernel(2, 0.5, b0)
@@ -279,7 +288,7 @@ def test_smoothed_matrix_form(monkeypatch, n, p, csr):
     # edges (about 7p of the entries) fill at most 10%; the form is chosen
     # before anything is built, so a dense result never builds the CSR keys
     built = []
-    monkeypatch.setattr(experiments, "weighted_smooth_csr",
+    monkeypatch.setattr(dynsc.smoothing, "weighted_smooth_csr",
                         lambda *a: built.append(1) or dynsc.weighted_smooth_csr(*a))
     snaps = _snapshot_sequence(n, p, 6, seed=n)
     got = experiments.smoothed_matrix(snaps, Exponential(0.3))
@@ -297,7 +306,7 @@ def test_csr_path_matches_forced_dense_run(monkeypatch):
     assert isinstance(experiments.smoothed_matrix(snaps, Exponential(0.3)),
                       scipy.sparse.csr_array)
     got = experiments.evaluate_smoothed(cfg, 0, seq, snaps)
-    monkeypatch.setattr(experiments, "prefers_csr", lambda n, nnz: False)
+    monkeypatch.setattr(dynsc.smoothing, "SPARSE_OPERATOR_SHARE", -1.0)
     assert isinstance(experiments.smoothed_matrix(snaps, Exponential(0.3)), np.ndarray)
     want = experiments.evaluate_smoothed(cfg, 0, seq, snaps)
     assert len(got) == len(want) == 6

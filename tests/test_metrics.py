@@ -83,6 +83,8 @@ def test_mismatched_shapes_rejected():
         misclassification_error(CommunityLabels([0, 1], 2), CommunityLabels([0, 1, 0], 2))
     with pytest.raises(InvalidInputError):
         misclassification_error(CommunityLabels([0, 1], 2), CommunityLabels([0, 1], 3))
+    with pytest.raises(InvalidInputError, match="label lengths differ"):
+        adjusted_rand_index(CommunityLabels([0, 1], 2), CommunityLabels([0, 1, 0], 2))
 
 
 def test_missing_predicted_labels_ok():

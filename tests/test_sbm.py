@@ -712,3 +712,36 @@ def test_load_snapshot_skips_blank_lines(tmp_path):
     path.write_text("n=4\n\n0 1\n   \n2\t3\n\n")
     back = load_snapshot(path)
     assert back.rows.tolist() == [0, 2] and back.cols.tolist() == [1, 3]
+
+
+def _write_snapshot(tmp_path, text):
+    path = tmp_path / "snap.txt"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda tmp: check_symmetric(np.zeros((2, 3))), "must be square"),
+    (lambda tmp: CommunityLabels(np.zeros((2, 2), dtype=int), 2), "1-d"),
+    (lambda tmp: CommunityLabels([0, 0], 0), "k must be >= 1"),
+    (lambda tmp: ConnectivityModel.from_kernel(0, 0.5, np.zeros((0, 0))), "k must be >= 1"),
+    (lambda tmp: ConnectivityModel.from_kernel(2, 0.5, np.eye(3)), "b0 must be 2x2"),
+    (lambda tmp: AdjacencySnapshot(4, [0, 1], [2]), "equal length"),
+    (lambda tmp: AdjacencySnapshot.from_dense(np.eye(3)), "zero diagonal"),
+    (lambda tmp: AdjacencySnapshot.from_dense(np.full((3, 3), 0.5) - 0.5 * np.eye(3)), "0 or 1"),
+    (lambda tmp: expected_degrees(CommunityLabels([0, 1], 2),
+                                  ConnectivityModel.planted_partition(3, 0.5, 0.2)),
+     "labels declare k=2"),
+    (lambda tmp: effective_sizes(ConnectivityModel.planted_partition(2, 0.5, 0.2), 10, -1, 6),
+     "need 0 <= n_min <= n_max"),
+    (lambda tmp: effective_sizes(ConnectivityModel.planted_partition(2, 0.5, 0.2), 10, 6, 5),
+     "need 0 <= n_min <= n_max"),
+    (lambda tmp: load_snapshot(_write_snapshot(tmp, "0 1\n")), "missing 'n=<n>' header"),
+    (lambda tmp: load_snapshot(_write_snapshot(tmp, "n=four\n0 1\n")), "bad header"),
+], ids=["check_symmetric_not_square", "labels_2d", "labels_k0", "model_k0", "b0_shape",
+        "rows_cols_unequal", "from_dense_diagonal", "from_dense_not_01",
+        "expected_degrees_k", "sizes_negative_n_min", "sizes_n_max_below_n_min",
+        "snapshot_no_header", "snapshot_bad_header"])
+def test_sbm_input_checks(tmp_path, call, match):
+    with pytest.raises(InvalidInputError, match=match):
+        call(tmp_path)

@@ -31,6 +31,7 @@ from dynsc import (
     weighted_smooth_csr,
     weights_of,
 )
+from dynsc.smoothing import weighted_history
 
 MODEL = ConnectivityModel.planted_partition(2, 0.4, 0.2)
 
@@ -379,3 +380,34 @@ def test_t_min_formulas():
     lam = 0.2
     t = math.ceil(t_min_weight_bound(lam))
     assert (1 - lam) ** t <= lam < (1 - lam) ** max(t - 2, 0)
+
+
+def test_weighted_history_pairs_nonzero_weights_newest_first():
+    items = ["a", "b", "c", "d"]
+    assert weighted_history(items, [0.5, 0.0, 0.25]) == [(0.5, "d"), (0.25, "b")]
+    assert weighted_history(items, [0.0] * 3 + [1.0]) == [(1.0, "a")]
+    assert weighted_history(items, []) == []
+    with pytest.raises(InvalidInputError, match="5 weights but only 4 steps"):
+        weighted_history(items, [0.2] * 5)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: SmoothingWeights(np.full((2, 2), 0.25), 0.25, 1.0, 1.0), "non-empty 1-d"),
+    (lambda: SmoothingWeights(np.empty(0), 1.0, 1.0, 1.0), "non-empty 1-d"),
+    (lambda: SmoothingWeights(np.array([1.5, -0.5]), 1.5, 1.0, 1.0), "non-negative"),
+    (lambda: SmoothingWeights(np.array([0.5, 0.25]), 0.5, 1.0, 1.0), "sum to 1"),
+    (lambda: weights_of(Exponential(0.5), -1), "history length"),
+    (lambda: weights_of("exp:0.5", 3), "unknown smoother kind"),
+    (lambda: validate_weights(weights_of(Uniform(2), 3), 0.0), "epsilon_n must be in"),
+    (lambda: validate_weights(weights_of(Uniform(2), 3), 1.5), "epsilon_n must be in"),
+    (lambda: tuning_profile(100, 0.1, 0.0, 50.0), "epsilon must be in"),
+    (lambda: tuning_profile(100, 0.0, 0.1, 50.0), "must be positive"),
+    (lambda: tuning_profile(0, 0.1, 0.1, 50.0), "must be positive"),
+    (lambda: exp_smooth_update(np.zeros((3, 3)), AdjacencySnapshot(3, [0], [1]), 0.0),
+     "forgetting factor must be in"),
+], ids=["betas_2d", "betas_empty", "betas_negative", "betas_sum", "weights_of_t",
+        "weights_of_kind", "validate_eps_zero", "validate_eps_above_one", "tuning_eps",
+        "tuning_alpha", "tuning_n", "exp_update_lambda"])
+def test_smoothing_input_checks(call, match):
+    with pytest.raises(InvalidInputError, match=match):
+        call()

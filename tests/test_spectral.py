@@ -248,16 +248,18 @@ def test_kmeans_k1_closed_form():
     assert np.isclose(res.cost, ((x - x.mean(axis=0)) ** 2).sum())
 
 
-def test_kmeans_cost_monotone_descent():
+def test_kmeans_cost_monotone_descent(monkeypatch):
+    # the cost each run returns after 1, 2, ..., 39 Lloyd iterations never rises
     rng = np.random.default_rng(7)
     x = rng.normal(size=(200, 4))
-    rngs = [np.random.default_rng(ridx) for ridx in range(5)]
-    runs = _lloyd_round(x, np.tile(x.T, len(rngs)), 5, rngs)
-    assert len(runs) == 5
-    for _, _, cost, _, history in runs:
-        assert len(history) >= 2 and history[-1] == cost
-        diffs = np.diff(np.asarray(history))
-        assert (diffs <= 1e-9).all()
+    costs = []
+    for max_iter in range(1, 40):
+        monkeypatch.setattr(dynsc.spectral, "_KMEANS_MAX_ITER", max_iter)
+        rngs = [np.random.default_rng(ridx) for ridx in range(5)]
+        costs.append([run[2] for run in _lloyd_round(x, np.tile(x.T, len(rngs)), 5, rngs)])
+    costs = np.array(costs)
+    assert (np.diff(costs, axis=0) <= 1e-9).all()
+    assert (costs[-1] < costs[0]).all()  # every run descends
 
 
 def test_kmeans_cost_recomputed_from_output():
@@ -296,7 +298,7 @@ def _scripted_costs(monkeypatch, costs):
     runs = iter(range(len(costs)))
 
     def lloyd_round(x, weights, k, rngs):
-        return [(np.full(x.shape[0], i), np.zeros((k, x.shape[1])), costs[i], False, [costs[i]])
+        return [(np.full(x.shape[0], i), np.zeros((k, x.shape[1])), costs[i], False)
                 for _, i in zip(rngs, runs)]
 
     monkeypatch.setattr(dynsc.spectral, "_lloyd_round", lloyd_round)
@@ -839,3 +841,14 @@ def test_fallback_above_limit_raises(arpack_fails, monkeypatch):
 def test_spectral_norm_large_zero_matrix_skips_solver(arpack_fails):
     assert spectral_norm(np.zeros((600, 600))) == 0.0
     assert arpack_fails == []
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda x: kmeans(x[:, 0], 2), "2-d array"),
+    (lambda x: kmeans(x, 0), "need 1 <= k <= n"),
+    (lambda x: kmeans(x, 11), "need 1 <= k <= n"),
+    (lambda x: kmeans(x, 2, restarts=0), "restarts must be >= 1"),
+], ids=["points_1d", "k0", "k_above_n", "restarts0"])
+def test_kmeans_input_checks(call, match):
+    with pytest.raises(InvalidInputError, match=match):
+        call(np.random.default_rng(0).normal(size=(10, 2)))

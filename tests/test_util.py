@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynsc import InvalidInputError
-from dynsc.util import format_ints
+from dynsc.util import format_ints, parse_kv
 
 
 @settings(max_examples=60, deadline=None)
@@ -27,3 +27,9 @@ def test_format_ints_empty_and_negative():
     assert format_ints(np.empty((0, 2), np.int64), b" \n") == b""
     with pytest.raises(InvalidInputError):
         format_ints(np.array([[3, -1]]), b" \n")
+
+
+def test_parse_kv_rejects_a_line_without_equals():
+    assert parse_kv("# header\n\na = 1\n") == {"a": "1"}
+    with pytest.raises(InvalidInputError, match="line 2: expected key=value"):
+        parse_kv("a=1\nb\n")
