@@ -3,9 +3,10 @@
 Subcommands: ``generate`` (persist a simulated sequence), ``cluster`` (run the
 spectral algorithm on a smoothed sequence and print metrics), ``sweep`` (Monte
 Carlo grid sweep to CSV plus summary), ``verify`` (empirical checks of the
-theory: weight conditions, the deterministic Laplacian perturbation
-inequality, degree deviations, smoothing bias, rate reductions) and ``rates``
-(print the closed-form rate card for a regime).
+theory on a configured regime: degree deviations and smoothing bias) and
+``rates`` (print the closed-form rate card and tuning for a regime). The
+input-free theory checks (weight conditions, the Laplacian perturbation
+inequality, the rate reduction at ``rho_n = 1``) are tests, not subcommands.
 
 Configuration is a flat ``key=value`` file with ``#`` comments. Every config
 key is also a flag (``t_len`` is ``--t-len``), and a flag overrides the file.
@@ -84,11 +85,8 @@ def build_parser() -> _Parser:
     _add_common(p_sweep)
 
     p_verify = sub.add_parser("verify", help="run an empirical verification")
-    p_verify.add_argument("which",
-                          choices=["weights", "laplacian-ineq", "degrees", "bias", "rates"])
+    p_verify.add_argument("which", choices=list(_VERIFIERS))
     _add_common(p_verify)
-    p_verify.add_argument("--instances", type=int, default=1000,
-                          help="instance count for laplacian-ineq")
     p_verify.add_argument("--sequences", type=int, default=50,
                           help="sequence count for bias")
 
@@ -200,63 +198,6 @@ def cmd_rates(args) -> int:
 # verify subcommands
 # ---------------------------------------------------------------------------
 
-def _verify_weights(args) -> dict:
-    """Certify the uniform and exponential weight constants on a grid.
-
-    The exponential check runs at the first horizon where all four conditions
-    are certified (the max of the square/decay horizon and the bound horizon).
-    Cells where the square/decay horizon alone leaves the bound condition
-    unsatisfied are counted separately: they are a gap between the two
-    horizons, not a failure of the certified claim.
-    """
-    failures = 0
-    checked = 0
-    bound_gap_cells = 0
-    eps_grid = (1e-4, 1e-3, 1e-2, 0.1, 0.5)
-    for r in range(1, 65):
-        w = smoothing.weights_of(smoothing.Uniform(r), r - 1)
-        for eps in eps_grid:
-            checked += 1
-            if not smoothing.validate_weights(w, eps).all_ok:
-                failures += 1
-    for lam in (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0):
-        for eps in eps_grid:
-            t_certified = int(np.ceil(smoothing.t_min_weights(lam, eps)))
-            t_all = int(np.ceil(max(smoothing.t_min_weights(lam, eps),
-                                    smoothing.t_min_weight_bound(lam))))
-            if not smoothing.validate_weights(
-                    smoothing.weights_of(smoothing.Exponential(lam), t_certified),
-                    eps).all_ok:
-                bound_gap_cells += 1
-            for extra in (0, 1, 25):
-                checked += 1
-                w = smoothing.weights_of(smoothing.Exponential(lam), t_all + extra)
-                if not smoothing.validate_weights(w, eps).all_ok:
-                    failures += 1
-    return {"check": "weights", "cases": checked, "failures": failures,
-            "bound_gap_cells": bound_gap_cells,
-            "status": "PASS" if failures == 0 else "FAIL"}
-
-
-def _verify_laplacian_ineq(args) -> dict:
-    rng = np.random.default_rng(load_config(args).seed)
-    violations = 0
-    worst = 0.0
-    for _ in range(args.instances):
-        n = 30
-        a = np.triu(rng.uniform(0.1, 1.0, size=(n, n)))
-        a = a + np.triu(a, 1).T
-        p = np.triu(rng.uniform(0.1, 1.0, size=(n, n)))
-        p = p + np.triu(p, 1).T
-        check = bounds.laplacian_perturbation_check(a, p)
-        worst = max(worst, check.lhs - check.rhs)
-        if not check.holds:
-            violations += 1
-    return {"check": "laplacian-ineq", "instances": args.instances,
-            "violations": violations, "worst_excess": worst,
-            "status": "PASS" if violations == 0 else "FAIL"}
-
-
 def _verify_degrees(args) -> dict:
     cfg = load_config(args)
     model = cfg.model()
@@ -305,27 +246,9 @@ def _verify_bias(args) -> dict:
             "status": "PASS" if failures == 0 else "FAIL"}
 
 
-def _verify_rates(args) -> dict:
-    cfg = load_config(args)
-    sizes, _ = _regime(cfg)
-    card = bounds.rate_card(sizes, cfg.resolved_alpha, cfg.epsilon)
-    # reduction self-check: forcing rho_n = 1 must collapse dynamic onto static
-    forced_card = bounds.rate_card(sizes, cfg.resolved_alpha, epsilon=1.0)
-    reduction_ok = (forced_card.rho_n == 1.0
-                    and forced_card.adj_dyn_rate == forced_card.adj_static_rate
-                    and forced_card.lap_dyn_rate == forced_card.lap_static_rate)
-    out = {"check": "rates", "reduction_ok": reduction_ok,
-           "status": "PASS" if reduction_ok else "FAIL"}
-    out.update(card.to_kv())
-    return out
-
-
 _VERIFIERS = {
-    "weights": _verify_weights,
-    "laplacian-ineq": _verify_laplacian_ineq,
     "degrees": _verify_degrees,
     "bias": _verify_bias,
-    "rates": _verify_rates,
 }
 
 

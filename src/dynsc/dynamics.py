@@ -54,6 +54,10 @@ class DeterministicDsbmConfig:
             raise InvalidInputError(f"need 0 <= s <= n, got s={self.s}")
         if self.t_len < 0:
             raise InvalidInputError("t_len must be >= 0")
+        for name in ("n_min", "n_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
         k = self.model.k
         if k * self.n_min > self.n or k * self.n_max < self.n:
             raise InvalidInputError("size bounds infeasible: need k*n_min <= n <= k*n_max")
@@ -166,8 +170,6 @@ def gen_deterministic_sequence(cfg: DeterministicDsbmConfig) -> MembershipSequen
     rng0 = np.random.default_rng(subseed(cfg.seed, _TAG_MEMBERSHIP, 0))
     labels = _balanced_initial(n, k, rng0)
     counts = np.bincount(labels, minlength=k)
-    if counts.min() < cfg.n_min or counts.max() > cfg.n_max:
-        raise InvalidInputError("initial balanced assignment violates size bounds")
     thetas = [CommunityLabels(labels.copy(), k)]
     retry_cap = _RETRY_FACTOR * max(cfg.s, 1)
     for t in range(1, cfg.t_len + 1):

@@ -331,26 +331,30 @@ class TuningProfile:
     ``n`` in place of ``nbar_max``). Smoothing helps iff ``rho_n < 1``; the
     nominal tunings are ``r = ceil(1 / rho_n)`` and ``lambda = rho_n``.
 
-    Two warm-up horizons appear in the theory; ``t_min`` is their maximum,
-    which satisfies both statements.
+    The paper's two warm-up horizons are ``t_min_regime`` and ``t_min_weights``;
+    ``t_min_weight_bound`` is the one its weight horizon leaves out (see
+    :func:`t_min_weights`). ``t_min`` is the maximum of the three: the first
+    horizon at which both of the paper's statements and all four weight
+    conditions of :func:`validate_weights` hold for ``lambda = rho_n``.
     """
 
     rho_n: float
     rho_coarse: float
     t_min_regime: float
     t_min_weights: float
+    t_min_weight_bound: float
     optimal_r: int
     optimal_lambda: float
 
     @property
     def t_min(self) -> float:
-        return max(self.t_min_regime, self.t_min_weights)
+        return max(self.t_min_regime, self.t_min_weights, self.t_min_weight_bound)
 
     def to_kv(self) -> dict:
         return {
             "rho_n": self.rho_n, "rho_coarse": self.rho_coarse,
-            "t_min_regime": self.t_min_regime,
-            "t_min_weights": self.t_min_weights, "t_min": self.t_min,
+            "t_min_regime": self.t_min_regime, "t_min_weights": self.t_min_weights,
+            "t_min_weight_bound": self.t_min_weight_bound, "t_min": self.t_min,
             "optimal_r": self.optimal_r, "optimal_lambda": self.optimal_lambda,
         }
 
@@ -370,15 +374,15 @@ def t_min_regime(n: int, alpha_n: float, rho_n: float) -> float:
 def t_min_weights(beta_max: float, epsilon_n: float) -> float:
     """Warm-up horizon ``min(log(eps / beta_max), log beta_max) / (2 log(1 - beta_max))``.
 
-    This is the certified horizon for the exponential weights with
+    This is the paper's horizon for the exponential weights with
     ``lambda = beta_max``: it makes the square and decay conditions hold with
     the certified constants. Defined as 0 when ``beta_max = 1``.
 
-    Note that it does not control the per-weight bound condition: the residual
-    weight ``(1 - lambda)^t`` on the oldest snapshot only drops below
-    ``lambda`` itself after :func:`t_min_weight_bound`, which can be up to
-    twice as long. :func:`validate_weights` evaluates all conditions honestly,
-    so checking at this horizon alone can report ``bound_ok=False``.
+    It does not control the per-weight bound condition: the residual weight
+    ``(1 - lambda)^t`` on the oldest snapshot only drops below ``lambda``
+    after :func:`t_min_weight_bound`, which can be up to twice as long, so
+    :func:`validate_weights` at this horizon alone can report
+    ``bound_ok=False``. :attr:`TuningProfile.t_min` takes both.
     """
     if beta_max >= 1.0:
         return 0.0
@@ -412,6 +416,7 @@ def tuning_profile(n: int, alpha_n: float, epsilon_n: float, nbar_max: float) ->
         rho_coarse=rho_coarse,
         t_min_regime=t_min_regime(n, alpha_n, rho_n),
         t_min_weights=t_min_weights(rho_n, epsilon_n),
+        t_min_weight_bound=t_min_weight_bound(rho_n),
         optimal_r=max(1, math.ceil(1.0 / rho_n)),
         optimal_lambda=rho_n,
     )

@@ -77,8 +77,20 @@ def test_deterministic_initial_is_balanced():
 
 
 def test_deterministic_infeasible_bounds_rejected():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="size bounds infeasible"):
         _det_cfg(n_min=12, n_max=14)  # 3 * 12 > 30
+
+
+@pytest.mark.parametrize("bounds", [dict(n_min=10.3), dict(n_max=14.0), dict(n_min=True)])
+def test_deterministic_non_integer_bounds_rejected(bounds):
+    # n=31, k=3 fits 10.3 <= 31 / 3; only an integer check catches it before generation
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        _det_cfg(n=31, **bounds)
+
+
+def test_deterministic_numpy_integer_bounds_accepted():
+    cfg = _det_cfg(n_min=np.int64(6), n_max=np.int64(14))
+    assert set(gen_deterministic_sequence(cfg).thetas[0].sizes().tolist()) == {10}
 
 
 def test_deterministic_pinned_sizes_cannot_move():

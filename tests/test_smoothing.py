@@ -290,11 +290,14 @@ def test_validate_uniform_passes_with_unit_constants():
 
 
 def test_validate_exponential_passes_after_warmup():
-    lam, eps = 0.3, 0.01
-    t = math.ceil(max(t_min_weights(lam, eps), t_min_weight_bound(lam)))
-    rep = validate_weights(weights_of(Exponential(lam), t), eps)
-    assert rep.all_ok
-    assert rep.c_beta == 1.5 and rep.c_beta_prime == 2.0
+    # c08's lambda x epsilon grid, at and after the horizon where all four conditions hold
+    for lam in (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0):
+        for eps in (1e-4, 1e-3, 1e-2, 0.1, 0.5):
+            t = math.ceil(max(t_min_weights(lam, eps), t_min_weight_bound(lam)))
+            for extra in (0, 1, 25):
+                rep = validate_weights(weights_of(Exponential(lam), t + extra), eps)
+                assert rep.all_ok, (lam, eps, t + extra, rep)
+                assert rep.c_beta == 1.5 and rep.c_beta_prime == 2.0
 
 
 def test_validate_exponential_t0_fails_square_condition():
@@ -339,6 +342,17 @@ def test_tuning_profile_example():
     assert np.isclose(prof.rho_n, math.sqrt(0.025))
     assert prof.optimal_r == 7
     assert np.isclose(prof.optimal_lambda, 0.15811388300841897)
+
+
+def test_tuning_profile_t_min_holds_every_weight_condition():
+    # the paper's horizons give 4.01 here, and at t = 5 the residual weight tops lambda
+    prof = tuning_profile(1000, 0.002, 0.05, 550.0)
+    assert prof.t_min == t_min_weight_bound(prof.optimal_lambda)
+    assert np.isclose(prof.t_min, 5.4264, atol=1e-4)
+    w = weights_of(Exponential(prof.optimal_lambda), math.ceil(prof.t_min))
+    assert validate_weights(w, 0.05).all_ok
+    paper = math.ceil(max(prof.t_min_regime, prof.t_min_weights))
+    assert not validate_weights(weights_of(Exponential(prof.optimal_lambda), paper), 0.05).bound_ok
 
 
 def test_tuning_profile_clamp_branch():
