@@ -37,6 +37,14 @@ _TAG_SNAPSHOT = 202
 _RETRY_FACTOR = 100
 
 
+def _check_integers(cfg, names):
+    """Reject a field of ``cfg`` that is not a Python or numpy integer (``bool`` included)."""
+    for name in names:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DeterministicDsbmConfig:
     """Deterministic DSBM: exactly ``s`` nodes change community per step."""
@@ -50,14 +58,11 @@ class DeterministicDsbmConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integers(self, ("t_len", "s", "n_min", "n_max"))
         if not 0 <= self.s <= self.n:
             raise InvalidInputError(f"need 0 <= s <= n, got s={self.s}")
         if self.t_len < 0:
             raise InvalidInputError("t_len must be >= 0")
-        for name in ("n_min", "n_max"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
         k = self.model.k
         if k * self.n_min > self.n or k * self.n_max < self.n:
             raise InvalidInputError("size bounds infeasible: need k*n_min <= n <= k*n_max")
@@ -88,6 +93,7 @@ class MarkovDsbmConfig:
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
             raise InvalidInputError(f"epsilon must be in [0, 1], got {self.epsilon}")
+        _check_integers(self, ("t_len",))
         if self.t_len < 0:
             raise InvalidInputError("t_len must be >= 0")
 

@@ -11,7 +11,8 @@ above ``DENSE_EIGEN_LIMIT`` a Lanczos solver stops at relative tolerance
 ``tol * |lambda_1| / gap``, far below the statistical error) or ``NORM_TOL``
 (spectral norms, whose Ritz values err roughly by the square of that). The
 eigengap's first discarded magnitude is such a norm, of the matrix with the
-selected pairs deflated.
+selected pairs deflated. Every solve multiplies by one operand: a dense matrix
+through BLAS ``dsymv``, a CSR one as CSR, less a low-rank term in factored form.
 
 The k-means step uses distance-squared-weighted random seeding plus Lloyd
 iterations with restarts, and stops restarting once the best cost has been
@@ -106,65 +107,65 @@ def _as_low_rank(minus, n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, c
 
 
-class _SymmetricDense(scipy.sparse.linalg.LinearOperator):
-    """A checked, exactly symmetric float64 ndarray, multiplied by BLAS ``dsymv``.
+class _Operand(scipy.sparse.linalg.LinearOperator):
+    """``m - U C Uᵀ``, or ``m`` alone when ``minus`` is None: the one eigensolver operand.
 
-    ``dsymv`` reads one triangle of a Fortran-ordered array. A C-ordered ``a``
-    passes its transpose, a view that equals ``a``; only an array that is
-    neither C- nor F-contiguous is copied, once, here.
+    ``m`` is a checked symmetric ndarray or CSR array and ``minus`` the checked
+    factors ``(U, C)``. A dense ``m`` is multiplied by BLAS ``dsymv`` on one
+    triangle of a Fortran-ordered array: a C-ordered ``m`` passes its
+    transpose, an equal view; only an array that is neither is copied, once.
+    CSR stays CSR and ``U C Uᵀ`` is never built. ``matvec`` is ``_matvec``,
+    so ARPACK's call for each product skips ``LinearOperator``'s checks.
     """
 
-    def __init__(self, a: np.ndarray):
-        super().__init__(float, a.shape)
-        self.fortran = a.T if a.flags.c_contiguous else np.asfortranarray(a)
+    def __init__(self, m, minus=None):
+        super().__init__(float, m.shape)
+        self.m, self.minus, self.fortran = m, minus, None
+        if isinstance(m, np.ndarray):
+            self.fortran = m.T if m.flags.c_contiguous else np.asfortranarray(m)
 
     def _matvec(self, x):
-        return blas.dsymv(1.0, self.fortran, x.ravel())  # matmat passes (n, 1) columns
+        shape, x = x.shape, x.ravel()  # dot passes (n, 1) columns
+        y = self.m @ x if self.fortran is None else blas.dsymv(1.0, self.fortran, x)
+        if self.minus is not None:
+            u, c = self.minus
+            y -= u @ (c @ (u.T @ x))
+        return y.reshape(shape)
+
+    matvec = _matvec
+
+    def eigh(self, vectors: bool):
+        """``eigh``'s ``(values, vectors)`` or ``eigvalsh``'s ``values`` of the dense matrix."""
+        full = self.m.toarray() if self.fortran is None else self.m
+        if self.minus is not None:
+            u, c = self.minus
+            # eigh reads one triangle, so the last-bit asymmetry of the product is harmless
+            full = full - (u @ c) @ u.T
+        return (np.linalg.eigh if vectors else np.linalg.eigvalsh)(full)
 
 
 def _leading_eigs(m, k: int, vectors: bool, tol: float, minus=None, draw: int = 0):
     """Eigenvalues (and eigenvectors if ``vectors``) of ``m - U C Uᵀ``, for magnitude selection.
 
-    ``m`` is a checked symmetric ndarray or CSR array and ``minus`` the
-    checked factors ``(U, C)``, or None for ``m`` alone. Matrices up to
+    ``m`` and ``minus`` are as :class:`_Operand` takes them. Matrices up to
     ``DENSE_EIGEN_LIMIT``, or with ``k > n - 2``, are decomposed densely and
     all ``n`` pairs are returned. Larger ones use a Lanczos solver for the
     ``k`` pairs of largest magnitude, started from draw number ``draw`` of the
-    ``_V0_SEED`` stream, at relative tolerance ``tol``, multiplying by ``m`` in
-    the form it is given (an ndarray through BLAS ``dsymv``, a CSR array as
-    CSR) and applying ``U C Uᵀ`` in factored form, and falling back to the
+    ``_V0_SEED`` stream, at relative tolerance ``tol``, falling back to the
     dense path (up to ``DENSE_FALLBACK_LIMIT``) on non-convergence. Returns
     ``eigh``'s ``(values, vectors)`` or ``eigvalsh``'s ``values``.
     """
     n = m.shape[0]
-
-    def dense():
-        full = m.toarray() if scipy.sparse.issparse(m) else m
-        if minus is not None:
-            u, c = minus
-            # eigh reads one triangle, so the last-bit asymmetry of the product is harmless
-            full = full - (u @ c) @ u.T
-        return (np.linalg.eigh if vectors else np.linalg.eigvalsh)(full)
-
+    op = _Operand(m, minus)
     if n <= DENSE_EIGEN_LIMIT or k > n - 2:
-        return dense()
+        return op.eigh(vectors)
     v0 = np.random.default_rng(_V0_SEED).standard_normal((draw + 1, n))[draw]
-    op = _SymmetricDense(m) if isinstance(m, np.ndarray) else m
-    if minus is not None:
-        u, c = minus
-        product = op._matvec if isinstance(m, np.ndarray) else m.__matmul__
-
-        def apply(x):
-            x = x.ravel()
-            return product(x) - u @ (c @ (u.T @ x))
-
-        op = scipy.sparse.linalg.LinearOperator((n, n), matvec=apply, dtype=float)
     try:
         return scipy.sparse.linalg.eigsh(op, k=k, which="LM", v0=v0, tol=tol,
                                          return_eigenvectors=vectors)
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         if n <= DENSE_FALLBACK_LIMIT:
-            return dense()
+            return op.eigh(vectors)
         raise EigenSolverError(
             f"eigensolver did not converge ({len(exc.eigenvalues)} of {k} pairs)") from exc
 
@@ -342,10 +343,8 @@ def spectral_norm(m, minus=None) -> float:
 
     ``m`` is a symmetric ndarray or ``scipy.sparse`` matrix; ``minus``, when
     given, is the pair ``(U, C)`` of a low-rank term, ``U`` n-by-r and ``C``
-    symmetric r-by-r, which large matrices apply in factored form without
-    building ``U C Uᵀ``. Large matrices use a Lanczos iteration at relative
-    tolerance ``NORM_TOL``; see :func:`_leading_eigs` for the dense and fallback
-    paths.
+    symmetric r-by-r, applied in factored form. Large matrices use a Lanczos
+    iteration at relative tolerance ``NORM_TOL``; see :func:`_leading_eigs`.
     """
     m = check_symmetric(m)
     if minus is not None:

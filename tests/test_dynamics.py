@@ -81,11 +81,17 @@ def test_deterministic_infeasible_bounds_rejected():
         _det_cfg(n_min=12, n_max=14)  # 3 * 12 > 30
 
 
-@pytest.mark.parametrize("bounds", [dict(n_min=10.3), dict(n_max=14.0), dict(n_min=True)])
+@pytest.mark.parametrize("bounds", [dict(n_min=10.3), dict(n_max=14.0), dict(n_min=True),
+                                    dict(s=2.5), dict(t_len=2.5)])
 def test_deterministic_non_integer_bounds_rejected(bounds):
     # n=31, k=3 fits 10.3 <= 31 / 3; only an integer check catches it before generation
     with pytest.raises(InvalidInputError, match="must be an integer"):
         _det_cfg(n=31, **bounds)
+
+
+def test_markov_non_integer_t_len_rejected():
+    with pytest.raises(InvalidInputError, match="t_len must be an integer"):
+        MarkovDsbmConfig(n=30, model=MODEL3, t_len=2.5, epsilon=0.1)
 
 
 def test_deterministic_numpy_integer_bounds_accepted():

@@ -521,11 +521,11 @@ def _sparse_sbm_adjacency(n=600, seed=41):
 
 @pytest.fixture
 def eigsh_operators(monkeypatch):
-    """Record the operator type each ``eigsh`` call receives.
+    """Record the form of the ``_Operand`` each ``eigsh`` call receives.
 
-    ``"dsymv"`` is a dense array multiplied by BLAS ``dsymv``, ``"operator"``
-    any other ``LinearOperator`` (the factored ``minus=`` term), ``"dense"`` a
-    bare ndarray.
+    ``"dsymv"`` is a dense base multiplied by BLAS ``dsymv``, ``"csr"`` a CSR
+    base (a sparse base by its format), ``"operator"`` either base less a
+    factored ``minus=`` term; anything but an ``_Operand`` by its type name.
     """
     import scipy.sparse.linalg
 
@@ -533,12 +533,14 @@ def eigsh_operators(monkeypatch):
     seen = []
 
     def spy(op, *args, **kwargs):
-        if scipy.sparse.issparse(op):
-            seen.append("csr")
-        elif isinstance(op, dynsc.spectral._SymmetricDense):
-            seen.append("dsymv")
+        if not isinstance(op, dynsc.spectral._Operand):
+            seen.append(type(op).__name__)
+        elif op.minus is not None:
+            seen.append("operator")
+        elif op.fortran is None:
+            seen.append(op.m.format)  # "csr": a sparse base stays CSR
         else:
-            seen.append("dense" if isinstance(op, np.ndarray) else "operator")
+            seen.append("dsymv")
         return real(op, *args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
@@ -583,7 +585,7 @@ def test_sparse_ndarray_is_multiplied_without_csr_copy(eigsh_operators, monkeypa
 
 @pytest.fixture
 def dsymv_operands(monkeypatch):
-    """Record the matrix each BLAS ``dsymv`` call multiplies by."""
+    """Record the matrix each BLAS ``dsymv`` call of an ``_Operand`` product multiplies by."""
     real = dynsc.spectral.blas.dsymv
     seen = []
 
@@ -603,20 +605,25 @@ def _symmetric_layout(m, layout):
     return m
 
 
-@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("layout", ["C", "F", "strided", "factored", "csr", "column"])
 def test_dense_product_matches_matmul(layout):
+    """An ``_Operand`` product is ``(m - U C Uᵀ) @ x`` for each layout, form and shape of ``x``."""
     rng = np.random.default_rng(45)
     m = _symmetric_layout(random_symmetric(300, rng), layout)
-    assert m.flags.c_contiguous == (layout == "C")
+    assert m.flags.c_contiguous == (layout not in ("F", "strided"))
     assert m.flags.f_contiguous == (layout == "F")
     x = rng.standard_normal(300)
-    got = dynsc.spectral._SymmetricDense(m) @ x
-    expected = m @ x
+    x = x[:, None] if layout == "column" else x
+    minus = _low_rank(300) if layout == "factored" else None
+    operand = scipy.sparse.csr_array(m) if layout == "csr" else m
+    got = dynsc.spectral._Operand(operand, minus) @ x
+    expected = (m if minus is None else m - minus[0] @ minus[1] @ minus[0].T) @ x
+    assert got.shape == expected.shape
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("layout", ["C", "F"])
-def test_dense_product_copies_nothing(layout, dsymv_operands, monkeypatch):
+def test_dense_product_copies_nothing(layout, eigsh_operators, dsymv_operands, monkeypatch):
     checked = []
     real = dynsc.spectral.check_symmetric
 
@@ -629,6 +636,7 @@ def test_dense_product_copies_nothing(layout, dsymv_operands, monkeypatch):
     spectral_norm(m)
     top_k_eigenpairs(m, 3)
     assert len(checked) == 2 and len(dsymv_operands) > 10
+    assert eigsh_operators == ["dsymv", "dsymv", "operator"]
     # F-ordered operands are passed to BLAS as they are, so every product reads the checked array
     assert all(a.flags.f_contiguous for a in dsymv_operands)
     assert all(np.shares_memory(a, checked[0]) and np.shares_memory(a, checked[1])
