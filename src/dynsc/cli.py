@@ -180,15 +180,10 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _regime(cfg) -> tuple[sbm.SizeProfile, smoothing.TuningProfile]:
-    """The config's community-size profile and the tuning it implies."""
-    sizes = sbm.effective_sizes(cfg.model(), cfg.n, cfg.resolved_n_min, cfg.resolved_n_max)
-    return sizes, smoothing.tuning_profile(cfg.n, cfg.resolved_alpha, cfg.epsilon, sizes.nbar_max)
-
-
 def cmd_rates(args) -> int:
     cfg = load_config(args)
-    sizes, tuning = _regime(cfg)
+    sizes = cfg.size_profile()
+    tuning = smoothing.tuning_profile(cfg.n, cfg.resolved_alpha, cfg.epsilon, sizes.nbar_max)
     card = bounds.rate_card(sizes, cfg.resolved_alpha, cfg.epsilon)
     _print_kv({**card.to_kv(), **tuning.to_kv()})
     return EXIT_OK
@@ -201,7 +196,8 @@ def cmd_rates(args) -> int:
 def _verify_degrees(args) -> dict:
     cfg = load_config(args)
     model = cfg.model()
-    sizes, tuning = _regime(cfg)
+    sizes = cfg.size_profile()
+    tuning = smoothing.tuning_profile(cfg.n, cfg.resolved_alpha, cfg.epsilon, sizes.nbar_max)
     r = min(tuning.optimal_r, cfg.t_len + 1)
     cs = []
     for trial in range(cfg.trials):
@@ -221,20 +217,19 @@ def _verify_degrees(args) -> dict:
 
 
 def _verify_bias(args) -> dict:
+    if args.sequences < 1:
+        raise UsageError(f"--sequences must be >= 1, got {args.sequences}")
     cfg = load_config(args)
     if cfg.mode != "deterministic":  # smoothing_bias_check takes deterministic sequences only
         raise InvalidInputError(f"verify bias needs mode=deterministic, got mode={cfg.mode}")
     model = cfg.model()
-    _, tuning = _regime(cfg)
+    tuning = smoothing.tuning_profile(cfg.n, cfg.resolved_alpha, cfg.epsilon,
+                                      cfg.size_profile().nbar_max)
     w = smoothing.weights_of(smoothing.Exponential(tuning.optimal_lambda), cfg.t_len)
     failures = 0
     ratios = []
     for trial in range(args.sequences):
-        dcfg = dynamics.DeterministicDsbmConfig.from_epsilon(
-            n=cfg.n, model=model, t_len=cfg.t_len, epsilon=cfg.epsilon,
-            n_min=cfg.resolved_n_min, n_max=cfg.resolved_n_max,
-            seed=subseed(cfg.seed, 31, trial))
-        seq = dynamics.gen_deterministic_sequence(dcfg)
+        seq = experiments.membership_sequence(cfg, subseed(cfg.seed, 31, trial))
         check = bounds.smoothing_bias_check(seq, model, w)
         if not check.frobenius_ok:
             failures += 1

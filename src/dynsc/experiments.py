@@ -21,7 +21,7 @@ import io
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,7 @@ from .metrics import adjusted_rand_index, misclassification_error
 from .sbm import (
     CommunityLabels,
     ConnectivityModel,
+    SizeProfile,
     effective_sizes,
     normalized_laplacian,
     normalized_laplacian_csr,
@@ -134,6 +135,20 @@ class ExperimentConfig:
     def model(self) -> ConnectivityModel:
         return ConnectivityModel.planted_partition(self.k, self.resolved_alpha, self.tau)
 
+    def size_profile(self) -> SizeProfile:
+        """The community sizes behind every regime quantity of this config.
+
+        Deterministic sizes stay within the resolved bounds. Markov sizes are
+        unconstrained, so ``nbar_max = n`` and ``mu_b = n / nbar_min``; the
+        other fields come from the resolved bounds.
+        """
+        prof = effective_sizes(self.model(), self.n, self.resolved_n_min, self.resolved_n_max)
+        if self.mode == "deterministic":
+            return prof
+        nbar_max = float(self.n)
+        return replace(prof, nbar_max=nbar_max,
+                       mu_b=nbar_max / prof.nbar_min if prof.nbar_min > 0 else math.inf)
+
     def matrix_kinds(self) -> tuple[str, ...]:
         return ("adjacency", "laplacian") if self.matrix == "both" else (self.matrix,)
 
@@ -196,20 +211,20 @@ class RunRecord:
     wall_ms: float
 
 
+def membership_sequence(cfg: ExperimentConfig, seed: int) -> MembershipSequence:
+    """The config's membership dynamics, drawn from ``seed``."""
+    if cfg.mode == "deterministic":
+        return gen_deterministic_sequence(DeterministicDsbmConfig.from_epsilon(
+            n=cfg.n, model=cfg.model(), t_len=cfg.t_len, epsilon=cfg.epsilon,
+            n_min=cfg.resolved_n_min, n_max=cfg.resolved_n_max, seed=seed))
+    return gen_markov_sequence(MarkovDsbmConfig(n=cfg.n, model=cfg.model(), t_len=cfg.t_len,
+                                                epsilon=cfg.epsilon, seed=seed))
+
+
 def generate_trial_sequence(cfg: ExperimentConfig, trial: int):
     """Membership + snapshots for one trial, seeded by ``(cfg.seed, trial)``."""
-    model = cfg.model()
-    mseed = subseed(cfg.seed, _TAG_TRIAL_MEMBERSHIP, trial)
-    if cfg.mode == "deterministic":
-        dcfg = DeterministicDsbmConfig.from_epsilon(
-            n=cfg.n, model=model, t_len=cfg.t_len, epsilon=cfg.epsilon,
-            n_min=cfg.resolved_n_min, n_max=cfg.resolved_n_max, seed=mseed)
-        seq = gen_deterministic_sequence(dcfg)
-    else:
-        mcfg = MarkovDsbmConfig(n=cfg.n, model=model, t_len=cfg.t_len,
-                                epsilon=cfg.epsilon, seed=mseed)
-        seq = gen_markov_sequence(mcfg)
-    snaps = sample_snapshot_sequence(seq, model,
+    seq = membership_sequence(cfg, subseed(cfg.seed, _TAG_TRIAL_MEMBERSHIP, trial))
+    snaps = sample_snapshot_sequence(seq, cfg.model(),
                                      subseed(cfg.seed, _TAG_TRIAL_SNAPSHOTS, trial))
     return seq, snaps
 
@@ -331,21 +346,20 @@ def median_by_grid(records: list[RunRecord], matrix_kind: str, grid_kind: str,
 
 
 def _fit_rate_constant(med_err: dict[float, float], cfg: ExperimentConfig,
-                       matrix_kind: str) -> float:
+                       prof: SizeProfile, matrix_kind: str) -> float:
     """Least-squares constant c in ``median_err ~ c * shape(beta_max)``.
 
     The shape is the two-term bound with unit constants:
     ``sqrt(n a b) + a sqrt(n nbar eps / b)`` for the adjacency, scaled by
-    ``mu_B / (nbar_min a)`` for the Laplacian.
+    ``mu_B / (nbar_min a)`` for the Laplacian, with ``nbar``, ``mu_B`` and
+    ``nbar_min`` from ``prof``, the config's :meth:`~ExperimentConfig.size_profile`.
     """
     alpha = cfg.resolved_alpha
-    prof = effective_sizes(cfg.model(), cfg.n, cfg.resolved_n_min, cfg.resolved_n_max)
-    nbar_max = prof.nbar_max if cfg.mode == "deterministic" else float(cfg.n)
     xs, ys = [], []
     for beta_max, err in med_err.items():
         shape = math.sqrt(cfg.n * alpha * beta_max)
         if cfg.epsilon > 0:
-            shape += alpha * math.sqrt(cfg.n * nbar_max * cfg.epsilon / beta_max)
+            shape += alpha * math.sqrt(cfg.n * prof.nbar_max * cfg.epsilon / beta_max)
         if matrix_kind == "laplacian":
             shape *= prof.mu_b / (prof.nbar_min * alpha)
         xs.append(shape)
@@ -364,6 +378,7 @@ def summarize(records: list[RunRecord], cfg: ExperimentConfig) -> dict:
     disagree slightly, so conflating them would hide that effect.
     """
     out: dict[str, object] = {"schema": CSV_SCHEMA_VERSION}
+    prof = cfg.size_profile()
     norm = math.sqrt(cfg.resolved_alpha * cfg.n * cfg.epsilon) if cfg.epsilon > 0 else None
     for kind in cfg.matrix_kinds():
         for gkind in ("lambda", "r"):
@@ -382,11 +397,10 @@ def summarize(records: list[RunRecord], cfg: ExperimentConfig) -> dict:
                 if norm:
                     out[f"{prefix}.star_err_normalized"] = star_err / norm
                     out[f"{prefix}.star_ari_normalized"] = star_ari / norm
-                out[f"{prefix}.fitted_rate_constant"] = _fit_rate_constant(
-                    med_err, cfg, kind)
+                beta_err = med_err
             else:
-                inv = {1.0 / r: e for r, e in med_err.items()}
-                out[f"{prefix}.fitted_rate_constant"] = _fit_rate_constant(inv, cfg, kind)
+                beta_err = {1.0 / r: e for r, e in med_err.items()}
+            out[f"{prefix}.fitted_rate_constant"] = _fit_rate_constant(beta_err, cfg, prof, kind)
     return out
 
 

@@ -98,9 +98,7 @@ def adjusted_rand_index(pred: CommunityLabels, truth: CommunityLabels) -> float:
     n = pred.n
     if n < 2:
         raise InvalidInputError("adjusted Rand index needs at least 2 nodes")
-    kp = max(pred.k, int(pred.labels.max()) + 1)
-    kt = max(truth.k, int(truth.labels.max()) + 1)
-    conf = _pair_counts(pred.labels, kp, truth.labels, kt)
+    conf = _pair_counts(pred.labels, pred.k, truth.labels, truth.k)
 
     def comb2(a: np.ndarray) -> int:
         a = a.astype(object)  # python ints: no overflow for large n

@@ -386,12 +386,37 @@ def test_verify_bias(capsys):
 
 
 def test_verify_bias_rejects_markov_mode(capsys, monkeypatch):
-    from dynsc import dynamics
+    from dynsc import experiments
 
     generated = []
-    monkeypatch.setattr(dynamics, "gen_deterministic_sequence", lambda *a: generated.append(a))
+    monkeypatch.setattr(experiments, "membership_sequence", lambda *a: generated.append(a))
     assert main(["verify", "bias", *TINY, "--mode", "markov", "--sequences", "2"]) == EXIT_USAGE
     assert "invalid input: verify bias needs mode=deterministic" in capsys.readouterr().err
+    assert generated == []
+
+
+def test_verify_bias_draws_config_sequences_at_its_own_seeds(capsys, monkeypatch):
+    from dynsc import experiments
+    from dynsc.util import subseed
+
+    seeds = []
+    draw = experiments.membership_sequence
+    monkeypatch.setattr(experiments, "membership_sequence",
+                        lambda cfg, seed: seeds.append(seed) or draw(cfg, seed))
+    assert main(["verify", "bias", *TINY, "--sequences", "3"]) == EXIT_OK
+    assert seeds == [subseed(3, 31, trial) for trial in range(3)]
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_verify_bias_rejects_sequence_count_below_one(capsys, monkeypatch, count):
+    from dynsc import experiments
+
+    generated = []
+    monkeypatch.setattr(experiments, "membership_sequence", lambda *a: generated.append(a))
+    assert main(["verify", "bias", *TINY, "--sequences", count]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "usage error: --sequences must be >= 1" in captured.err
+    assert "status=PASS" not in captured.out
     assert generated == []
 
 
@@ -420,6 +445,19 @@ def test_rates_command(capsys):
     assert np.isclose(float(kv["optimal_lambda"]), rho)
     horizons = ("t_min_regime", "t_min_weights", "t_min_weight_bound")
     assert float(kv["t_min"]) == max(float(kv[name]) for name in horizons)
+
+
+def test_markov_rates_take_nbar_max_n(capsys):
+    # Markov sizes are unconstrained, so nbar_max = n and lambda* = rho_coarse below 1
+    from dynsc.smoothing import tuning_profile
+
+    assert main(["rates", "--mode", "markov", "--n", "2000", "--k", "2", "--tau", "0.5",
+                 "--alpha-inv-scale", "8", "--epsilon", "0.01"]) == EXIT_OK
+    kv = dict(line.split("=", 1)
+              for line in capsys.readouterr().out.strip().splitlines())
+    expected = tuning_profile(2000, 8 / 2000, 0.01, 2000.0).optimal_lambda
+    assert kv["optimal_lambda"] == format(expected, ".12g") == "0.282842712475"
+    assert kv["optimal_lambda"] == kv["rho_coarse"] == kv["rho_n"]
 
 
 def test_rates_reject_zero_epsilon(capsys):

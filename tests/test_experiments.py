@@ -9,7 +9,9 @@ from dynsc import experiments
 from conftest import kmeans_oracle, random_labels
 from dynsc import ExperimentConfig, Exponential, InvalidInputError, run_sweep, summarize, weights_of
 from dynsc.experiments import (
+    RunRecord,
     generate_trial_sequence,
+    membership_sequence,
     median_by_grid,
     plot_data_by_grid,
     read_records_csv,
@@ -17,8 +19,9 @@ from dynsc.experiments import (
     reference_matrices,
     write_records_csv,
 )
+from dynsc.sbm import effective_sizes
 from dynsc.spectral import DENSE_EIGEN_LIMIT
-from dynsc.util import dump_kv, parse_kv
+from dynsc.util import dump_kv, parse_kv, subseed
 
 SMALL = ExperimentConfig(n=60, k=2, tau=0.2, alpha_log_scale=4.0, epsilon=0.05,
                          t_len=10, trials=3, seed=123, lambda_grid=(0.3, 1.0),
@@ -180,6 +183,70 @@ def test_markov_mode_sweep_runs():
     recs = run_sweep(cfg)
     assert len(recs) == 2
     assert all(np.isfinite(r.spec_err) for r in recs)
+
+
+def test_size_profile_per_mode():
+    det = ExperimentConfig(n=300, k=3, tau=0.3, alpha_log_scale=3.0, epsilon=0.01)
+    assert det.size_profile() == effective_sizes(det.model(), 300, 80, 120)
+    # Markov sizes are unconstrained: one community may hold all n nodes
+    markov = ExperimentConfig(mode="markov", n=300, k=3, tau=0.3, alpha_log_scale=3.0,
+                              epsilon=0.01)
+    prof = markov.size_profile()
+    assert prof.nbar_max == 300.0
+    assert prof.mu_b == 300.0 / prof.nbar_min
+    keep = ("n", "k", "n_min", "n_max", "n_prime_max", "nbar_min", "gamma")
+    assert all(getattr(prof, f) == getattr(det.size_profile(), f) for f in keep)
+
+
+def _lambda_records(kind: str, med_err: dict[float, float]) -> list[RunRecord]:
+    return [RunRecord(trial=0, t=10, grid_param_kind="lambda", grid_param_value=lam,
+                      matrix_kind=kind, spec_err=err, ari=0.5, e_value=0.5, kmeans_cost=1.0,
+                      eigengap=1.0, seed=0, wall_ms=0.0)
+            for lam, err in med_err.items()]
+
+
+def _unit_fit(med_err, n, alpha, eps, nbar_max, scale=1.0):
+    """Least-squares c in err ~ c * scale * (sqrt(n a b) + a sqrt(n nbar_max eps / b))."""
+    xs = np.array([scale * (math.sqrt(n * alpha * b) + alpha * math.sqrt(n * nbar_max * eps / b))
+                   for b in med_err])
+    ys = np.array(list(med_err.values()))
+    return float((xs * ys).sum() / (xs * xs).sum())
+
+
+def test_markov_rate_fit_reads_the_markov_profile():
+    cfg = ExperimentConfig(mode="markov", n=400, k=2, tau=0.5, alpha_inv_scale=8.0,
+                           alpha_log_scale=None, epsilon=0.01, lambda_grid=(0.1, 0.3, 1.0),
+                           matrix="laplacian")
+    med_err = {0.1: 0.21, 0.3: 0.17, 1.0: 0.26}
+    summary = summarize(_lambda_records("laplacian", med_err), cfg)
+    alpha = cfg.resolved_alpha
+    nbar_min = effective_sizes(cfg.model(), 400, 160, 240).nbar_min
+    expected = _unit_fit(med_err, 400, alpha, 0.01, 400.0,
+                         scale=(400.0 / nbar_min) / (nbar_min * alpha))
+    assert np.isclose(summary["laplacian.lambda.fitted_rate_constant"], expected,
+                      rtol=1e-12, atol=0.0)
+
+
+def test_static_sweep_summarizes():
+    # epsilon = 0 has no tuning (rho_n = 0), yet its sweep still fits the static shape
+    cfg = ExperimentConfig(n=80, k=2, tau=0.2, alpha_log_scale=4.0, epsilon=0.0,
+                           lambda_grid=(0.5, 1.0), matrix="adjacency")
+    med_err = {0.5: 1.1, 1.0: 1.4}
+    summary = summarize(_lambda_records("adjacency", med_err), cfg)
+    expected = _unit_fit(med_err, 80, cfg.resolved_alpha, 0.0, 1.0)
+    assert np.isclose(summary["adjacency.lambda.fitted_rate_constant"], expected,
+                      rtol=1e-12, atol=0.0)
+    assert "adjacency.lambda.star_err_normalized" not in summary
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "markov"])
+def test_trial_membership_is_the_config_sequence_at_the_trial_seed(mode):
+    cfg = ExperimentConfig(mode=mode, n=40, k=2, tau=0.2, alpha_log_scale=4.0,
+                           epsilon=0.1, t_len=5, seed=17)
+    seq, _ = generate_trial_sequence(cfg, 2)
+    alone = membership_sequence(cfg, subseed(17, 11, 2))
+    assert [th.labels.tolist() for th in seq.thetas] == [th.labels.tolist()
+                                                         for th in alone.thetas]
 
 
 def test_static_error_nonincreasing_in_window():
