@@ -182,10 +182,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_rates(args) -> int:
     cfg = load_config(args)
-    sizes = cfg.size_profile()
-    tuning = smoothing.tuning_profile(cfg.n, cfg.resolved_alpha, cfg.epsilon, sizes.nbar_max)
-    card = bounds.rate_card(sizes, cfg.resolved_alpha, cfg.epsilon)
-    _print_kv({**card.to_kv(), **tuning.to_kv()})
+    card = bounds.rate_card(cfg.size_profile(), cfg.resolved_alpha, cfg.epsilon)
+    _print_kv({**card.to_kv(), **cfg.tuning().to_kv()})
     return EXIT_OK
 
 
@@ -196,16 +194,14 @@ def cmd_rates(args) -> int:
 def _verify_degrees(args) -> dict:
     cfg = load_config(args)
     model = cfg.model()
-    sizes = cfg.size_profile()
-    tuning = smoothing.tuning_profile(cfg.n, cfg.resolved_alpha, cfg.epsilon, sizes.nbar_max)
-    r = min(tuning.optimal_r, cfg.t_len + 1)
+    r = min(cfg.tuning().optimal_r, cfg.t_len + 1)
+    nbar_min = cfg.size_profile().nbar_min
     cs = []
     for trial in range(cfg.trials):
         seq, snaps = experiments.generate_trial_sequence(cfg, trial)
         w = smoothing.weights_of(smoothing.Uniform(r), seq.t_len)
         expected = np.stack([sbm.expected_degrees(th, model) for th in seq.thetas])
-        stats = bounds.degree_deviation_stats(snaps, w, expected, cfg.resolved_alpha,
-                                              sizes.nbar_min)
+        stats = bounds.degree_deviation_stats(snaps, w, expected, cfg.resolved_alpha, nbar_min)
         cs.append(stats.c_n_alpha)
     cs = np.sort(np.asarray(cs))
     q95 = float(np.quantile(cs, 0.95))
@@ -223,9 +219,7 @@ def _verify_bias(args) -> dict:
     if cfg.mode != "deterministic":  # smoothing_bias_check takes deterministic sequences only
         raise InvalidInputError(f"verify bias needs mode=deterministic, got mode={cfg.mode}")
     model = cfg.model()
-    tuning = smoothing.tuning_profile(cfg.n, cfg.resolved_alpha, cfg.epsilon,
-                                      cfg.size_profile().nbar_max)
-    w = smoothing.weights_of(smoothing.Exponential(tuning.optimal_lambda), cfg.t_len)
+    w = smoothing.weights_of(smoothing.Exponential(cfg.tuning().optimal_lambda), cfg.t_len)
     failures = 0
     ratios = []
     for trial in range(args.sequences):

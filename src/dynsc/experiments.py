@@ -45,7 +45,8 @@ from .sbm import (
     normalized_laplacian,
     normalized_laplacian_csr,
 )
-from .smoothing import Exponential, SmootherKind, Uniform, smoothed_matrix
+from .smoothing import (Exponential, SmootherKind, TuningProfile, Uniform, smoothed_matrix,
+                        tuning_profile)
 from .spectral import spectral_cluster, spectral_norm
 from .util import subseed
 
@@ -115,6 +116,8 @@ class ExperimentConfig:
         object.__setattr__(self, "r_grid", tuple(int(v) for v in self.r_grid))
         for point in self.grid():
             _grid_smoother(*point)  # rejects a bad grid value before any trial runs
+        if self.tau == 0 and self.resolved_n_min == 0:  # else every expected degree is > 0
+            self.size_profile()  # rejects a smallest expected degree of 0
 
     @property
     def resolved_alpha(self) -> float:
@@ -140,14 +143,22 @@ class ExperimentConfig:
 
         Deterministic sizes stay within the resolved bounds. Markov sizes are
         unconstrained, so ``nbar_max = n`` and ``mu_b = n / nbar_min``; the
-        other fields come from the resolved bounds.
+        other fields come from the resolved bounds. A ``nbar_min`` of 0, which
+        the Laplacian rates divide by, is rejected.
         """
         prof = effective_sizes(self.model(), self.n, self.resolved_n_min, self.resolved_n_max)
+        if prof.nbar_min == 0:
+            raise InvalidInputError(
+                f"the smallest expected degree is 0 (k={self.k}, tau={self.tau}, community "
+                f"sizes down to n_min={self.resolved_n_min}); raise n, tau or n_min")
         if self.mode == "deterministic":
             return prof
-        nbar_max = float(self.n)
-        return replace(prof, nbar_max=nbar_max,
-                       mu_b=nbar_max / prof.nbar_min if prof.nbar_min > 0 else math.inf)
+        return replace(prof, nbar_max=float(self.n), mu_b=self.n / prof.nbar_min)
+
+    def tuning(self) -> TuningProfile:
+        """The tuning of this config's regime, at its :meth:`size_profile`'s ``nbar_max``."""
+        nbar_max = self.size_profile().nbar_max
+        return tuning_profile(self.n, self.resolved_alpha, self.epsilon, nbar_max)
 
     def matrix_kinds(self) -> tuple[str, ...]:
         return ("adjacency", "laplacian") if self.matrix == "both" else (self.matrix,)
@@ -370,6 +381,16 @@ def _fit_rate_constant(med_err: dict[float, float], cfg: ExperimentConfig,
     return float((xs * ys).sum() / denom) if denom > 0 else float("nan")
 
 
+def _grid_medians(records: list[RunRecord], cfg: ExperimentConfig) -> tuple[float | None, list]:
+    """``sqrt(alpha n epsilon)`` (None when ``epsilon = 0``) and, per matrix kind and smoother
+    family with records, ``(kind, gkind, median spec_err, median ARI)`` keyed by grid value."""
+    norm = math.sqrt(cfg.resolved_alpha * cfg.n * cfg.epsilon) if cfg.epsilon > 0 else None
+    families = [(kind, gkind, median_by_grid(records, kind, gkind, "spec_err"),
+                 median_by_grid(records, kind, gkind, "ari"))
+                for kind in cfg.matrix_kinds() for gkind in ("lambda", "r")]
+    return norm, [family for family in families if family[2]]
+
+
 def summarize(records: list[RunRecord], cfg: ExperimentConfig) -> dict:
     """Grid argmins/argmaxes per matrix kind and smoother family.
 
@@ -379,28 +400,23 @@ def summarize(records: list[RunRecord], cfg: ExperimentConfig) -> dict:
     """
     out: dict[str, object] = {"schema": CSV_SCHEMA_VERSION}
     prof = cfg.size_profile()
-    norm = math.sqrt(cfg.resolved_alpha * cfg.n * cfg.epsilon) if cfg.epsilon > 0 else None
-    for kind in cfg.matrix_kinds():
-        for gkind in ("lambda", "r"):
-            med_err = median_by_grid(records, kind, gkind, "spec_err")
-            if not med_err:
-                continue
-            med_ari = median_by_grid(records, kind, gkind, "ari")
-            star_err = min(med_err, key=med_err.get)
-            star_ari = max(med_ari, key=med_ari.get)
-            prefix = f"{kind}.{gkind}"
-            out[f"{prefix}.star_err"] = star_err
-            out[f"{prefix}.min_median_err"] = med_err[star_err]
-            out[f"{prefix}.star_ari"] = star_ari
-            out[f"{prefix}.best_median_ari"] = med_ari[star_ari]
-            if gkind == "lambda":
-                if norm:
-                    out[f"{prefix}.star_err_normalized"] = star_err / norm
-                    out[f"{prefix}.star_ari_normalized"] = star_ari / norm
-                beta_err = med_err
-            else:
-                beta_err = {1.0 / r: e for r, e in med_err.items()}
-            out[f"{prefix}.fitted_rate_constant"] = _fit_rate_constant(beta_err, cfg, prof, kind)
+    norm, families = _grid_medians(records, cfg)
+    for kind, gkind, med_err, med_ari in families:
+        star_err = min(med_err, key=med_err.get)
+        star_ari = max(med_ari, key=med_ari.get)
+        prefix = f"{kind}.{gkind}"
+        out[f"{prefix}.star_err"] = star_err
+        out[f"{prefix}.min_median_err"] = med_err[star_err]
+        out[f"{prefix}.star_ari"] = star_ari
+        out[f"{prefix}.best_median_ari"] = med_ari[star_ari]
+        if gkind == "lambda":
+            if norm:
+                out[f"{prefix}.star_err_normalized"] = star_err / norm
+                out[f"{prefix}.star_ari_normalized"] = star_ari / norm
+            beta_err = med_err
+        else:
+            beta_err = {1.0 / r: e for r, e in med_err.items()}
+        out[f"{prefix}.fitted_rate_constant"] = _fit_rate_constant(beta_err, cfg, prof, kind)
     return out
 
 
@@ -441,20 +457,16 @@ def plot_data_by_grid(records: list[RunRecord], cfg: ExperimentConfig) -> str:
     ``1/r`` for windows) by ``sqrt(alpha n epsilon)``, the scale on which the
     optimum is predicted to sit; empty when ``epsilon = 0``.
     """
-    norm = math.sqrt(cfg.resolved_alpha * cfg.n * cfg.epsilon) if cfg.epsilon > 0 else None
     buf = io.StringIO()
     buf.write(f"# {CSV_SCHEMA_VERSION} plot-data\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["grid_param_kind", "grid_param_value", "normalized_value",
                      "matrix_kind", "median_spec_err", "median_ari"])
-    for kind in cfg.matrix_kinds():
-        for gkind in ("lambda", "r"):
-            med_err = median_by_grid(records, kind, gkind, "spec_err")
-            med_ari = median_by_grid(records, kind, gkind, "ari")
-            for gvalue in med_err:
-                intensity = gvalue if gkind == "lambda" else 1.0 / gvalue
-                writer.writerow([gkind, _format_cell(gvalue),
-                                 _format_cell(intensity / norm) if norm else "",
-                                 kind, _format_cell(med_err[gvalue]),
-                                 _format_cell(med_ari[gvalue])])
+    norm, families = _grid_medians(records, cfg)
+    for kind, gkind, med_err, med_ari in families:
+        for gvalue in med_err:
+            intensity = gvalue if gkind == "lambda" else 1.0 / gvalue
+            writer.writerow([gkind, _format_cell(gvalue),
+                             _format_cell(intensity / norm) if norm else "",
+                             kind, _format_cell(med_err[gvalue]), _format_cell(med_ari[gvalue])])
     return buf.getvalue()

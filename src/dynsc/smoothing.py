@@ -5,12 +5,12 @@ exponential estimator (recursive update with forgetting factor ``lambda``) are
 special cases of a weighted sum ``sum_k beta_k A_{t-k}``: :func:`weights_of`
 gives the ``beta_k``, and :func:`weighted_history` pairs each nonzero one with
 its step for every such sum, here and in :mod:`dynsc.bounds`. The sum is built
-as a dense array (:func:`weighted_smooth`) or, bit for bit equal, as a CSR
-array (:func:`weighted_smooth_csr`); :func:`smoothed_matrix` picks the form for
-the sweep and ``cluster``. The weight conditions certifying concentration are
-checked numerically by :func:`validate_weights`; the optimal amount of
-smoothing is ``rho = min(1, sqrt(nbar_max * alpha * epsilon))``, evaluated by
-:func:`tuning_profile` together with the warm-up horizons ``t_min``.
+as a dense array (:func:`weighted_smooth`) or, bit for bit equal, as a CSR array
+(:func:`weighted_smooth_csr`); :func:`smoothed_matrix` picks the form, and checks
+that it fits in free memory, for the sweep and ``cluster``. The weight conditions
+certifying concentration are checked numerically by :func:`validate_weights`; the
+optimal amount of smoothing is ``rho = min(1, sqrt(nbar_max * alpha * epsilon))``,
+evaluated by :func:`tuning_profile` together with the warm-up horizons ``t_min``.
 """
 
 from __future__ import annotations
@@ -33,6 +33,11 @@ WEIGHT_SUM_TOL = 1e-12
 # matrix and its Laplacian (the measured peak, about 2.2 of them), and the
 # copies the dense eigensolver fallback makes on top
 DENSE_WORKSPACE_MATRICES = 4
+# bytes per weighted-snapshot edge reserved for the same paths in CSR form: the
+# tracemalloc peak over build, Laplacian and checked Lanczos operand is 88 per
+# edge on the sparse2k lambda* history (n = 2000, seed 7), 92 at n = 20000,
+# alpha = 8/n, T = 30, and 100 on one snapshot, whose edges are all distinct
+CSR_BYTES_PER_EDGE = 104
 _MIRROR_BLOCK = 64  # rows per block of weighted_smooth's in-place mirror
 # Above DENSE_EIGEN_LIMIT, a smoothed matrix at most this share nonzero is built
 # and multiplied as CSR, and a denser one as a dense array multiplied by BLAS
@@ -120,23 +125,6 @@ def weights_of(kind: SmootherKind, t: int) -> SmoothingWeights:
     raise InvalidInputError(f"unknown smoother kind {kind!r}")
 
 
-def _check_dense_fits(n: int) -> None:
-    """Raise :class:`MemoryBudgetError` when the dense workspace for size ``n`` exceeds free memory.
-
-    Skipped when free memory cannot be read.
-    """
-    need = DENSE_WORKSPACE_MATRICES * 8 * n * n
-    free = available_memory()
-    if free is not None and need > free:
-        raise MemoryBudgetError(
-            f"n={n} needs about {need / 2**30:.1f} GiB for {DENSE_WORKSPACE_MATRICES} dense "
-            f"n x n float64 matrices but {free / 2**30:.1f} GiB is available; sweep and "
-            f"cluster smooth into a sparse (CSR) matrix instead, but only above n="
-            f"{DENSE_EIGEN_LIMIT} and while the weighted snapshots' edges fill at most "
-            f"{SPARSE_OPERATOR_SHARE:.0%} of the entries, so reduce n, alpha or the "
-            "smoothing window")
-
-
 def weighted_history(items: Sequence, betas) -> list:
     """The ``(beta, item)`` pairs of ``sum_k betas[k] * items[t - k]`` with a nonzero weight.
 
@@ -162,15 +150,13 @@ def _checked_history(snapshots: Sequence[AdjacencySnapshot], betas) -> tuple[int
 
 
 def weighted_smooth(snapshots: Sequence[AdjacencySnapshot], betas: np.ndarray) -> np.ndarray:
-    """General weighted sum ``sum_k betas[k] * A_{t-k}`` over the given history.
+    """General weighted sum ``sum_k betas[k] * A_{t-k}`` over the given history, as a dense array.
 
     ``snapshots`` is ordered by time (oldest first); ``betas[k]`` weights the
-    snapshot ``k`` steps before the last one. Before allocating, the dense
-    workspace of the evaluation path is checked against free memory, and
-    :class:`MemoryBudgetError` is raised if it does not fit.
+    snapshot ``k`` steps before the last one. Nothing is checked against free
+    memory here: :func:`smoothed_matrix` does that for both forms.
     """
     n, live = _checked_history(snapshots, betas)
-    _check_dense_fits(n)
     out = np.zeros((n, n))
     for beta, snap in live:
         out.reshape(-1)[snap.keys()] += beta  # a flat view, cheaper to index
@@ -188,17 +174,13 @@ def _upper_csr(live: list, n: int) -> scipy.sparse.csr_array:
     Each entry adds its weights in the order of :func:`weighted_smooth`'s
     loop, starting from zero, so the values match it bit for bit.
     """
-    keys = np.concatenate([np.empty(0, dtype=np.int64)]
-                          + [snap.keys() for _, snap in live])
+    keys = np.concatenate([np.empty(0, dtype=np.int64)] + [snap.keys() for _, snap in live])
     weights = np.repeat([beta for beta, _ in live], [snap.edge_count for _, snap in live])
-    # the stable sort keeps each key's weights in loop order, and bincount adds them
-    # in array order (a COO sum_duplicates sorts unstably and would reorder them)
-    order = np.argsort(keys, kind="stable")
-    keys, weights = keys[order], weights[order]
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    values = np.bincount(np.cumsum(first) - 1, weights)
-    rows, cols = np.divmod(keys[first], n)
+    # bincount adds each key's weights in array order, which is loop order (a COO
+    # sum_duplicates sorts unstably and would reorder them)
+    keys, inverse = np.unique(keys, return_inverse=True)
+    values = np.bincount(inverse, weights)
+    rows, cols = np.divmod(keys, n)
     index = np.int32 if max(n, values.size) < 2**31 else np.int64  # halves the index bytes
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
     return scipy.sparse.csr_array((values, cols.astype(index), indptr.astype(index)),
@@ -210,7 +192,6 @@ def weighted_smooth_csr(snapshots: Sequence[AdjacencySnapshot],
     """:func:`weighted_smooth` as a CSR array, in O(n + edges) memory.
 
     ``toarray()`` of the result equals :func:`weighted_smooth` bit for bit.
-    There is no memory guard: nothing n x n is allocated.
     """
     n, live = _checked_history(snapshots, betas)
     upper = _upper_csr(live, n)  # its edge-sized temporaries are freed by now
@@ -220,17 +201,29 @@ def weighted_smooth_csr(snapshots: Sequence[AdjacencySnapshot],
 def smoothed_matrix(snaps: SnapshotSequence, smoother: SmootherKind):
     """The final-step estimate of ``smoother`` over ``snaps``, in the form every later layer keeps.
 
-    The form is chosen before anything is built: CSR (:func:`weighted_smooth_csr`)
-    above ``DENSE_EIGEN_LIMIT`` when at most ``SPARSE_OPERATOR_SHARE`` of the
-    entries can be nonzero, else the dense :func:`weighted_smooth`, memory
-    guard included. The rule counts twice the edges of the weighted snapshots,
-    an upper bound on the smoothed matrix's nonzeros (shared edges count once).
+    Form and memory follow from the edge count of the weighted snapshots, before
+    anything is built. Above ``DENSE_EIGEN_LIMIT``, when twice that count (a bound
+    on the nonzeros) is at most ``SPARSE_OPERATOR_SHARE`` of the entries, the
+    matrix is a CSR array (:func:`weighted_smooth_csr`) needing
+    ``CSR_BYTES_PER_EDGE`` per edge; else a dense one (:func:`weighted_smooth`)
+    needing ``DENSE_WORKSPACE_MATRICES`` n x n float64 arrays. A need above free
+    memory raises :class:`MemoryBudgetError`; the check is skipped where free
+    memory cannot be read.
     """
     n, betas = snaps.n, weights_of(smoother, snaps.t_len).betas
-    nnz_bound = 2 * sum(snap.edge_count for _, snap in weighted_history(snaps.snapshots, betas))
-    if n > DENSE_EIGEN_LIMIT and nnz_bound <= SPARSE_OPERATOR_SHARE * n * n:
-        return weighted_smooth_csr(snaps.snapshots, betas)
-    return weighted_smooth(snaps.snapshots, betas)
+    edges = sum(snap.edge_count for _, snap in weighted_history(snaps.snapshots, betas))
+    if n > DENSE_EIGEN_LIMIT and 2 * edges <= SPARSE_OPERATOR_SHARE * n * n:
+        form, need, build = "CSR", CSR_BYTES_PER_EDGE * edges, weighted_smooth_csr
+    else:
+        form, need, build = "dense", DENSE_WORKSPACE_MATRICES * 8 * n * n, weighted_smooth
+    free = available_memory()
+    if free is not None and need > free:
+        raise MemoryBudgetError(
+            f"{form} smoothing at n={n} with {edges} weighted edges needs {need} bytes but "
+            f"{free} are available; the sparse (CSR) form, {CSR_BYTES_PER_EDGE} bytes per "
+            f"edge, is used above n={DENSE_EIGEN_LIMIT} while twice the edges fill at most "
+            f"{SPARSE_OPERATOR_SHARE:.0%} of the entries; reduce n, alpha or the smoothing window")
+    return build(snaps.snapshots, betas)
 
 
 def exp_smooth_update(state: np.ndarray, a_t: AdjacencySnapshot, lam: float) -> np.ndarray:

@@ -37,6 +37,24 @@ def save_snapshot_oracle(snap, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def upper_csr_oracle(live, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(data, indices, indptr)`` of the strict upper triangle of a ``weighted_history`` sum.
+
+    A stable argsort keeps each key's weights in loop order, a first-of-run mask
+    numbers the distinct keys, and ``bincount`` adds each key's weights in array
+    order: the accumulation ``smoothing._upper_csr`` must match bit for bit.
+    """
+    keys = np.concatenate([np.empty(0, dtype=np.int64)] + [snap.keys() for _, snap in live])
+    weights = np.repeat([beta for beta, _ in live], [snap.edge_count for _, snap in live])
+    order = np.argsort(keys, kind="stable")
+    keys, weights = keys[order], weights[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    values = np.bincount(np.cumsum(first) - 1, weights)
+    rows, cols = np.divmod(keys[first], n)
+    return values, cols, np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+
+
 def save_labels_oracle(labels: np.ndarray, path) -> None:
     """``np.savetxt`` of a (T+1)-by-n label array: the bytes ``labels.csv`` must hold."""
     np.savetxt(path, labels, delimiter=",", fmt="%d")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import save_labels_oracle
-from dynsc import ExperimentConfig, InvalidInputError, load_sequence
+from dynsc import ExperimentConfig, Exponential, InvalidInputError, load_sequence, weights_of
 from dynsc.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -304,6 +304,45 @@ def test_sparse_run_needs_no_dense_memory(tmp_path, capsys, monkeypatch, command
     args = ["--smoother", "exp:0.3"] if command == "cluster" else ["--out", str(tmp_path)]
     assert main([command, *SPARSE3K, *args]) == EXIT_OK
     assert "laplacian" in capsys.readouterr().out
+
+
+SPARSE600 = ["--n", "600", "--k", "2", "--tau", "0.1", "--alpha-inv-scale", "8",
+             "--epsilon", "0.02", "--t-len", "6", "--n-min", "240", "--n-max", "360",
+             "--trials", "1", "--seed", "5", "--restarts", "5", "--lambda-grid", "0.3,1.0"]
+
+
+def test_sparse_sweep_memory_guard_at_the_csr_need(tmp_path, capsys, monkeypatch):
+    # every grid point of this sweep is CSR; the largest need among them is the
+    # sweep's: one byte less fails before sweep.csv is written, the need itself runs
+    import dynsc.smoothing
+    from dynsc.experiments import generate_trial_sequence
+    from dynsc.smoothing import CSR_BYTES_PER_EDGE, SPARSE_OPERATOR_SHARE, weighted_history
+
+    cfg = load_config(build_parser().parse_args(["sweep", *SPARSE600]))
+    _, snaps = generate_trial_sequence(cfg, 0)
+    edges = [sum(snap.edge_count for _, snap in weighted_history(
+        snaps.snapshots, weights_of(Exponential(lam), cfg.t_len).betas))
+        for lam in cfg.lambda_grid]
+    assert all(2 * e <= SPARSE_OPERATOR_SHARE * cfg.n ** 2 for e in edges)
+    need = CSR_BYTES_PER_EDGE * max(edges)
+    monkeypatch.setattr(dynsc.smoothing, "available_memory", lambda: need - 1)
+    assert main(["sweep", *SPARSE600, "--out", str(tmp_path)]) == EXIT_USAGE
+    assert f"CSR smoothing at n=600 with {max(edges)} weighted edges needs {need} bytes" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "sweep.csv").exists()
+    monkeypatch.setattr(dynsc.smoothing, "available_memory", lambda: need)
+    assert main(["sweep", *SPARSE600, "--out", str(tmp_path)]) == EXIT_OK
+    assert (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_without_a_smallest_degree_writes_nothing(tmp_path, capsys, monkeypatch):
+    # n = 2, K = 2 lets a community be empty, and tau = 0 gives its node no other
+    # neighbours: the Laplacian rate fit would divide by nbar_min = 0
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split("sweep --n 2 --k 2 --tau 0 --alpha 0.5 --t-len 3 --trials 1 "
+                            "--lambda-grid 0.5")) == EXIT_USAGE
+    assert "smallest expected degree is 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cluster_writes_labels(tmp_path, capsys):

@@ -8,6 +8,7 @@ import dynsc
 from dynsc import experiments
 from conftest import kmeans_oracle, random_labels
 from dynsc import ExperimentConfig, Exponential, InvalidInputError, run_sweep, summarize, weights_of
+from dynsc.smoothing import tuning_profile
 from dynsc.experiments import (
     RunRecord,
     generate_trial_sequence,
@@ -196,6 +197,26 @@ def test_size_profile_per_mode():
     assert prof.mu_b == 300.0 / prof.nbar_min
     keep = ("n", "k", "n_min", "n_max", "n_prime_max", "nbar_min", "gamma")
     assert all(getattr(prof, f) == getattr(det.size_profile(), f) for f in keep)
+
+
+def test_tuning_reads_the_size_profile():
+    for mode in ("deterministic", "markov"):
+        cfg = ExperimentConfig(mode=mode, n=2000, k=2, tau=0.5, alpha_log_scale=None,
+                               alpha_inv_scale=8.0, epsilon=0.01)
+        assert cfg.tuning() == tuning_profile(2000, 8.0 / 2000, 0.01,
+                                              cfg.size_profile().nbar_max)
+
+
+def test_config_without_a_smallest_degree_is_rejected():
+    # tau = 0 and an empty community leave a node no expected neighbours; either
+    # alone does not
+    with pytest.raises(InvalidInputError, match="smallest expected degree is 0"):
+        ExperimentConfig(n=2, k=2, tau=0.0, alpha=0.5, alpha_log_scale=None)
+    with pytest.raises(InvalidInputError, match="smallest expected degree is 0"):
+        ExperimentConfig(mode="markov", n=30, k=2, tau=0.0, n_min=0, n_max=30)
+    assert ExperimentConfig(n=2, k=2, tau=0.1, alpha=0.5,
+                            alpha_log_scale=None).size_profile().nbar_min > 0
+    assert ExperimentConfig(n=30, k=2, tau=0.0, n_min=1, n_max=29).size_profile().nbar_min == 1
 
 
 def _lambda_records(kind: str, med_err: dict[float, float]) -> list[RunRecord]:

@@ -6,6 +6,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import upper_csr_oracle
 from dynsc import (
     AdjacencySnapshot,
     CommunityLabels,
@@ -15,6 +16,7 @@ from dynsc import (
     InvalidInputError,
     MemoryBudgetError,
     SmoothingWeights,
+    SnapshotSequence,
     Uniform,
     exp_smooth_update,
     gen_deterministic_sequence,
@@ -31,7 +33,7 @@ from dynsc import (
     weighted_smooth_csr,
     weights_of,
 )
-from dynsc.smoothing import weighted_history
+from dynsc.smoothing import smoothed_matrix, weighted_history
 
 MODEL = ConnectivityModel.planted_partition(2, 0.4, 0.2)
 
@@ -120,21 +122,6 @@ def test_uniform_smooth_matches_weighted_sum_oracle():
     assert np.abs(_uniform_smooth(snaps, 4) - _weighted_sum_oracle(snaps, w.betas)).max() <= 1e-12
 
 
-def test_weighted_smooth_memory_guard(monkeypatch):
-    import dynsc.smoothing
-
-    snaps = _snapshots()
-    n = snaps[0].n
-    need = dynsc.smoothing.DENSE_WORKSPACE_MATRICES * 8 * n * n
-    monkeypatch.setattr(dynsc.smoothing, "available_memory", lambda: need - 1)
-    with pytest.raises(MemoryBudgetError, match=r"sparse \(CSR\).*above n=128.*10%"):
-        weighted_smooth(snaps, [1.0])
-    monkeypatch.setattr(dynsc.smoothing, "available_memory", lambda: need)
-    assert weighted_smooth(snaps, [1.0]).shape == (n, n)
-    monkeypatch.setattr(dynsc.smoothing, "available_memory", lambda: None)  # unreadable
-    assert weighted_smooth(snaps, [1.0]).shape == (n, n)
-
-
 def _empty_snapshot(n):
     return AdjacencySnapshot(n, np.array([], dtype=int), np.array([], dtype=int))
 
@@ -174,6 +161,54 @@ def test_weighted_smooth_csr_equals_dense_bit_for_bit(snaps, betas):
     assert np.array_equal(out.toarray().view(np.int64), dense.view(np.int64))
 
 
+def _upper_csr_cases():
+    rng = np.random.default_rng(43)
+    n = 12
+    shared = AdjacencySnapshot(n, np.array([2]), np.array([7]))
+
+    def with_shared_key(p):
+        a = sample_adjacency(np.full((n, n), p), rng).to_dense()
+        a[2, 7] = a[7, 2] = 1.0
+        return AdjacencySnapshot.from_dense(a)
+
+    cases = {"key_in_every_snapshot": ([with_shared_key(0.4) for _ in range(9)],
+                                       weights_of(Exponential(0.35), 8).betas)}
+    cases["zero_edge_snapshots"] = (
+        [with_shared_key(0.3) if t % 3 else _empty_snapshot(n) for t in range(10)],
+        weights_of(Uniform(7), 9).betas)
+    # 2^-1 .. 2^-1074: the last live weight is the smallest nonzero double
+    cases["exponential_to_smallest_nonzero"] = (
+        [shared if t % 2 else with_shared_key(0.2) for t in range(1101)],
+        weights_of(Exponential(0.5), 1100).betas)
+    cases["exponential_into_subnormals"] = (
+        [with_shared_key(0.1) for _ in range(2101)], weights_of(Exponential(0.3), 2100).betas)
+    return cases
+
+
+UPPER_CSR_CASES = {**CSR_CASES, **_upper_csr_cases()}
+
+
+@pytest.mark.parametrize("snaps,betas", UPPER_CSR_CASES.values(), ids=UPPER_CSR_CASES.keys())
+def test_upper_csr_matches_stable_sort_oracle(snaps, betas):
+    from dynsc.smoothing import _upper_csr
+
+    live = weighted_history(snaps, np.asarray(betas, dtype=float))
+    out = _upper_csr(live, snaps[0].n)
+    values, cols, indptr = upper_csr_oracle(live, snaps[0].n)
+    assert np.array_equal(out.data.view(np.int64), values.view(np.int64))
+    assert np.array_equal(out.indices, cols) and np.array_equal(out.indptr, indptr)
+
+
+def test_upper_csr_cases_reach_their_edge_cases():
+    snaps, _ = UPPER_CSR_CASES["key_in_every_snapshot"]
+    assert all(2 * snap.n + 7 in snap.keys() for snap in snaps)
+    assert any(snap.edge_count == 0 for snap in UPPER_CSR_CASES["zero_edge_snapshots"][0])
+    _, betas = UPPER_CSR_CASES["exponential_to_smallest_nonzero"]
+    assert betas[betas > 0].min() == np.nextafter(0.0, 1.0)
+    _, betas = UPPER_CSR_CASES["exponential_into_subnormals"]
+    assert 0.0 < betas[betas > 0].min() < np.finfo(float).tiny and betas.min() == 0.0
+
+
 @pytest.mark.parametrize("smooth", [weighted_smooth, weighted_smooth_csr])
 def test_smoothers_share_input_checks(smooth):
     snaps = _snapshots(t_len=2)
@@ -185,6 +220,41 @@ def test_smoothers_share_input_checks(smooth):
         smooth([snaps[0].to_dense()], [1.0])
     with pytest.raises(InvalidInputError, match="weights but only"):
         smooth(snaps, [0.25] * 4)
+
+
+@pytest.mark.parametrize("form", ["dense", "CSR"])
+def test_smoothed_matrix_memory_guard(monkeypatch, form):
+    # the need is priced from the weighted snapshots' edges before anything is built:
+    # 4 n x n arrays for the dense form (n <= 128), 104 bytes per edge for CSR (about 1%
+    # of the entries at n = 400)
+    import dynsc.smoothing
+
+    rng = np.random.default_rng(5)
+    n, p = (24, 0.3) if form == "dense" else (400, 0.01)
+    snaps = SnapshotSequence(tuple(sample_adjacency(np.full((n, n), p), rng) for _ in range(7)))
+    edges = sum(snap.edge_count for snap in snaps.snapshots)  # Exponential(0.3) weighs them all
+    need = (dynsc.smoothing.DENSE_WORKSPACE_MATRICES * 8 * n * n if form == "dense"
+            else dynsc.smoothing.CSR_BYTES_PER_EDGE * edges)
+    built = []
+    for name in ("weighted_smooth", "weighted_smooth_csr"):
+        build = getattr(dynsc.smoothing, name)
+        monkeypatch.setattr(dynsc.smoothing, name,
+                            lambda *a, build=build: built.append(1) or build(*a))
+    monkeypatch.setattr(dynsc.smoothing, "available_memory", lambda: need - 1)
+    with pytest.raises(MemoryBudgetError, match=(
+            rf"^{form} smoothing at n={n} with {edges} weighted edges needs {need} bytes but "
+            rf"{need - 1} are available; the sparse \(CSR\) form, 104 bytes per edge, is used "
+            r"above n=128 while twice the edges fill at most 10% of the entries")):
+        smoothed_matrix(snaps, Exponential(0.3))
+    assert built == []
+    kind = np.ndarray if form == "dense" else scipy.sparse.csr_array
+    for free in (need, None):  # None: free memory unreadable, check skipped
+        monkeypatch.setattr(dynsc.smoothing, "available_memory", lambda: free)
+        assert isinstance(smoothed_matrix(snaps, Exponential(0.3)), kind)
+    assert built == [1, 1]
+    # the builders themselves check nothing
+    monkeypatch.setattr(dynsc.smoothing, "available_memory", lambda: 0)
+    assert weighted_smooth(snaps.snapshots, [1.0]).shape == (n, n)
 
 
 def test_weighted_smooth_csr_memory_is_linear_in_edges():
