@@ -41,6 +41,7 @@ from .sbm import (
     CommunityLabels,
     ConnectivityModel,
     SizeProfile,
+    _trusted,
     effective_sizes,
     normalized_laplacian,
     normalized_laplacian_csr,
@@ -116,8 +117,7 @@ class ExperimentConfig:
         object.__setattr__(self, "r_grid", tuple(int(v) for v in self.r_grid))
         for point in self.grid():
             _grid_smoother(*point)  # rejects a bad grid value before any trial runs
-        if self.tau == 0 and self.resolved_n_min == 0:  # else every expected degree is > 0
-            self.size_profile()  # rejects a smallest expected degree of 0
+        self.size_profile()  # rejects infeasible size bounds and a smallest expected degree of 0
 
     @property
     def resolved_alpha(self) -> float:
@@ -272,15 +272,21 @@ def evaluate_cell(smoothed, kind: str, ref: tuple[np.ndarray, np.ndarray],
     form. ``ref`` is the matching entry of :func:`reference_matrices`.
     Returns the scores, keyed by their :class:`RunRecord` field names, and
     the predicted labels.
+
+    ``smoothed`` must be a :func:`smoothed_matrix` result, exactly symmetric by
+    construction, as ``ref`` and the Laplacian are: the layers below skip their
+    symmetry checks on these objects, and only on them.
     """
-    if kind == "adjacency":
-        target = smoothed
-    elif isinstance(smoothed, np.ndarray):
-        target = normalized_laplacian(smoothed, zero_degree="zero-row")
-    else:
-        target = normalized_laplacian_csr(smoothed, zero_degree="zero-row")
-    spec_err = spectral_norm(target, minus=ref)
-    result = spectral_cluster(target, k, restarts=restarts, seed=seed)
+    with _trusted(smoothed):
+        if kind == "adjacency":
+            target = smoothed
+        elif isinstance(smoothed, np.ndarray):
+            target = normalized_laplacian(smoothed, zero_degree="zero-row")
+        else:
+            target = normalized_laplacian_csr(smoothed, zero_degree="zero-row")
+    with _trusted(target, ref[1]):
+        spec_err = spectral_norm(target, minus=ref)
+        result = spectral_cluster(target, k, restarts=restarts, seed=seed)
     scores = {
         "spec_err": spec_err,
         "ari": adjusted_rand_index(result.labels, truth),

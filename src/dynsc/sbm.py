@@ -19,6 +19,8 @@ pair codes are formed, in int64, only in :mod:`dynsc.metrics`.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import io
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,14 +35,32 @@ _SYMMETRY_BLOCK = 64  # rows per block of the dense symmetry check
 # the largest n whose largest edge key (n - 2) * n + (n - 1) fits int64, so
 # endpoints never need more than uint32
 _MAX_SNAPSHOT_N = 3_037_000_500
+_TRUSTED = contextvars.ContextVar("dynsc_trusted_symmetric", default=())
+
+
+@contextlib.contextmanager
+def _trusted(*matrices):
+    """In this block and context only, :func:`check_symmetric` returns these objects as they are."""
+    token = _TRUSTED.set(_TRUSTED.get() + matrices)
+    try:
+        yield
+    finally:
+        _TRUSTED.reset(token)
 
 
 def check_symmetric(m, name: str = "matrix"):
     """``m`` as a float64 ndarray or CSR array, checked square, finite and exactly symmetric.
 
     A ``scipy.sparse`` input is checked in O(nnz), never densified, and
-    returned as a CSR array; anything else is returned as an ndarray.
+    returned as a CSR array; anything else is returned as an ndarray. Objects
+    that :func:`dynsc.experiments.evaluate_cell` vouches for are returned unchecked.
     """
+    if any(m is t for t in _TRUSTED.get()):
+        return m
+    return _check_symmetric(m, name)
+
+
+def _check_symmetric(m, name: str):
     if scipy.sparse.issparse(m):
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidInputError(f"{name} must be square, got shape {m.shape}")

@@ -33,11 +33,16 @@ WEIGHT_SUM_TOL = 1e-12
 # matrix and its Laplacian (the measured peak, about 2.2 of them), and the
 # copies the dense eigensolver fallback makes on top
 DENSE_WORKSPACE_MATRICES = 4
-# bytes per weighted-snapshot edge reserved for the same paths in CSR form: the
-# tracemalloc peak over build, Laplacian and checked Lanczos operand is 88 per
-# edge on the sparse2k lambda* history (n = 2000, seed 7), 92 at n = 20000,
-# alpha = 8/n, T = 30, and 100 on one snapshot, whose edges are all distinct
+# bytes per weighted-snapshot edge and per node reserved for the same paths in
+# CSR form. The tracemalloc peak over build, Laplacian and checked Lanczos
+# operand is 88 per edge on the sparse2k lambda* history (n = 2000, seed 7), 92
+# at n = 20000, alpha = 8/n, T = 30, and 100 on one snapshot, whose edges are
+# all distinct; the sweep cell, which checks nothing, peaks at 65 per edge. The
+# Lanczos vectors and k-means arrays add 270-375 per node at K = 2 and 340 at
+# K = 4 (smoothed_matrix plus both evaluate_cell kinds, one snapshot,
+# n = 200-20000), and about 70 more per community above that
 CSR_BYTES_PER_EDGE = 104
+CSR_BYTES_PER_NODE = 400
 _MIRROR_BLOCK = 64  # rows per block of weighted_smooth's in-place mirror
 # Above DENSE_EIGEN_LIMIT, a smoothed matrix at most this share nonzero is built
 # and multiplied as CSR, and a denser one as a dense array multiplied by BLAS
@@ -205,15 +210,17 @@ def smoothed_matrix(snaps: SnapshotSequence, smoother: SmootherKind):
     anything is built. Above ``DENSE_EIGEN_LIMIT``, when twice that count (a bound
     on the nonzeros) is at most ``SPARSE_OPERATOR_SHARE`` of the entries, the
     matrix is a CSR array (:func:`weighted_smooth_csr`) needing
-    ``CSR_BYTES_PER_EDGE`` per edge; else a dense one (:func:`weighted_smooth`)
-    needing ``DENSE_WORKSPACE_MATRICES`` n x n float64 arrays. A need above free
-    memory raises :class:`MemoryBudgetError`; the check is skipped where free
-    memory cannot be read.
+    ``CSR_BYTES_PER_EDGE`` per edge plus ``CSR_BYTES_PER_NODE`` per node; else
+    a dense one (:func:`weighted_smooth`) needing ``DENSE_WORKSPACE_MATRICES``
+    n x n float64 arrays. A need above free memory raises
+    :class:`MemoryBudgetError`; the check is skipped where free memory cannot
+    be read.
     """
     n, betas = snaps.n, weights_of(smoother, snaps.t_len).betas
     edges = sum(snap.edge_count for _, snap in weighted_history(snaps.snapshots, betas))
     if n > DENSE_EIGEN_LIMIT and 2 * edges <= SPARSE_OPERATOR_SHARE * n * n:
-        form, need, build = "CSR", CSR_BYTES_PER_EDGE * edges, weighted_smooth_csr
+        form, build = "CSR", weighted_smooth_csr
+        need = CSR_BYTES_PER_EDGE * edges + CSR_BYTES_PER_NODE * n
     else:
         form, need, build = "dense", DENSE_WORKSPACE_MATRICES * 8 * n * n, weighted_smooth
     free = available_memory()
@@ -221,8 +228,9 @@ def smoothed_matrix(snaps: SnapshotSequence, smoother: SmootherKind):
         raise MemoryBudgetError(
             f"{form} smoothing at n={n} with {edges} weighted edges needs {need} bytes but "
             f"{free} are available; the sparse (CSR) form, {CSR_BYTES_PER_EDGE} bytes per "
-            f"edge, is used above n={DENSE_EIGEN_LIMIT} while twice the edges fill at most "
-            f"{SPARSE_OPERATOR_SHARE:.0%} of the entries; reduce n, alpha or the smoothing window")
+            f"edge and {CSR_BYTES_PER_NODE} per node, is used above n={DENSE_EIGEN_LIMIT} "
+            f"while twice the edges fill at most {SPARSE_OPERATOR_SHARE:.0%} of the entries; "
+            f"reduce n, alpha or the smoothing window")
     return build(snaps.snapshots, betas)
 
 

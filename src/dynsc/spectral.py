@@ -231,25 +231,41 @@ def _seed_centroids(x: np.ndarray, k: int, rngs: list) -> np.ndarray:
     return centers
 
 
-def _nearest(x: np.ndarray, centers: np.ndarray):
+def _nearest(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest centroids of ``x`` among each of ``b`` runs' centroids (b, k, d), in one product.
 
-    The argmin over ``|c|^2 - 2 x c^T`` breaks ties by lowest index. Returns the labels (b, n),
-    the labels offset by ``k`` per run (flat), and the exact squared differences (b, n, d).
+    The argmin over ``|c|^2 - 2 x c^T``, ties to the lowest index, is taken by k - 1 strict
+    compares of whole columns; ``argmin`` itself where a NaN needs its first-NaN rule. Returns
+    the labels and the labels offset by ``k`` per run, both (b, n).
     """
     n, (b, k, d) = x.shape[0], centers.shape
     flat = centers.reshape(-1, d)
-    d2 = (flat ** 2).sum(axis=1) - 2.0 * (x @ flat.T)
-    labels = np.ascontiguousarray(d2.reshape(n, b, k).argmin(axis=2).T)
-    offset = labels + np.arange(0, b * k, k)[:, None]
-    return labels, offset.ravel(), (x - np.take(flat, offset, axis=0)) ** 2
+    d2 = ((flat ** 2).sum(axis=1) - 2.0 * (x @ flat.T)).reshape(n, b, k)
+    if np.isfinite(d2).all():
+        labels, best = np.zeros((n, b), dtype=np.intp), d2[:, :, 0]
+        for j in range(1, k):
+            np.putmask(labels, d2[:, :, j] < best, j)
+            best = np.minimum(best, d2[:, :, j])
+    else:
+        labels = d2.argmin(axis=2)
+    labels = np.ascontiguousarray(labels.T)
+    return labels, labels + np.arange(0, b * k, k)[:, None]
+
+
+def _distances(x: np.ndarray, centers: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """``|x - c|^2`` summed over the exact differences, ``c`` the centroid ``offset`` picks.
+
+    ``offset`` indexes the rows of ``centers`` (b, k, d) flattened to (b * k, d).
+    """
+    return ((x - np.take(centers.reshape(-1, x.shape[1]), offset, axis=0)) ** 2).sum(axis=-1)
 
 
 def _assign(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-centroid labels and squared distances: ``(n,)``, or ``(b, n)`` for ``b`` runs."""
-    labels, _, squares = _nearest(x, centers.reshape((-1,) + centers.shape[-2:]))
+    runs = centers.reshape((-1,) + centers.shape[-2:])
+    labels, offset = _nearest(x, runs)
     shape = centers.shape[:-2] + (x.shape[0],)
-    return labels.reshape(shape), squares.sum(axis=2).reshape(shape)
+    return labels.reshape(shape), _distances(x, runs, offset).reshape(shape)
 
 
 def _lloyd_round(x: np.ndarray, weights: np.ndarray, k: int, rngs: list) -> list:
@@ -267,19 +283,20 @@ def _lloyd_round(x: np.ndarray, weights: np.ndarray, k: int, rngs: list) -> list
             break
         a = active.size
         old = centers[active]
-        labels, offset, squares = _nearest(x, old)
-        counts = np.bincount(offset, minlength=a * k)
+        labels, offset = _nearest(x, old)
+        flat = offset.ravel()
+        counts = np.bincount(flat, minlength=a * k)
         if d == 1:  # numpy sums a lone column pairwise, not in order
             sums = np.array([x[run == j].sum() for run in labels for j in range(k)])[:, None]
         else:
-            sums = np.array([np.bincount(offset, w, a * k) for w in weights[:, :a * n]]).T
+            sums = np.array([np.bincount(flat, w, a * k) for w in weights[:, :a * n]]).T
         new = old.copy()
         filled = counts > 0
         new.reshape(-1, d)[filled] = sums[filled] / counts[filled, None]
         if not filled.all():
             # re-seed an empty cluster at the point farthest from its centroid
             runs, empty = np.nonzero(~filled.reshape(a, k))
-            new[runs, empty] = x[squares[runs].sum(axis=2).argmax(axis=1)]
+            new[runs, empty] = x[_distances(x, old, offset[runs]).argmax(axis=1)]
         movement = np.sqrt(((new - old) ** 2).sum(axis=2)).max(axis=1)
         centers[active] = new
         active = active[~(movement < _KMEANS_TOL)]

@@ -4,8 +4,10 @@ import itertools
 from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy.sparse.linalg import LinearOperator, eigsh
 
+import dynsc.sbm
 import dynsc.spectral
 from dynsc import (
     CommunityLabels,
@@ -18,6 +20,20 @@ from dynsc import (
 )
 from dynsc.spectral import KMeansResult
 from dynsc.util import subseed
+
+
+@pytest.fixture
+def symmetric_checks(monkeypatch) -> list:
+    """The matrices ``check_symmetric`` checks in full, in call order: those not taken on trust."""
+    checked = []
+    real = dynsc.sbm._check_symmetric
+
+    def spy(m, name):
+        checked.append(m)
+        return real(m, name)
+
+    monkeypatch.setattr(dynsc.sbm, "_check_symmetric", spy)
+    return checked
 
 
 def random_symmetric(n: int, rng: np.random.Generator, low=-1.0, high=1.0) -> np.ndarray:

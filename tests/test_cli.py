@@ -316,7 +316,8 @@ def test_sparse_sweep_memory_guard_at_the_csr_need(tmp_path, capsys, monkeypatch
     # sweep's: one byte less fails before sweep.csv is written, the need itself runs
     import dynsc.smoothing
     from dynsc.experiments import generate_trial_sequence
-    from dynsc.smoothing import CSR_BYTES_PER_EDGE, SPARSE_OPERATOR_SHARE, weighted_history
+    from dynsc.smoothing import (CSR_BYTES_PER_EDGE, CSR_BYTES_PER_NODE, SPARSE_OPERATOR_SHARE,
+                                 weighted_history)
 
     cfg = load_config(build_parser().parse_args(["sweep", *SPARSE600]))
     _, snaps = generate_trial_sequence(cfg, 0)
@@ -324,7 +325,7 @@ def test_sparse_sweep_memory_guard_at_the_csr_need(tmp_path, capsys, monkeypatch
         snaps.snapshots, weights_of(Exponential(lam), cfg.t_len).betas))
         for lam in cfg.lambda_grid]
     assert all(2 * e <= SPARSE_OPERATOR_SHARE * cfg.n ** 2 for e in edges)
-    need = CSR_BYTES_PER_EDGE * max(edges)
+    need = CSR_BYTES_PER_EDGE * max(edges) + CSR_BYTES_PER_NODE * cfg.n
     monkeypatch.setattr(dynsc.smoothing, "available_memory", lambda: need - 1)
     assert main(["sweep", *SPARSE600, "--out", str(tmp_path)]) == EXIT_USAGE
     assert f"CSR smoothing at n=600 with {max(edges)} weighted edges needs {need} bytes" in (
@@ -342,6 +343,16 @@ def test_sweep_without_a_smallest_degree_writes_nothing(tmp_path, capsys, monkey
     assert main(shlex.split("sweep --n 2 --k 2 --tau 0 --alpha 0.5 --t-len 3 --trials 1 "
                             "--lambda-grid 0.5")) == EXIT_USAGE
     assert "smallest expected degree is 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_markov_sweep_with_infeasible_size_bounds_writes_nothing(tmp_path, capsys, monkeypatch):
+    # Markov generation never reads n_min / n_max, but the rates do: the default
+    # n_min = 16 is above n_max = 5, so the config fails before any trial runs
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split("sweep --mode markov --n 40 --k 2 --tau 0.2 --alpha 0.3 --t-len 4 "
+                            "--trials 1 --lambda-grid 0.5 --n-max 5")) == EXIT_USAGE
+    assert "need 0 <= n_min <= n_max" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -529,7 +540,7 @@ def test_sweep_rejects_bad_config_before_any_trial(tmp_path, capsys, monkeypatch
 # a valid non-default value for every config key
 _KEY_VALUES = {"mode": "markov", "n": "41", "k": "2", "tau": "0.25", "alpha": "0.05",
                "alpha_log_scale": "2.5", "alpha_inv_scale": "8", "epsilon": "0.02",
-               "t_len": "7", "n_min": "10", "n_max": "30", "lambda_grid": "0.3,1.0",
+               "t_len": "7", "n_min": "10", "n_max": "250", "lambda_grid": "0.3,1.0",
                "r_grid": "2,3", "matrix": "adjacency", "trials": "3", "seed": "5",
                "threads": "2", "restarts": "4"}
 

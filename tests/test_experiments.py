@@ -1,4 +1,6 @@
+import contextlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -405,6 +407,54 @@ def test_csr_path_matches_forced_dense_run(monkeypatch):
         # CSR and dense products (and the Laplacian's degrees) sum in another order
         assert np.isclose(a.kmeans_cost, b.kmeans_cost, rtol=1e-12, atol=0.0)
         assert np.isclose(a.eigengap, b.eigengap, rtol=1e-12, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# symmetry checks: a sweep cell trusts the matrices the library just built
+# ---------------------------------------------------------------------------
+
+_CHECKED = ExperimentConfig(n=600, k=2, tau=0.1, alpha_log_scale=None, alpha_inv_scale=8.0,
+                            epsilon=0.02, t_len=6, n_min=240, n_max=360, lambda_grid=(0.3, 1.0),
+                            r_grid=(3,), seed=5, restarts=5)
+
+
+@pytest.fixture(params=["CSR", "dense"])
+def checked_form(request, monkeypatch):
+    """Runs the ``_CHECKED`` sweep on CSR operands, or on dense ones with CSR switched off."""
+    if request.param == "dense":
+        monkeypatch.setattr(dynsc.smoothing, "SPARSE_OPERATOR_SHARE", -1.0)
+    return scipy.sparse.csr_array if request.param == "CSR" else np.ndarray
+
+
+def test_sweep_cell_runs_no_full_symmetry_check(checked_form, symmetric_checks):
+    seq, snaps = generate_trial_sequence(_CHECKED, 0)
+    truth = seq.thetas[-1]
+    refs = reference_matrices(truth, _CHECKED.model(), _CHECKED.matrix_kinds())
+    smoothed = experiments.smoothed_matrix(snaps, Exponential(0.3))
+    assert isinstance(smoothed, checked_form)
+    symmetric_checks.clear()
+    for kind in _CHECKED.matrix_kinds():
+        experiments.evaluate_cell(smoothed, kind, refs[kind], truth, 2, seed=1, restarts=5)
+    assert symmetric_checks == []
+    # the scope ends with the cell: the same object is checked in full again
+    dynsc.sbm.check_symmetric(smoothed)
+    assert len(symmetric_checks) == 1 and symmetric_checks[0] is smoothed
+
+
+def test_trusting_the_cell_changes_no_record(checked_form, symmetric_checks, monkeypatch):
+    # without the scope every layer checks again: 5 full n x n checks per grid point
+    # (the smoothed matrix 3 times, its Laplacian twice) and 2 of the K x K factor C
+    seq, snaps = generate_trial_sequence(_CHECKED, 0)
+    symmetric_checks.clear()
+    trusted = experiments.evaluate_smoothed(_CHECKED, 0, seq, snaps)
+    assert not any(m.shape == (600, 600) for m in symmetric_checks)
+    symmetric_checks.clear()
+    monkeypatch.setattr(experiments, "_trusted", lambda *m: contextlib.nullcontext())
+    checked = experiments.evaluate_smoothed(_CHECKED, 0, seq, snaps)
+    shapes = [m.shape for m in symmetric_checks]
+    assert shapes.count((600, 600)) == 5 * len(_CHECKED.grid())
+    assert shapes.count((2, 2)) == 2 * len(_CHECKED.grid()) + 1  # and the model's b0 once
+    assert [replace(r, wall_ms=0.0) for r in trusted] == [replace(r, wall_ms=0.0) for r in checked]
 
 
 def test_dense_evaluation_peak_is_about_two_matrices():

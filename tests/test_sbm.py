@@ -30,7 +30,7 @@ from dynsc import (
     sample_sbm,
     save_snapshot,
 )
-from dynsc.sbm import _SYMMETRY_BLOCK, _triu_decode, check_symmetric
+from dynsc.sbm import _SYMMETRY_BLOCK, _triu_decode, _trusted, check_symmetric
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +293,49 @@ def test_check_symmetric_reports_non_finite_before_asymmetry():
     m[_SYM_N - 1, _SYM_N - 1] = np.nan
     with pytest.raises(InvalidInputError, match="non-finite"):
         check_symmetric(m)
+
+
+def _asymmetric():
+    m = random_symmetric(_SYM_N, np.random.default_rng(26))
+    m[3, 100] += 1.0  # what a full check rejects and trust lets through
+    return m
+
+
+def test_trusted_scope_skips_exactly_its_objects(symmetric_checks):
+    m, other = _asymmetric(), random_symmetric(_SYM_N, np.random.default_rng(27))
+    with _trusted(m):
+        assert check_symmetric(m) is m
+        with _trusted(other):
+            assert check_symmetric(other) is other
+            assert check_symmetric(m) is m
+        assert symmetric_checks == []
+        check_symmetric(other)  # the inner block has ended
+        with pytest.raises(InvalidInputError, match="not symmetric"):
+            check_symmetric(m.copy())  # an equal copy is another object
+        assert check_symmetric(m) is m
+    with pytest.raises(InvalidInputError, match="not symmetric"):
+        check_symmetric(m)
+    assert len(symmetric_checks) == 3
+    assert symmetric_checks[0] is other and symmetric_checks[2] is m
+
+
+def test_trusted_scope_never_reaches_another_thread(symmetric_checks):
+    import threading
+
+    m, errors = _asymmetric(), []
+
+    def check():
+        try:
+            check_symmetric(m)
+        except InvalidInputError as exc:
+            errors.append(exc)
+
+    with _trusted(m):
+        worker = threading.Thread(target=check)
+        worker.start()
+        worker.join()
+        assert check_symmetric(m) is m
+    assert len(errors) == 1 and len(symmetric_checks) == 1 and symmetric_checks[0] is m
 
 
 # ---------------------------------------------------------------------------

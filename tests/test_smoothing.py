@@ -33,6 +33,7 @@ from dynsc import (
     weighted_smooth_csr,
     weights_of,
 )
+from dynsc.sbm import check_symmetric, degrees, normalized_laplacian
 from dynsc.smoothing import smoothed_matrix, weighted_history
 
 MODEL = ConnectivityModel.planted_partition(2, 0.4, 0.2)
@@ -161,6 +162,28 @@ def test_weighted_smooth_csr_equals_dense_bit_for_bit(snaps, betas):
     assert np.array_equal(out.toarray().view(np.int64), dense.view(np.int64))
 
 
+@pytest.mark.parametrize("form", ["dense", "CSR"])
+@pytest.mark.parametrize("snaps,betas", CSR_CASES.values(), ids=CSR_CASES.keys())
+def test_builders_pass_the_full_symmetry_check(snaps, betas, form, symmetric_checks):
+    # a sweep cell takes smoothed_matrix's result (one of these two forms) and its
+    # Laplacian on trust; each must pass the check it skips, under either policy
+    smooth, laplacian = ((weighted_smooth, normalized_laplacian) if form == "dense"
+                         else (weighted_smooth_csr, normalized_laplacian_csr))
+    smoothed = smooth(snaps, betas)
+    built = [smoothed, laplacian(smoothed, zero_degree="zero-row")]
+    if (degrees(smoothed) > 0).all():
+        built.append(laplacian(smoothed, zero_degree="error"))
+    symmetric_checks.clear()
+    for m in built:
+        check_symmetric(m, "built")
+    assert len(symmetric_checks) == len(built)
+
+
+def test_builder_cases_reach_both_zero_degree_policies():
+    isolated = [(degrees(weighted_smooth_csr(*case)) == 0).any() for case in CSR_CASES.values()]
+    assert any(isolated) and not all(isolated)
+
+
 def _upper_csr_cases():
     rng = np.random.default_rng(43)
     n = 12
@@ -225,8 +248,8 @@ def test_smoothers_share_input_checks(smooth):
 @pytest.mark.parametrize("form", ["dense", "CSR"])
 def test_smoothed_matrix_memory_guard(monkeypatch, form):
     # the need is priced from the weighted snapshots' edges before anything is built:
-    # 4 n x n arrays for the dense form (n <= 128), 104 bytes per edge for CSR (about 1%
-    # of the entries at n = 400)
+    # 4 n x n arrays for the dense form (n <= 128), 104 bytes per edge and 400 per node
+    # for CSR (about 1% of the entries at n = 400)
     import dynsc.smoothing
 
     rng = np.random.default_rng(5)
@@ -234,7 +257,8 @@ def test_smoothed_matrix_memory_guard(monkeypatch, form):
     snaps = SnapshotSequence(tuple(sample_adjacency(np.full((n, n), p), rng) for _ in range(7)))
     edges = sum(snap.edge_count for snap in snaps.snapshots)  # Exponential(0.3) weighs them all
     need = (dynsc.smoothing.DENSE_WORKSPACE_MATRICES * 8 * n * n if form == "dense"
-            else dynsc.smoothing.CSR_BYTES_PER_EDGE * edges)
+            else dynsc.smoothing.CSR_BYTES_PER_EDGE * edges
+            + dynsc.smoothing.CSR_BYTES_PER_NODE * n)
     built = []
     for name in ("weighted_smooth", "weighted_smooth_csr"):
         build = getattr(dynsc.smoothing, name)
@@ -243,8 +267,9 @@ def test_smoothed_matrix_memory_guard(monkeypatch, form):
     monkeypatch.setattr(dynsc.smoothing, "available_memory", lambda: need - 1)
     with pytest.raises(MemoryBudgetError, match=(
             rf"^{form} smoothing at n={n} with {edges} weighted edges needs {need} bytes but "
-            rf"{need - 1} are available; the sparse \(CSR\) form, 104 bytes per edge, is used "
-            r"above n=128 while twice the edges fill at most 10% of the entries")):
+            rf"{need - 1} are available; the sparse \(CSR\) form, 104 bytes per edge and 400 "
+            r"per node, is used above n=128 while twice the edges fill at most 10% of the "
+            r"entries")):
         smoothed_matrix(snaps, Exponential(0.3))
     assert built == []
     kind = np.ndarray if form == "dense" else scipy.sparse.csr_array
@@ -277,6 +302,35 @@ def test_weighted_smooth_csr_memory_is_linear_in_edges():
     assert lap.shape == (n, n)
     assert 0 < lap.nnz <= 2 * sum(s.edge_count for s in snaps)
     assert peak < 128 * 2**20
+
+
+def test_csr_need_covers_a_cell_with_few_edges_per_node():
+    # lambda = 1 at n = 20000 in the sparse2k regime: about 2 edges per node, where
+    # the Lanczos vectors and k-means arrays outweigh the edges (225 bytes per edge)
+    import tracemalloc
+
+    import dynsc.smoothing
+    from dynsc.experiments import evaluate_cell, reference_matrices
+
+    n = 20000
+    truth = CommunityLabels(np.arange(n) % 2, 2)
+    model = ConnectivityModel.planted_partition(2, 8.0 / n, 0.1)
+    snaps = SnapshotSequence((sample_sbm(truth, model, 7),))
+    refs = reference_matrices(truth, model, ("adjacency", "laplacian"))
+    edges = snaps.snapshots[0].edge_count
+    tracemalloc.start()
+    try:
+        smoothed = smoothed_matrix(snaps, Exponential(1.0))
+        # one sparse snapshot has many small components, which tie at the top of the spectrum
+        with pytest.warns(RuntimeWarning, match="eigengap"):
+            for kind in ("adjacency", "laplacian"):
+                evaluate_cell(smoothed, kind, refs[kind], truth, 2, seed=1, restarts=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(smoothed, scipy.sparse.csr_array)
+    need = dynsc.smoothing.CSR_BYTES_PER_EDGE * edges + dynsc.smoothing.CSR_BYTES_PER_NODE * n
+    assert dynsc.smoothing.CSR_BYTES_PER_EDGE * edges < peak < need
 
 
 def test_keys_do_not_wrap_beyond_n_46340():

@@ -356,9 +356,9 @@ def test_kmeans_equals_sequential_oracle(case, monkeypatch):
     real_nearest = dynsc.spectral._nearest
 
     def nearest(x, centers):
-        labels, offset, squares = real_nearest(x, centers)
+        labels, offset = real_nearest(x, centers)
         empty_seen.append(any((np.bincount(run, minlength=k) == 0).any() for run in labels))
-        return labels, offset, squares
+        return labels, offset
 
     monkeypatch.setattr(dynsc.spectral, "_nearest", nearest)
     got = kmeans(x, k, restarts=restarts, seed=seed)
@@ -405,6 +405,23 @@ def test_assign_matches_broadcast_oracle(n, d, k, offset):
     labels, dist = _assign(x, centers)
     assert np.array_equal(labels, d2.argmin(axis=1))
     assert np.array_equal(dist, d2[np.arange(n), labels])
+
+
+def test_nearest_follows_argmin_on_ties_and_nan():
+    # duplicate centroids tie on every point (the lowest index wins), and a NaN
+    # centroid takes argmin's first-NaN rule for every point of its run
+    x = np.random.default_rng(12).normal(size=(50, 2))
+    centers = np.stack([x[[3, 7, 3, 7]], x[[5, 5, 9, 2]], x[[1, 2, 4, 6]]])
+    for nan_run in (None, 0, 2):
+        runs = centers.copy()
+        if nan_run is not None:
+            runs[nan_run, 2, 1] = np.nan
+        flat = runs.reshape(-1, 2)
+        d2 = ((flat ** 2).sum(axis=1) - 2.0 * (x @ flat.T)).reshape(50, 3, 4)
+        labels, offset = dynsc.spectral._nearest(x, runs)
+        assert np.array_equal(labels, d2.argmin(axis=2).T)
+        assert np.array_equal(offset, labels + np.array([[0], [4], [8]]))
+    assert set(labels[0]) <= {0, 1} and (labels[2] == 2).all()
 
 
 def test_kmeans_determinism():
