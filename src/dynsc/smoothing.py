@@ -25,7 +25,6 @@ import scipy.sparse
 from .dynamics import SnapshotSequence
 from .errors import InvalidInputError, MemoryBudgetError
 from .sbm import AdjacencySnapshot
-from .spectral import DENSE_EIGEN_LIMIT
 from .util import available_memory
 
 WEIGHT_SUM_TOL = 1e-12
@@ -44,12 +43,12 @@ DENSE_WORKSPACE_MATRICES = 4
 CSR_BYTES_PER_EDGE = 104
 CSR_BYTES_PER_NODE = 400
 _MIRROR_BLOCK = 64  # rows per block of weighted_smooth's in-place mirror
-# Above DENSE_EIGEN_LIMIT, a smoothed matrix at most this share nonzero is built
-# and multiplied as CSR, and a denser one as a dense array multiplied by BLAS
-# dsymv. Measured with 1 BLAS thread on a 2-core x86 machine: at n = 1000-4000
-# a CSR product costs 0.3-0.45 dsymv at 10% nonzero and breaks even near
-# 20-25%; at n = 500, where the array fits in cache, CSR breaks even near 8%
-# and costs 1.2 dsymvs at 10%.
+# The one form rule, at every n: a smoothed matrix at most this share nonzero is
+# built and multiplied as CSR, and a denser one as a dense array multiplied by
+# BLAS dsymv. Measured with 1 BLAS thread on a 2-core x86 machine: at
+# n = 1000-4000 a CSR product costs 0.3-0.45 dsymv at 10% nonzero and breaks
+# even near 20-25%; at n = 500, where the array fits in cache, CSR breaks even
+# near 8% and costs 1.2 dsymvs at 10%.
 SPARSE_OPERATOR_SHARE = 0.1
 
 
@@ -207,18 +206,17 @@ def smoothed_matrix(snaps: SnapshotSequence, smoother: SmootherKind):
     """The final-step estimate of ``smoother`` over ``snaps``, in the form every later layer keeps.
 
     Form and memory follow from the edge count of the weighted snapshots, before
-    anything is built. Above ``DENSE_EIGEN_LIMIT``, when twice that count (a bound
-    on the nonzeros) is at most ``SPARSE_OPERATOR_SHARE`` of the entries, the
-    matrix is a CSR array (:func:`weighted_smooth_csr`) needing
-    ``CSR_BYTES_PER_EDGE`` per edge plus ``CSR_BYTES_PER_NODE`` per node; else
-    a dense one (:func:`weighted_smooth`) needing ``DENSE_WORKSPACE_MATRICES``
-    n x n float64 arrays. A need above free memory raises
-    :class:`MemoryBudgetError`; the check is skipped where free memory cannot
-    be read.
+    anything is built. When twice that count (a bound on the nonzeros) is at
+    most ``SPARSE_OPERATOR_SHARE`` of the entries, the matrix is a CSR array
+    (:func:`weighted_smooth_csr`) needing ``CSR_BYTES_PER_EDGE`` per edge plus
+    ``CSR_BYTES_PER_NODE`` per node, at every n; else a dense one
+    (:func:`weighted_smooth`) needing ``DENSE_WORKSPACE_MATRICES`` n x n float64
+    arrays. A need above free memory raises :class:`MemoryBudgetError`; the
+    check is skipped where free memory cannot be read.
     """
     n, betas = snaps.n, weights_of(smoother, snaps.t_len).betas
     edges = sum(snap.edge_count for _, snap in weighted_history(snaps.snapshots, betas))
-    if n > DENSE_EIGEN_LIMIT and 2 * edges <= SPARSE_OPERATOR_SHARE * n * n:
+    if 2 * edges <= SPARSE_OPERATOR_SHARE * n * n:
         form, build = "CSR", weighted_smooth_csr
         need = CSR_BYTES_PER_EDGE * edges + CSR_BYTES_PER_NODE * n
     else:
@@ -228,9 +226,9 @@ def smoothed_matrix(snaps: SnapshotSequence, smoother: SmootherKind):
         raise MemoryBudgetError(
             f"{form} smoothing at n={n} with {edges} weighted edges needs {need} bytes but "
             f"{free} are available; the sparse (CSR) form, {CSR_BYTES_PER_EDGE} bytes per "
-            f"edge and {CSR_BYTES_PER_NODE} per node, is used above n={DENSE_EIGEN_LIMIT} "
-            f"while twice the edges fill at most {SPARSE_OPERATOR_SHARE:.0%} of the entries; "
-            f"reduce n, alpha or the smoothing window")
+            f"edge and {CSR_BYTES_PER_NODE} per node, is used while twice the edges fill at "
+            f"most {SPARSE_OPERATOR_SHARE:.0%} of the entries; reduce n, alpha or the "
+            f"smoothing window")
     return build(snaps.snapshots, betas)
 
 

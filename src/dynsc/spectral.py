@@ -6,13 +6,14 @@ disassortative kernels, and magnitude selection recovers their column space in
 all cases.
 
 Eigenpairs and norms are computed only as accurately as the theory needs:
-above ``DENSE_EIGEN_LIMIT`` a Lanczos solver stops at relative tolerance
-``EIGENPAIR_TOL`` (eigenvectors; by Davis-Kahan their error is at most
-``tol * |lambda_1| / gap``, far below the statistical error) or ``NORM_TOL``
-(spectral norms, whose Ritz values err roughly by the square of that). The
-eigengap's first discarded magnitude is such a norm, of the matrix with the
-selected pairs deflated. Every solve multiplies by one operand: a dense matrix
-through BLAS ``dsymv``, a CSR one as CSR, less a low-rank term in factored form.
+at every size a Lanczos solver stops at relative tolerance ``EIGENPAIR_TOL``
+(eigenvectors; by Davis-Kahan their error is at most ``tol * |lambda_1| / gap``,
+far below the statistical error) or ``NORM_TOL`` (spectral norms, whose Ritz
+values err roughly by the square of that). The eigengap's first discarded
+magnitude is such a norm, of the matrix with the selected pairs deflated. Every
+solve multiplies by one operand: a dense matrix through BLAS ``dsymv``, a CSR
+one as CSR, less a low-rank term in factored form. A dense decomposition is
+left only for ``k > n - 2``, where Lanczos cannot run, and for its failures.
 
 The k-means step uses distance-squared-weighted random seeding plus Lloyd
 iterations with restarts, and stops restarting once the best cost has been
@@ -26,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 import scipy.sparse.linalg
 from scipy.linalg import blas
 
@@ -34,9 +34,7 @@ from .errors import EigenSolverError, InvalidInputError
 from .sbm import CommunityLabels, check_symmetric
 from .util import subseed
 
-# Matrices up to this size are decomposed densely; larger ones go to Lanczos.
-DENSE_EIGEN_LIMIT = 128
-DENSE_FALLBACK_LIMIT = 4096
+DENSE_FALLBACK_LIMIT = 4096  # largest n decomposed densely when Lanczos fails
 EIGENPAIR_TOL = 1e-8  # Lanczos relative tolerance of top_k_eigenpairs
 NORM_TOL = 1e-4  # Lanczos relative tolerance of spectral_norm and the eigengap
 _V0_SEED = 0x5EED
@@ -143,43 +141,51 @@ class _Operand(scipy.sparse.linalg.LinearOperator):
             full = full - (u @ c) @ u.T
         return (np.linalg.eigh if vectors else np.linalg.eigvalsh)(full)
 
+    def is_zero(self) -> bool:
+        """Whether ``m`` has no nonzero entry and ``U`` or ``C`` is zero."""
+        if (self.m.data if self.fortran is None else self.m).any():
+            return False
+        return self.minus is None or not (self.minus[0].any() and self.minus[1].any())
+
 
 def _leading_eigs(m, k: int, vectors: bool, tol: float, minus=None, draw: int = 0):
     """Eigenvalues (and eigenvectors if ``vectors``) of ``m - U C Uᵀ``, for magnitude selection.
 
-    ``m`` and ``minus`` are as :class:`_Operand` takes them. Matrices up to
-    ``DENSE_EIGEN_LIMIT``, or with ``k > n - 2``, are decomposed densely and
-    all ``n`` pairs are returned. Larger ones use a Lanczos solver for the
-    ``k`` pairs of largest magnitude, started from draw number ``draw`` of the
-    ``_V0_SEED`` stream, at relative tolerance ``tol``, falling back to the
-    dense path (up to ``DENSE_FALLBACK_LIMIT``) on non-convergence. Returns
-    ``eigh``'s ``(values, vectors)`` or ``eigvalsh``'s ``values``.
+    ``m`` and ``minus`` are as :class:`_Operand` takes them. While
+    ``k <= n - 2`` a Lanczos solver finds the ``k`` pairs of largest magnitude,
+    started from draw number ``draw`` of the ``_V0_SEED`` stream, at relative
+    tolerance ``tol``. For larger ``k``, and when the solver fails on an
+    operand of size up to ``DENSE_FALLBACK_LIMIT``, the operand is decomposed
+    densely and all ``n`` pairs are returned; a failure above that size raises
+    :class:`EigenSolverError`. ARPACK fails on a zero operand, which then gets
+    ``k`` zero eigenvalues with the first ``k`` unit vectors, as ``eigh`` orders
+    them. Returns ``eigh``'s ``(values, vectors)`` or ``eigvalsh``'s ``values``.
     """
     n = m.shape[0]
     op = _Operand(m, minus)
-    if n <= DENSE_EIGEN_LIMIT or k > n - 2:
+    if k > n - 2:
         return op.eigh(vectors)
     v0 = np.random.default_rng(_V0_SEED).standard_normal((draw + 1, n))[draw]
     try:
         return scipy.sparse.linalg.eigsh(op, k=k, which="LM", v0=v0, tol=tol,
                                          return_eigenvectors=vectors)
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+    except scipy.sparse.linalg.ArpackError as exc:
+        if op.is_zero():
+            return (np.zeros(k), np.eye(n, k)) if vectors else np.zeros(k)
         if n <= DENSE_FALLBACK_LIMIT:
             return op.eigh(vectors)
-        raise EigenSolverError(
-            f"eigensolver did not converge ({len(exc.eigenvalues)} of {k} pairs)") from exc
+        raise EigenSolverError(f"eigensolver failed at n={n}: {exc}") from exc
 
 
 def top_k_eigenpairs(m, k: int) -> EigenBasis:
     """The ``k`` eigenpairs of largest magnitude of a symmetric ndarray or ``scipy.sparse`` matrix.
 
-    Deterministic up to sign, with signs canonicalized. Above
-    ``DENSE_EIGEN_LIMIT`` the ``k`` pairs are accurate to ``EIGENPAIR_TOL``
-    relative, and the first discarded magnitude is the norm of ``m - V Λ Vᵀ``
-    to ``NORM_TOL``, from a start vector of its own so that it finds further
-    copies of a repeated eigenvalue; the dense path takes it from ``eigh``.
-    The gap is flagged degenerate when it is at most that accuracy (1e-12 on
-    the dense path) times ``max(1, |value_1|)``.
+    Deterministic up to sign, with signs canonicalized. The ``k`` pairs are
+    accurate to ``EIGENPAIR_TOL`` relative, and the first discarded magnitude
+    is the norm of ``m - V Λ Vᵀ`` to ``NORM_TOL``, from a start vector of its
+    own so that it finds further copies of a repeated eigenvalue. The gap is
+    flagged degenerate when it is at most ``NORM_TOL`` times
+    ``max(1, |value_1|)``.
     """
     m = check_symmetric(m)
     n = m.shape[0]
@@ -188,19 +194,14 @@ def top_k_eigenpairs(m, k: int) -> EigenBasis:
     values, vectors = _leading_eigs(m, k, vectors=True, tol=EIGENPAIR_TOL)
 
     keys = np.abs(values)
-    order = np.argsort(-keys, kind="stable")
-    top = order[:k]
+    top = np.argsort(-keys, kind="stable")[:k]
     values, vectors = values[top].astype(float), vectors[:, top].astype(float)
     gap, degenerate = float("inf"), False
     if k < n:
-        if k < len(keys):  # the dense path returns all n eigenvalues
-            rest, tol = keys[order[k]], 1e-12
-        else:
-            deflated = _leading_eigs(m, 1, vectors=False, tol=NORM_TOL,
-                                     minus=(vectors, np.diag(values)), draw=1)
-            rest, tol = np.abs(deflated).max(), NORM_TOL
-        gap = float(keys[top[-1]] - rest)
-        degenerate = gap <= tol * max(1.0, float(keys.max()))
+        deflated = _leading_eigs(m, 1, vectors=False, tol=NORM_TOL,
+                                 minus=(vectors, np.diag(values)), draw=1)
+        gap = float(keys[top[-1]] - np.abs(deflated).max())
+        degenerate = gap <= NORM_TOL * max(1.0, float(keys.max()))
         if degenerate:
             warnings.warn(f"eigengap {gap:.3e} is numerically degenerate", RuntimeWarning,
                           stacklevel=2)
@@ -360,13 +361,11 @@ def spectral_norm(m, minus=None) -> float:
 
     ``m`` is a symmetric ndarray or ``scipy.sparse`` matrix; ``minus``, when
     given, is the pair ``(U, C)`` of a low-rank term, ``U`` n-by-r and ``C``
-    symmetric r-by-r, applied in factored form. Large matrices use a Lanczos
-    iteration at relative tolerance ``NORM_TOL``; see :func:`_leading_eigs`.
+    symmetric r-by-r, applied in factored form. A Lanczos iteration stops at
+    relative tolerance ``NORM_TOL``; a zero operand has norm 0.0. See
+    :func:`_leading_eigs`.
     """
     m = check_symmetric(m)
     if minus is not None:
         minus = _as_low_rank(minus, m.shape[0])
-    if minus is None or not (minus[0].any() and minus[1].any()):
-        if not (m.data if scipy.sparse.issparse(m) else m).any():
-            return 0.0
     return float(np.abs(_leading_eigs(m, 1, vectors=False, tol=NORM_TOL, minus=minus)).max())

@@ -12,7 +12,6 @@ import pytest
 
 from dynsc import ExperimentConfig, run_sweep
 from dynsc.smoothing import SPARSE_OPERATOR_SHARE
-from dynsc.spectral import DENSE_EIGEN_LIMIT
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -68,24 +67,24 @@ def _traced_trial(spans, n: int, seed: int, lambda_grid=(0.3, 1.0), r_grid=()):
 
 
 def test_tracer_counters_on_sparse_trial(spans):
-    # above the dense-eigensolver limit and sparse enough that the smoothed
-    # matrix and its Laplacian are built as CSR, outside the traced functions
+    # sparse enough that the smoothed matrix and its Laplacian are built as
+    # CSR, outside the traced functions
     n = 600
-    assert n > DENSE_EIGEN_LIMIT
     _, got = _traced_trial(spans, n, seed=7)
     assert got["smoothing.weighted_smooth.calls"] == 0
     assert got["sbm.normalized_laplacian.calls"] == 0
 
 
 def test_tracer_counters_on_dense_trial(spans):
-    # up to the dense-eigensolver limit the traced dense smoother and Laplacian
-    # run, so their counters are evaluated on what they return; at alpha = 8/n
-    # a snapshot is about 3.4% nonzero there, so the grid keeps to short
-    # histories (the last snapshot, and a window of two) to stay under 10%
-    n = DENSE_EIGEN_LIMIT
+    # a smoothed matrix more than 10% nonzero is built dense, so the traced dense
+    # smoother and Laplacian run and their counters are evaluated on what they
+    # return; at alpha = 8/n a snapshot has about 4.4 edges per node, which at
+    # n = 22 fill about 20% of the entries, and seed 7's last snapshot (the
+    # lambda = 1 cell) leaves a node isolated
+    n = 22
     cfg, got = _traced_trial(spans, n, seed=7, lambda_grid=(1.0,), r_grid=(2,))
     assert got["smoothing.weighted_smooth.calls"] == len(cfg.grid())
-    assert 0 < got["smoothing.weighted_smooth.nnz"] <= (
-        SPARSE_OPERATOR_SHARE * n * n * len(cfg.grid()))
+    assert SPARSE_OPERATOR_SHARE * n * n * len(cfg.grid()) < (
+        got["smoothing.weighted_smooth.nnz"]) <= n * n * len(cfg.grid())
     assert got["sbm.normalized_laplacian.calls"] == len(cfg.grid())
     assert got["sbm.normalized_laplacian.isolated_nodes"] > 0  # the lambda = 1 snapshot has some

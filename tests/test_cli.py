@@ -575,3 +575,30 @@ def test_readme_cli_examples_parse():
     assert len(lines) >= 5
     for line in lines:  # parse only; a removed subcommand or flag raises UsageError
         build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_sweep_over_edgeless_snapshots_exits_ok(tmp_path):
+    # at alpha = 1e-6 no snapshot has an edge, so the smoothed matrix and its
+    # zero-row Laplacian are zero: ARPACK fails on them and the zero rule answers
+    argv = ["sweep", "--n", "300", "--k", "2", "--tau", "0.5", "--alpha", "1e-6",
+            "--t-len", "3", "--lambda-grid", "1.0", "--trials", "1", "--restarts", "2",
+            "--out", str(tmp_path)]
+    with pytest.warns(RuntimeWarning, match="degenerate"):
+        assert main(argv) == EXIT_OK
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[2:]
+    assert len(rows) == 2 and all(row.split(",")[9] == "0" for row in rows)  # eigengap
+
+
+def test_eigensolver_failure_is_reported_as_error(tmp_path, monkeypatch, capsys):
+    import scipy.sparse.linalg
+
+    import dynsc.spectral
+
+    def fails(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackError(-9999)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fails)
+    monkeypatch.setattr(dynsc.spectral, "DENSE_FALLBACK_LIMIT", 10)
+    assert main(["sweep", *TINY, "--out", str(tmp_path)]) == EXIT_USAGE  # exit code 1
+    assert capsys.readouterr().err.startswith(
+        "error: eigensolver failed at n=40: ARPACK error -9999")

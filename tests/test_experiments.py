@@ -23,7 +23,6 @@ from dynsc.experiments import (
     write_records_csv,
 )
 from dynsc.sbm import effective_sizes
-from dynsc.spectral import DENSE_EIGEN_LIMIT
 from dynsc.util import dump_kv, parse_kv, subseed
 
 SMALL = ExperimentConfig(n=60, k=2, tau=0.2, alpha_log_scale=4.0, epsilon=0.05,
@@ -371,12 +370,12 @@ def _snapshot_sequence(n, p, t_len, seed):
                                         for _ in range(t_len + 1)))
 
 
-@pytest.mark.parametrize("n,p,csr", [(DENSE_EIGEN_LIMIT, 0.01, False), (400, 0.01, True),
+@pytest.mark.parametrize("n,p,csr", [(128, 0.01, True), (400, 0.01, True),
                                       (600, 0.01, True), (600, 0.05, False)])
 def test_smoothed_matrix_form(monkeypatch, n, p, csr):
-    # CSR only above the dense-eigensolver limit and while the 7 snapshots'
-    # edges (about 7p of the entries) fill at most 10%; the form is chosen
-    # before anything is built, so a dense result never builds the CSR keys
+    # CSR at every n while the 7 snapshots' edges (about 7p of the entries)
+    # fill at most 10%; the form is chosen before anything is built, so a dense
+    # result never builds the CSR keys
     built = []
     monkeypatch.setattr(dynsc.smoothing, "weighted_smooth_csr",
                         lambda *a: built.append(1) or dynsc.weighted_smooth_csr(*a))

@@ -248,8 +248,8 @@ def test_smoothers_share_input_checks(smooth):
 @pytest.mark.parametrize("form", ["dense", "CSR"])
 def test_smoothed_matrix_memory_guard(monkeypatch, form):
     # the need is priced from the weighted snapshots' edges before anything is built:
-    # 4 n x n arrays for the dense form (n <= 128), 104 bytes per edge and 400 per node
-    # for CSR (about 1% of the entries at n = 400)
+    # 4 n x n arrays for the dense form (p = 0.3, far above 10% nonzero), 104 bytes
+    # per edge and 400 per node for CSR (about 1% of the entries at n = 400)
     import dynsc.smoothing
 
     rng = np.random.default_rng(5)
@@ -268,8 +268,7 @@ def test_smoothed_matrix_memory_guard(monkeypatch, form):
     with pytest.raises(MemoryBudgetError, match=(
             rf"^{form} smoothing at n={n} with {edges} weighted edges needs {need} bytes but "
             rf"{need - 1} are available; the sparse \(CSR\) form, 104 bytes per edge and 400 "
-            r"per node, is used above n=128 while twice the edges fill at most 10% of the "
-            r"entries")):
+            r"per node, is used while twice the edges fill at most 10% of the entries; ")):
         smoothed_matrix(snaps, Exponential(0.3))
     assert built == []
     kind = np.ndarray if form == "dense" else scipy.sparse.csr_array

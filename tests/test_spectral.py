@@ -80,7 +80,7 @@ def test_magnitude_selection_is_optimal():
 
 def test_iterative_path_matches_dense_oracle():
     rng = np.random.default_rng(3)
-    m = random_symmetric(600, rng)  # above the dense eigensolver limit
+    m = random_symmetric(600, rng)
     basis = top_k_eigenpairs(m, 3)
     oracle = np.sort(np.abs(np.linalg.eigvalsh(m)))[::-1][:3]
     assert np.allclose(np.abs(basis.values), oracle, rtol=1e-6)
@@ -114,7 +114,7 @@ def _eigvalsh_gap(m, k):
     return keys[k - 1] - keys[k], keys[0]
 
 
-@pytest.mark.parametrize("n", [129, 300, 512])  # just above the dense limit
+@pytest.mark.parametrize("n", [129, 300, 512])
 def test_lanczos_path_matches_eigh_oracle(n, eigsh_operators):
     m = _sparse_sbm_adjacency(n)
     values, vectors = np.linalg.eigh(m)
@@ -696,7 +696,7 @@ def _low_rank(n, r=3, seed=43):
     return u, c
 
 
-@pytest.mark.parametrize("n", [300, 600])  # at and above the dense-form limit
+@pytest.mark.parametrize("n", [300, 600])
 def test_csr_input_matches_dense_oracle(n):
     m = _sparse_sbm_adjacency(n)
     values, vectors = np.linalg.eigh(m)
@@ -806,12 +806,12 @@ def _check_fallback_matches_dense_oracle(m, calls):
     gram = basis.vectors.T @ basis.vectors
     assert np.abs(gram - np.eye(3)).max() <= 1e-8
     assert np.isclose(spectral_norm(m), oracle.max(), rtol=1e-10)
-    assert len(calls) == 2  # both went through eigsh first
+    assert len(calls) == 3  # the eigenpair, gap and norm solves all went through eigsh first
 
 
 def test_fallback_matches_dense_oracle(arpack_fails):
     rng = np.random.default_rng(13)
-    m = random_symmetric(600, rng)  # above the dense-form limit, within the fallback limit
+    m = random_symmetric(600, rng)  # within the fallback limit
     _check_fallback_matches_dense_oracle(m, arpack_fails)
 
 
@@ -863,9 +863,88 @@ def test_fallback_above_limit_raises(arpack_fails, monkeypatch):
         spectral_norm(m)
 
 
-def test_spectral_norm_large_zero_matrix_skips_solver(arpack_fails):
+def test_spectral_norm_large_zero_matrix_skips_fallback(arpack_fails, dense_solves):
+    # a zero operand is answered by the zero rule whatever error ARPACK raises on it
     assert spectral_norm(np.zeros((600, 600))) == 0.0
-    assert arpack_fails == []
+    assert len(arpack_fails) == 1 and dense_solves == []
+
+
+@pytest.fixture
+def dense_solves(monkeypatch):
+    """Record the size of each operand that ``_Operand.eigh`` decomposes densely."""
+    real = dynsc.spectral._Operand.eigh
+    seen = []
+
+    def spy(self, vectors):
+        seen.append(self.shape[0])
+        return real(self, vectors)
+
+    monkeypatch.setattr(dynsc.spectral._Operand, "eigh", spy)
+    return seen
+
+
+def test_any_arpack_error_falls_back_or_raises_typed(monkeypatch, dense_solves):
+    import scipy.sparse.linalg
+
+    def lapack_fails(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackError(-8)  # an ARPACK failure other than non-convergence
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lapack_fails)
+    m = random_symmetric(600, np.random.default_rng(14))
+    assert np.isclose(spectral_norm(m), np.abs(np.linalg.eigvalsh(m)).max(), rtol=1e-10)
+    assert dense_solves == [600]
+    monkeypatch.setattr(dynsc.spectral, "DENSE_FALLBACK_LIMIT", 550)
+    with pytest.raises(EigenSolverError, match="ARPACK error -8"):
+        top_k_eigenpairs(m, 3)
+    with pytest.raises(EigenSolverError, match="ARPACK error -8"):
+        spectral_norm(m)
+
+
+# ---------------------------------------------------------------------------
+# one eigensolver path: Lanczos at every n while k <= n - 2
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k, lanczos, dense", [
+    (3, ["dsymv", "operator"], []), (38, ["dsymv", "operator"], []),
+    (39, ["operator"], [40]), (40, [], [40])])
+def test_small_matrix_takes_lanczos_unless_k_above_n_minus_2(k, lanczos, dense,
+                                                             eigsh_operators, dense_solves):
+    m = random_symmetric(40, np.random.default_rng(49))
+    keys = np.sort(np.abs(np.linalg.eigvalsh(m)))[::-1]
+    basis = top_k_eigenpairs(m, k)
+    assert eigsh_operators == lanczos and dense_solves == dense
+    assert np.allclose(np.abs(basis.values), keys[:k], rtol=1e-8, atol=0.0)
+    if k < 40:
+        assert abs(basis.gap - (keys[k - 1] - keys[k])) <= dynsc.spectral.NORM_TOL * keys[0]
+
+
+def test_small_spectral_norm_takes_lanczos_unless_n_below_3(eigsh_operators, dense_solves):
+    for n in (3, 2):
+        m = random_symmetric(n, np.random.default_rng(50))
+        assert np.isclose(spectral_norm(m), np.abs(np.linalg.eigvalsh(m)).max(), rtol=1e-8)
+    assert eigsh_operators == ["dsymv"] and dense_solves == [2]
+
+
+@pytest.mark.parametrize("form", ["dense", "csr"])
+def test_zero_matrix_gets_zero_pairs_without_fallback(form, eigsh_operators, dense_solves):
+    # ARPACK fails on a zero operand ("starting vector is zero"); the zero rule answers
+    # with k zero eigenvalues and the unit vectors eigh gives, at any n and in either form
+    n, k = 200, 3
+    zero = scipy.sparse.csr_array((n, n)) if form == "csr" else np.zeros((n, n))
+    with pytest.warns(RuntimeWarning, match="degenerate"):
+        basis = top_k_eigenpairs(zero, k)
+    assert np.array_equal(basis.values, np.zeros(k))
+    assert np.array_equal(basis.vectors, np.eye(n, k))
+    assert basis.gap == 0.0 and basis.gap_degenerate
+    with pytest.warns(RuntimeWarning, match="degenerate"):
+        clustered = spectral_cluster(zero, k, seed=3)
+    assert np.array_equal(clustered.eigen.vectors, basis.vectors)
+    assert clustered.eigen.gap_degenerate
+    assert spectral_norm(zero) == 0.0
+    assert len(eigsh_operators) == 5 and dense_solves == []
+    with pytest.warns(RuntimeWarning, match="degenerate"):  # k > n - 2: eigh's own answer
+        assert np.array_equal(top_k_eigenpairs(zero, n - 1).vectors[:, :k], basis.vectors)
+    assert dense_solves == [n]
 
 
 @pytest.mark.parametrize("call, match", [
