@@ -8,13 +8,11 @@ theory empirically at desk scale.
 
 from .bounds import (
     DegreeDeviationStats,
-    LaplacianPerturbationCheck,
     RateCard,
     SmoothingBiasCheck,
     degree_deviation_stats,
     frobenius_diff_sq,
     frobenius_trajectory,
-    laplacian_perturbation_check,
     rate_card,
     smoothing_bias_check,
 )
@@ -65,13 +63,11 @@ from .smoothing import (
     SmoothingWeights,
     TuningProfile,
     Uniform,
-    WeightReport,
     exp_smooth_update,
     t_min_regime,
     t_min_weight_bound,
     t_min_weights,
     tuning_profile,
-    validate_weights,
     weighted_smooth,
     weighted_smooth_csr,
     weights_of,

@@ -18,18 +18,9 @@ import scipy.linalg
 from .dynamics import MembershipSequence, SnapshotSequence
 from .errors import InvalidInputError
 from .metrics import confusion_matrix
-from .sbm import (
-    CommunityLabels,
-    ConnectivityModel,
-    SizeProfile,
-    check_symmetric,
-    effective_sizes,
-    normalized_laplacian,
-)
+from .sbm import CommunityLabels, ConnectivityModel, SizeProfile, effective_sizes
 from .smoothing import SmoothingWeights, tuning_profile, weighted_history
-from .spectral import DENSE_FALLBACK_LIMIT, spectral_norm
-
-PERTURBATION_TOL = 1e-9  # absolute slack of laplacian_perturbation_check
+from .spectral import spectral_norm
 
 
 @dataclass(frozen=True)
@@ -111,48 +102,6 @@ def rate_card(sizes: SizeProfile, alpha: float, epsilon: float, delta: float = 0
         cond_lap_static=alpha / (sizes.mu_b * logn / sizes.nbar_min),
         cond_adj_static_improved=alpha / (logn / sizes.nbar_min),
     )
-
-
-# ---------------------------------------------------------------------------
-# Deterministic Laplacian perturbation inequality
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LaplacianPerturbationCheck:
-    lhs: float
-    rhs: float
-    d_min: float
-    holds: bool
-
-
-def _opnorm(m: np.ndarray) -> float:
-    """Operator 2-norm of a (possibly non-symmetric) dense matrix."""
-    if m.shape[0] > DENSE_FALLBACK_LIMIT:
-        raise InvalidInputError("matrix too large for a dense norm")
-    return float(np.linalg.svd(m, compute_uv=False)[0])
-
-
-def laplacian_perturbation_check(a: np.ndarray, p: np.ndarray) -> LaplacianPerturbationCheck:
-    """Check ``|L(A) - L(P)| <= |A - P| / d_min + |(D - D_P) P| / d_min^2``.
-
-    Both matrices must be symmetric and non-negative with strictly positive
-    row sums; ``d_min`` is the minimum over the row sums of both.
-    """
-    a = check_symmetric(a, "a")
-    p = check_symmetric(p, "p")
-    if a.shape != p.shape:
-        raise InvalidInputError("shape mismatch")
-    if a.min() < 0.0 or p.min() < 0.0:
-        raise InvalidInputError("matrices must be non-negative")
-    da = a.sum(axis=1)
-    dp = p.sum(axis=1)
-    d_min = float(min(da.min(), dp.min()))
-    if d_min <= 0.0:
-        raise InvalidInputError("zero row sum")
-    lhs = spectral_norm(normalized_laplacian(a) - normalized_laplacian(p))
-    rhs = spectral_norm(a - p) / d_min + _opnorm((da - dp)[:, None] * p) / d_min ** 2
-    return LaplacianPerturbationCheck(lhs=lhs, rhs=rhs, d_min=d_min,
-                                      holds=bool(lhs <= rhs + PERTURBATION_TOL))
 
 
 # ---------------------------------------------------------------------------

@@ -194,8 +194,6 @@ class ExperimentConfig:
                 raise InvalidInputError(f"config key {key!r}: {exc}") from None
         if "alpha" in kwargs or "alpha_inv_scale" in kwargs:
             kwargs.setdefault("alpha_log_scale", None)
-        if "alpha" in kwargs and "alpha_inv_scale" in kwargs:
-            raise InvalidInputError("set only one alpha parameterization")
         return cls(**kwargs)
 
 

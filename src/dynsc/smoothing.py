@@ -7,8 +7,11 @@ gives the ``beta_k``, and :func:`weighted_history` pairs each nonzero one with
 its step for every such sum, here and in :mod:`dynsc.bounds`. The sum is built
 as a dense array (:func:`weighted_smooth`) or, bit for bit equal, as a CSR array
 (:func:`weighted_smooth_csr`); :func:`smoothed_matrix` picks the form, and checks
-that it fits in free memory, for the sweep and ``cluster``. The weight conditions
-certifying concentration are checked numerically by :func:`validate_weights`; the
+that it fits in free memory, for the sweep and ``cluster``. The four weight
+conditions certifying concentration, for the constants a :class:`SmoothingWeights`
+claims, are: the weights sum to one; ``beta_k <= beta_max``;
+``sum beta_k^2 <= c_beta * beta_max``; and
+``sum beta_k * min(1, sqrt(k * eps)) <= c_beta_prime * sqrt(eps / beta_max)``. The
 optimal amount of smoothing is ``rho = min(1, sqrt(nbar_max * alpha * epsilon))``,
 evaluated by :func:`tuning_profile` together with the warm-up horizons ``t_min``.
 """
@@ -249,75 +252,6 @@ def exp_smooth_update(state: np.ndarray, a_t: AdjacencySnapshot, lam: float) -> 
 
 
 # ---------------------------------------------------------------------------
-# Weight conditions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WeightReport:
-    """Numerical evaluation of the four weight conditions.
-
-    Conditions, for claimed constants ``(beta_max, c_beta, c_beta_prime)``:
-    sum to one; ``beta_k <= beta_max``; ``sum beta_k^2 <= c_beta * beta_max``;
-    ``sum beta_k * min(1, sqrt(k * eps)) <= c_beta_prime * sqrt(eps / beta_max)``.
-    ``c_beta_tight`` / ``c_beta_prime_tight`` are the smallest constants that
-    would pass given the claimed ``beta_max``.
-    """
-
-    sum_ok: bool
-    bound_ok: bool
-    square_ok: bool
-    decay_ok: bool
-    sum_beta: float
-    max_beta: float
-    sum_beta_sq: float
-    decay_sum: float
-    beta_max: float
-    c_beta: float
-    c_beta_prime: float
-    c_beta_tight: float
-    c_beta_prime_tight: float
-
-    @property
-    def all_ok(self) -> bool:
-        return self.sum_ok and self.bound_ok and self.square_ok and self.decay_ok
-
-
-def validate_weights(w: SmoothingWeights, epsilon_n: float) -> WeightReport:
-    """Evaluate the weight conditions for ``w`` at regularity ``epsilon_n``.
-
-    The claimed constants are those carried by ``w``. All comparisons use a
-    1e-12 absolute slack: the weights are analytically exact, so only
-    rounding noise is expected.
-    """
-    if not 0.0 < epsilon_n <= 1.0:
-        raise InvalidInputError(f"epsilon_n must be in (0, 1], got {epsilon_n}")
-    beta_max, c_beta, c_beta_prime = w.beta_max, w.c_beta, w.c_beta_prime
-    betas = w.betas
-    ks = np.arange(betas.size, dtype=float)
-    sum_beta = float(betas.sum())
-    max_beta = float(betas.max())
-    sum_beta_sq = float((betas ** 2).sum())
-    decay_sum = float((betas * np.minimum(1.0, np.sqrt(ks * epsilon_n))).sum())
-    decay_rhs = c_beta_prime * math.sqrt(epsilon_n / beta_max)
-    tol = WEIGHT_SUM_TOL
-    return WeightReport(
-        sum_ok=abs(sum_beta - 1.0) <= tol,
-        bound_ok=max_beta <= beta_max + tol,
-        square_ok=sum_beta_sq <= c_beta * beta_max + tol,
-        decay_ok=decay_sum <= decay_rhs + tol,
-        sum_beta=sum_beta,
-        max_beta=max_beta,
-        sum_beta_sq=sum_beta_sq,
-        decay_sum=decay_sum,
-        beta_max=beta_max,
-        c_beta=c_beta,
-        c_beta_prime=c_beta_prime,
-        c_beta_tight=sum_beta_sq / beta_max,
-        c_beta_prime_tight=decay_sum / math.sqrt(epsilon_n / beta_max),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Tuning
 # ---------------------------------------------------------------------------
 
@@ -334,7 +268,7 @@ class TuningProfile:
     ``t_min_weight_bound`` is the one its weight horizon leaves out (see
     :func:`t_min_weights`). ``t_min`` is the maximum of the three: the first
     horizon at which both of the paper's statements and all four weight
-    conditions of :func:`validate_weights` hold for ``lambda = rho_n``.
+    conditions (see the module docstring) hold for ``lambda = rho_n``.
     """
 
     rho_n: float
@@ -379,9 +313,9 @@ def t_min_weights(beta_max: float, epsilon_n: float) -> float:
 
     It does not control the per-weight bound condition: the residual weight
     ``(1 - lambda)^t`` on the oldest snapshot only drops below ``lambda``
-    after :func:`t_min_weight_bound`, which can be up to twice as long, so
-    :func:`validate_weights` at this horizon alone can report
-    ``bound_ok=False``. :attr:`TuningProfile.t_min` takes both.
+    after :func:`t_min_weight_bound`, which can be up to twice as long, so at
+    this horizon alone the bound condition can fail. :attr:`TuningProfile.t_min`
+    takes both.
     """
     if beta_max >= 1.0:
         return 0.0

@@ -13,7 +13,8 @@ values err roughly by the square of that). The eigengap's first discarded
 magnitude is such a norm, of the matrix with the selected pairs deflated. Every
 solve multiplies by one operand: a dense matrix through BLAS ``dsymv``, a CSR
 one as CSR, less a low-rank term in factored form. A dense decomposition is
-left only for ``k > n - 2``, where Lanczos cannot run, and for its failures.
+left only for ``k > n - 2``, where Lanczos cannot run, and for its failures;
+it yields the whole spectrum, gap included, at once.
 
 The k-means step uses distance-squared-weighted random seeding plus Lloyd
 iterations with restarts, and stops restarting once the best cost has been
@@ -181,11 +182,12 @@ def top_k_eigenpairs(m, k: int) -> EigenBasis:
     """The ``k`` eigenpairs of largest magnitude of a symmetric ndarray or ``scipy.sparse`` matrix.
 
     Deterministic up to sign, with signs canonicalized. The ``k`` pairs are
-    accurate to ``EIGENPAIR_TOL`` relative, and the first discarded magnitude
-    is the norm of ``m - V Λ Vᵀ`` to ``NORM_TOL``, from a start vector of its
-    own so that it finds further copies of a repeated eigenvalue. The gap is
-    flagged degenerate when it is at most ``NORM_TOL`` times
-    ``max(1, |value_1|)``.
+    accurate to ``EIGENPAIR_TOL`` relative. After a Lanczos solve the first
+    discarded magnitude is the norm of ``m - V Λ Vᵀ`` to ``NORM_TOL``, from a
+    start vector of its own so that it finds further copies of a repeated
+    eigenvalue; after a dense decomposition it is read from the spectrum that
+    decomposition already holds. The gap is flagged degenerate when it is at
+    most ``NORM_TOL`` times ``max(1, |value_1|)``.
     """
     m = check_symmetric(m)
     n = m.shape[0]
@@ -194,13 +196,17 @@ def top_k_eigenpairs(m, k: int) -> EigenBasis:
     values, vectors = _leading_eigs(m, k, vectors=True, tol=EIGENPAIR_TOL)
 
     keys = np.abs(values)
-    top = np.argsort(-keys, kind="stable")[:k]
+    order = np.argsort(-keys, kind="stable")
+    top = order[:k]
     values, vectors = values[top].astype(float), vectors[:, top].astype(float)
     gap, degenerate = float("inf"), False
     if k < n:
-        deflated = _leading_eigs(m, 1, vectors=False, tol=NORM_TOL,
-                                 minus=(vectors, np.diag(values)), draw=1)
-        gap = float(keys[top[-1]] - np.abs(deflated).max())
+        if keys.size > k:  # a dense decomposition: all n values
+            discarded = keys[order[k]]
+        else:
+            discarded = np.abs(_leading_eigs(m, 1, vectors=False, tol=NORM_TOL,
+                                             minus=(vectors, np.diag(values)), draw=1)).max()
+        gap = float(keys[top[-1]] - discarded)
         degenerate = gap <= NORM_TOL * max(1.0, float(keys.max()))
         if degenerate:
             warnings.warn(f"eigengap {gap:.3e} is numerically degenerate", RuntimeWarning,

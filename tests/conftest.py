@@ -1,6 +1,13 @@
-"""Shared test helpers: independent oracles used to freeze expected values."""
+"""Shared test helpers: independent oracles used to freeze expected values.
+
+The paper's two lemma checks live here too: :func:`validate_weights` evaluates
+the four weight conditions on ``beta_k``, and :func:`laplacian_perturbation_check`
+the deterministic perturbation inequality for the normalized Laplacian.
+"""
 
 import itertools
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +21,15 @@ from dynsc import (
     ConnectivityModel,
     ErrorReport,
     InvalidInputError,
+    SmoothingWeights,
     build_probability_matrix,
     confusion_matrix,
+    normalized_laplacian,
     spectral_norm,
 )
-from dynsc.spectral import KMeansResult
+from dynsc.sbm import check_symmetric
+from dynsc.smoothing import WEIGHT_SUM_TOL
+from dynsc.spectral import DENSE_FALLBACK_LIMIT, KMeansResult
 from dynsc.util import subseed
 
 
@@ -244,3 +255,117 @@ def kmeans_oracle(points, k: int, restarts: int = 20, seed: int = 0) -> KMeansRe
     labels, centers, cost, degenerate = best
     return KMeansResult(labels=labels, centroids=centers, cost=cost,
                         restarts_used=len(costs), degenerate=degenerate)
+
+
+# ---------------------------------------------------------------------------
+# Weight conditions
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class WeightReport:
+    """Numerical evaluation of the four weight conditions.
+
+    Conditions, for claimed constants ``(beta_max, c_beta, c_beta_prime)``:
+    sum to one; ``beta_k <= beta_max``; ``sum beta_k^2 <= c_beta * beta_max``;
+    ``sum beta_k * min(1, sqrt(k * eps)) <= c_beta_prime * sqrt(eps / beta_max)``.
+    ``c_beta_tight`` / ``c_beta_prime_tight`` are the smallest constants that
+    would pass given the claimed ``beta_max``.
+    """
+
+    sum_ok: bool
+    bound_ok: bool
+    square_ok: bool
+    decay_ok: bool
+    sum_beta: float
+    max_beta: float
+    sum_beta_sq: float
+    decay_sum: float
+    beta_max: float
+    c_beta: float
+    c_beta_prime: float
+    c_beta_tight: float
+    c_beta_prime_tight: float
+
+    @property
+    def all_ok(self) -> bool:
+        return self.sum_ok and self.bound_ok and self.square_ok and self.decay_ok
+
+
+def validate_weights(w: SmoothingWeights, epsilon_n: float) -> WeightReport:
+    """Evaluate the weight conditions for ``w`` at regularity ``epsilon_n``.
+
+    The claimed constants are those carried by ``w``. All comparisons use a
+    1e-12 absolute slack: the weights are analytically exact, so only
+    rounding noise is expected.
+    """
+    if not 0.0 < epsilon_n <= 1.0:
+        raise InvalidInputError(f"epsilon_n must be in (0, 1], got {epsilon_n}")
+    beta_max, c_beta, c_beta_prime = w.beta_max, w.c_beta, w.c_beta_prime
+    betas = w.betas
+    ks = np.arange(betas.size, dtype=float)
+    sum_beta = float(betas.sum())
+    max_beta = float(betas.max())
+    sum_beta_sq = float((betas ** 2).sum())
+    decay_sum = float((betas * np.minimum(1.0, np.sqrt(ks * epsilon_n))).sum())
+    decay_rhs = c_beta_prime * math.sqrt(epsilon_n / beta_max)
+    tol = WEIGHT_SUM_TOL
+    return WeightReport(
+        sum_ok=abs(sum_beta - 1.0) <= tol,
+        bound_ok=max_beta <= beta_max + tol,
+        square_ok=sum_beta_sq <= c_beta * beta_max + tol,
+        decay_ok=decay_sum <= decay_rhs + tol,
+        sum_beta=sum_beta,
+        max_beta=max_beta,
+        sum_beta_sq=sum_beta_sq,
+        decay_sum=decay_sum,
+        beta_max=beta_max,
+        c_beta=c_beta,
+        c_beta_prime=c_beta_prime,
+        c_beta_tight=sum_beta_sq / beta_max,
+        c_beta_prime_tight=decay_sum / math.sqrt(epsilon_n / beta_max),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Deterministic Laplacian perturbation inequality
+# ---------------------------------------------------------------------------
+
+PERTURBATION_TOL = 1e-9  # absolute slack of laplacian_perturbation_check
+
+
+@dataclass(frozen=True)
+class LaplacianPerturbationCheck:
+    lhs: float
+    rhs: float
+    d_min: float
+    holds: bool
+
+
+def _opnorm(m: np.ndarray) -> float:
+    """Operator 2-norm of a (possibly non-symmetric) dense matrix."""
+    if m.shape[0] > DENSE_FALLBACK_LIMIT:
+        raise InvalidInputError("matrix too large for a dense norm")
+    return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
+def laplacian_perturbation_check(a: np.ndarray, p: np.ndarray) -> LaplacianPerturbationCheck:
+    """Check ``|L(A) - L(P)| <= |A - P| / d_min + |(D - D_P) P| / d_min^2``.
+
+    Both matrices must be symmetric and non-negative with strictly positive
+    row sums; ``d_min`` is the minimum over the row sums of both.
+    """
+    a = check_symmetric(a, "a")
+    p = check_symmetric(p, "p")
+    if a.shape != p.shape:
+        raise InvalidInputError("shape mismatch")
+    if a.min() < 0.0 or p.min() < 0.0:
+        raise InvalidInputError("matrices must be non-negative")
+    da = a.sum(axis=1)
+    dp = p.sum(axis=1)
+    d_min = float(min(da.min(), dp.min()))
+    if d_min <= 0.0:
+        raise InvalidInputError("zero row sum")
+    lhs = spectral_norm(normalized_laplacian(a) - normalized_laplacian(p))
+    rhs = spectral_norm(a - p) / d_min + _opnorm((da - dp)[:, None] * p) / d_min ** 2
+    return LaplacianPerturbationCheck(lhs=lhs, rhs=rhs, d_min=d_min,
+                                      holds=bool(lhs <= rhs + PERTURBATION_TOL))

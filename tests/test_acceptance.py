@@ -11,7 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import misclassification_error_bruteforce
+from conftest import (
+    laplacian_perturbation_check,
+    misclassification_error_bruteforce,
+    validate_weights,
+)
 from dynsc import (
     CommunityLabels,
     ConnectivityModel,
@@ -23,7 +27,6 @@ from dynsc import (
     build_probability_matrix,
     effective_sizes,
     gen_deterministic_sequence,
-    laplacian_perturbation_check,
     misclassification_error,
     normalized_laplacian,
     run_sweep,
@@ -34,11 +37,9 @@ from dynsc import (
     spectral_norm,
     t_min_weights,
     tuning_profile,
-    validate_weights,
-    weighted_smooth,
     weights_of,
 )
-from dynsc.experiments import median_by_grid, smoothed_matrix
+from dynsc.experiments import median_by_grid, reference_matrices, smoothed_matrix
 from dynsc.util import subseed
 
 
@@ -141,10 +142,10 @@ def test_c04_smoothing_improves_concentration():
             seed=subseed(1004, 1, trial))
         seq = gen_deterministic_sequence(cfg)
         snaps = sample_snapshot_sequence(seq, model, subseed(1004, 2, trial))
-        p = build_probability_matrix(seq.thetas[-1], model)
-        betas = weights_of(Exponential(lam), t_len).betas
-        smoothed.append(spectral_norm(weighted_smooth(snaps.snapshots, betas) - p))
-        static.append(spectral_norm(snaps.snapshots[-1].to_dense() - p))
+        # the sweep's data path: its smoothed matrix against rank-K factors of P_t
+        ref = reference_matrices(seq.thetas[-1], model, ("adjacency",))["adjacency"]
+        smoothed.append(spectral_norm(smoothed_matrix(snaps, Exponential(lam)), minus=ref))
+        static.append(spectral_norm(smoothed_matrix(snaps, Exponential(1.0)), minus=ref))
     med_s, med_0 = float(np.median(smoothed)), float(np.median(static))
     ok = med_s < 0.8 * med_0
     _report(4, "smoothing improves concentration", ok,
@@ -169,11 +170,10 @@ def test_c05_optimal_lambda_scaling():
                     n_max=n_max, seed=subseed(1005, 1, trial))
                 seq = gen_deterministic_sequence(cfg)
                 snaps = sample_snapshot_sequence(seq, model, subseed(1005, 2, trial))
-                p = build_probability_matrix(seq.thetas[-1], model)
+                ref = reference_matrices(seq.thetas[-1], model, ("adjacency",))["adjacency"]
                 for lam in lam_grid:
-                    betas = weights_of(Exponential(lam), t_len).betas
                     errs[lam].append(
-                        spectral_norm(weighted_smooth(snaps.snapshots, betas) - p))
+                        spectral_norm(smoothed_matrix(snaps, Exponential(lam)), minus=ref))
             med = {lam: float(np.median(v)) for lam, v in errs.items()}
             star = min(med, key=med.get)
             cells[(c_alpha, eps)] = star / math.sqrt(alpha * n * eps)

@@ -4,7 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import dense_bias_oracle, operator_bias_oracle, random_nonneg_symmetric
+from conftest import (
+    dense_bias_oracle,
+    laplacian_perturbation_check,
+    operator_bias_oracle,
+    random_nonneg_symmetric,
+)
 from dynsc import (
     CommunityLabels,
     ConnectivityModel,
@@ -20,7 +25,6 @@ from dynsc import (
     frobenius_trajectory,
     gen_deterministic_sequence,
     gen_markov_sequence,
-    laplacian_perturbation_check,
     MarkovDsbmConfig,
     rate_card,
     sample_snapshot_sequence,

@@ -1,5 +1,7 @@
-"""dynsc runs on numpy and scipy alone, and never loads ``scipy.optimize``."""
+"""dynsc runs on numpy and scipy alone, never loads ``scipy.optimize``, and exports only
+what its library or its benchmark uses."""
 
+import ast
 import json
 import os
 import subprocess
@@ -8,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # Run under ``python -S``, so that no ``.pth`` file imports anything first:
 # puts site-packages on the path, hides every installed package but numpy
@@ -83,3 +86,32 @@ def test_scipy_optimize_is_never_loaded(probe):
     # the assignment of metrics runs on scipy.sparse.csgraph; scipy.optimize
     # alone would add about a quarter to the import time
     assert probe["optimize"] == {"import": [], "evaluate_cell": []}
+
+
+def _referenced(path: Path, strings: bool) -> set:
+    """The ``Name`` ids and ``Attribute`` names in a module, and its string constants if asked."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_export_has_a_library_or_benchmark_caller():
+    # a name only the tests call is a test oracle, and belongs under tests/; the
+    # benchmark's span table names the layers it wraps as strings
+    package = SRC / "dynsc"
+    exported = {alias.asname or alias.name
+                for node in ast.parse((package / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            used |= _referenced(path, strings=False)
+    for path in (ROOT / "bench").glob("*.py"):
+        used |= _referenced(path, strings=True)
+    assert sorted(exported - used) == []

@@ -44,7 +44,7 @@ def test_config_validation():
         ExperimentConfig(t_len=5, r_grid=(7,))
     with pytest.raises(InvalidInputError, match="unknown mode"):
         ExperimentConfig(mode="static")
-    with pytest.raises(InvalidInputError, match="set only one alpha"):
+    with pytest.raises(InvalidInputError, match="exactly one of alpha"):
         ExperimentConfig.from_kv({"alpha": "0.1", "alpha_inv_scale": "3"})
     cfg = ExperimentConfig(n=100, alpha_inv_scale=8.0, alpha_log_scale=None)
     assert np.isclose(cfg.resolved_alpha, 0.08)

@@ -6,7 +6,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import upper_csr_oracle
+from conftest import upper_csr_oracle, validate_weights
 from dynsc import (
     AdjacencySnapshot,
     CommunityLabels,
@@ -28,7 +28,6 @@ from dynsc import (
     t_min_weight_bound,
     t_min_weights,
     tuning_profile,
-    validate_weights,
     weighted_smooth,
     weighted_smooth_csr,
     weights_of,
