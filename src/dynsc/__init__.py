@@ -48,7 +48,6 @@ from .sbm import (
     ConnectivityModel,
     SizeProfile,
     build_probability_matrix,
-    degrees,
     effective_sizes,
     expected_degrees,
     load_snapshot,

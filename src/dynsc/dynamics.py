@@ -300,7 +300,7 @@ def load_sequence(directory):
     if "tau" in manifest:
         model = ConnectivityModel.planted_partition(k, alpha, value("tau", float))
     else:
-        model = ConnectivityModel.from_kernel(k, alpha, value("b0", lambda text: np.array(
+        model = ConnectivityModel(k, alpha, value("b0", lambda text: np.array(
             [[float(v) for v in row.split()] for row in text.split(";")])))
     n, t_len = value("n", int), value("t_len", int)
     try:

@@ -52,8 +52,6 @@ from .spectral import spectral_cluster, spectral_norm
 from .util import subseed
 
 CSV_SCHEMA_VERSION = "dynsc-sweep-csv v1"
-CSV_COLUMNS = ("trial", "t", "grid_param_kind", "grid_param_value", "matrix_kind",
-               "spec_err", "ari", "e_value", "kmeans_cost", "eigengap", "seed", "wall_ms")
 
 _TAG_TRIAL_MEMBERSHIP = 11
 _TAG_TRIAL_SNAPSHOTS = 12
@@ -218,6 +216,9 @@ class RunRecord:
     eigengap: float
     seed: int
     wall_ms: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(RunRecord))
 
 
 def membership_sequence(cfg: ExperimentConfig, seed: int) -> MembershipSequence:
@@ -446,12 +447,6 @@ def records_to_csv(records: list[RunRecord]) -> str:
 
 def write_records_csv(records: list[RunRecord], path) -> None:
     Path(path).write_text(records_to_csv(records))
-
-
-def read_records_csv(path) -> list[RunRecord]:
-    lines = [ln for ln in Path(path).read_text().splitlines() if not ln.startswith("#")]
-    return [RunRecord(**{f.name: _CASTS[f.type](row[f.name]) for f in fields(RunRecord)})
-            for row in csv.DictReader(lines)]
 
 
 def plot_data_by_grid(records: list[RunRecord], cfg: ExperimentConfig) -> str:

@@ -2,7 +2,7 @@
 
 Community labels, block connectivity models, connection-probability matrices,
 Bernoulli adjacency sampling (from labels in O(n + edges), or from an arbitrary
-probability matrix), degrees, the normalized Laplacian ``D^{-1/2} A D^{-1/2}``
+probability matrix), the normalized Laplacian ``D^{-1/2} A D^{-1/2}``
 (dense or CSR), and the extremal expected-degree scales used by the
 concentration rates.
 
@@ -161,10 +161,6 @@ class ConnectivityModel:
         np.fill_diagonal(b0, 1.0)
         return cls(k=k, alpha=alpha, b0=b0, tau=float(tau))
 
-    @classmethod
-    def from_kernel(cls, k: int, alpha: float, b0: np.ndarray) -> "ConnectivityModel":
-        return cls(k=k, alpha=alpha, b0=b0, tau=None)
-
     @property
     def is_planted(self) -> bool:
         return self.tau is not None
@@ -237,16 +233,6 @@ class AdjacencySnapshot:
     def degrees(self) -> np.ndarray:
         d = np.bincount(self.rows, minlength=self.n) + np.bincount(self.cols, minlength=self.n)
         return d.astype(np.float64)
-
-    @classmethod
-    def from_dense(cls, a: np.ndarray) -> "AdjacencySnapshot":
-        a = check_symmetric(np.asarray(a), "adjacency")
-        if np.any(np.diag(a) != 0):
-            raise InvalidInputError("adjacency must have zero diagonal")
-        if not np.isin(a, (0, 1)).all():
-            raise InvalidInputError("adjacency entries must be 0 or 1")
-        rows, cols = np.nonzero(np.triu(a, k=1))
-        return cls(a.shape[0], rows, cols)
 
 
 def build_probability_matrix(labels: CommunityLabels, model: ConnectivityModel) -> np.ndarray:
@@ -329,14 +315,6 @@ def sample_sbm(labels: CommunityLabels, model: ConnectivityModel, seed) -> Adjac
     return AdjacencySnapshot(n, keys // n, keys % n)
 
 
-def degrees(m) -> np.ndarray:
-    """Row sums ``d_i = sum_j M_ij`` of a symmetric matrix or snapshot."""
-    if isinstance(m, AdjacencySnapshot):
-        return m.degrees()
-    m = check_symmetric(m)
-    return m.sum(axis=1)
-
-
 def _inverse_sqrt_degrees(d: np.ndarray, zero_degree: str) -> np.ndarray:
     """``1 / sqrt(d)`` under a zero-degree policy of :func:`normalized_laplacian`."""
     if zero_degree == "error":
@@ -364,8 +342,8 @@ def normalized_laplacian(m: np.ndarray, zero_degree: str = "error") -> np.ndarra
     (appropriate for probability matrices, whose degrees are positive by
     construction) and ``"zero-row"`` zeroes the corresponding rows and columns
     (appropriate for sampled graphs, where sparse regimes produce isolated
-    nodes). NaN is never emitted. Isolated nodes can be recovered by the
-    caller as ``degrees(m) == 0``.
+    nodes). NaN is never emitted. Isolated nodes are the zero row sums of
+    ``m``.
     """
     m = check_symmetric(m)
     inv = _inverse_sqrt_degrees(m.sum(axis=1), zero_degree)

@@ -5,9 +5,10 @@ the four weight conditions on ``beta_k``, and :func:`laplacian_perturbation_chec
 the deterministic perturbation inequality for the normalized Laplacian.
 """
 
+import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from dynsc import (
     normalized_laplacian,
     spectral_norm,
 )
+from dynsc.experiments import _CASTS, RunRecord
 from dynsc.sbm import check_symmetric
 from dynsc.smoothing import WEIGHT_SUM_TOL
 from dynsc.spectral import DENSE_FALLBACK_LIMIT, KMeansResult
@@ -62,6 +64,13 @@ def save_snapshot_oracle(snap, path) -> None:
     lines = [f"n={snap.n}"]
     lines.extend(f"{i} {j}" for i, j in zip(snap.rows.tolist(), snap.cols.tolist()))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_records_csv(path) -> list[RunRecord]:
+    """Parse a sweep CSV back into records by field annotation: the oracle for what was written."""
+    lines = [ln for ln in Path(path).read_text().splitlines() if not ln.startswith("#")]
+    return [RunRecord(**{f.name: _CASTS[f.type](row[f.name]) for f in fields(RunRecord)})
+            for row in csv.DictReader(lines)]
 
 
 def upper_csr_oracle(live, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

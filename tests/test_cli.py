@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import save_labels_oracle
+from conftest import read_records_csv, save_labels_oracle
 from dynsc import ExperimentConfig, Exponential, InvalidInputError, load_sequence, weights_of
 from dynsc.cli import (
     EXIT_IO,
@@ -255,8 +255,6 @@ def test_cluster_honours_config_matrix_and_seed(tmp_path, monkeypatch, capsys, b
 
 
 def test_cluster_spec_err_matches_sweep_trial0(tmp_path, capsys):
-    from dynsc.experiments import read_records_csv
-
     out = tmp_path / "sweep"
     assert main(["sweep", *TINY, "--lambda-grid", "0.3", "--out", str(out)]) == EXIT_OK
     records = [r for r in read_records_csv(out / "sweep.csv") if r.trial == 0]

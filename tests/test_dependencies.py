@@ -1,5 +1,5 @@
-"""dynsc runs on numpy and scipy alone, never loads ``scipy.optimize``, and exports only
-what its library or its benchmark uses."""
+"""dynsc runs on numpy and scipy alone, never loads ``scipy.optimize``, and has no
+export, public function or classmethod that only its tests call."""
 
 import ast
 import json
@@ -88,30 +88,99 @@ def test_scipy_optimize_is_never_loaded(probe):
     assert probe["optimize"] == {"import": [], "evaluate_cell": []}
 
 
-def _referenced(path: Path, strings: bool) -> set:
-    """The ``Name`` ids and ``Attribute`` names in a module, and its string constants if asked."""
-    names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value)
+PACKAGE = SRC / "dynsc"
+
+
+def _module(path: Path) -> str:
+    return "dynsc" if path.name == "__init__.py" else f"dynsc.{path.stem}"
+
+
+def _exports() -> dict:
+    """``dynsc.<name>`` of each package export, mapped to where it is defined."""
+    return {f"dynsc.{alias.asname or alias.name}": f"dynsc.{node.module}.{alias.name}"
+            for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def _resolve(qualname: str, exports: dict) -> str:
+    """``qualname`` with a leading package export replaced by its defining module's path."""
+    head = ".".join(qualname.split(".")[:2])
+    return exports[head] + qualname[len(head):] if head in exports else qualname
+
+
+def _entry_points() -> set:
+    """Every export, public module-level function and public classmethod of the library."""
+    exports = _exports()
+    names = set(exports.values())
+    for path in PACKAGE.glob("*.py"):
+        module = _module(path)
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                names.add(f"{module}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                names.update(f"{module}.{node.name}.{item.name}" for item in node.body
+                             if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                             and any(isinstance(d, ast.Name) and d.id == "classmethod"
+                                     for d in item.decorator_list))
     return names
 
 
-def test_every_export_has_a_library_or_benchmark_caller():
-    # a name only the tests call is a test oracle, and belongs under tests/; the
-    # benchmark's span table names the layers it wraps as strings
-    package = SRC / "dynsc"
-    exported = {alias.asname or alias.name
-                for node in ast.parse((package / "__init__.py").read_text()).body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
+def _bindings(path: Path, tree: ast.Module) -> dict:
+    """Each name a module binds to a dynsc module or object: its imports and, in the library,
+    its own module-level functions and classes."""
+    bound = {}
+    if path.parent == PACKAGE:
+        bound.update((node.name, f"{_module(path)}.{node.name}") for node in tree.body
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            # ``import dynsc.sbm`` binds ``dynsc``; ``import dynsc.sbm as s`` binds the module
+            bound.update((alias.asname or "dynsc", alias.name if alias.asname else "dynsc")
+                         for alias in node.names if alias.name.split(".")[0] == "dynsc")
+        elif isinstance(node, ast.ImportFrom):
+            source = (".".join(filter(None, ["dynsc", node.module])) if node.level
+                      else node.module or "")
+            if source.split(".")[0] == "dynsc":
+                bound.update((alias.asname or alias.name, f"{source}.{alias.name}")
+                             for alias in node.names)
+    return bound
+
+
+def _callers(path: Path, exports: dict, strings: bool) -> set:
+    """The dynsc entry points a module refers to through a binding, and its string constants
+    if asked. A ``Name`` resolves through the module's own bindings; an ``Attribute``
+    counts only on a chain that starts at one (``sbm.x``, ``dynsc.X.y``), never on a value
+    such as ``snap.degrees``."""
+    tree = ast.parse(path.read_text())
+    bound = _bindings(path, tree)
+
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if isinstance(node, ast.Attribute):
+            base = dotted(node.value)
+            return base and f"{base}.{node.attr}"
+        return None
+
     used = set()
-    for path in package.glob("*.py"):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)) and (name := dotted(node)):
+            used.add(_resolve(name, exports))
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
+def test_every_export_has_a_library_or_benchmark_caller():
+    # an entry point only the tests call is a test oracle, and belongs under tests/;
+    # the benchmark's span table names the layers it wraps as bare strings
+    exports = _exports()
+    used = set()
+    for path in PACKAGE.glob("*.py"):
         if path.name != "__init__.py":
-            used |= _referenced(path, strings=False)
+            used |= _callers(path, exports, strings=False)
     for path in (ROOT / "bench").glob("*.py"):
-        used |= _referenced(path, strings=True)
-    assert sorted(exported - used) == []
+        used |= _callers(path, exports, strings=True)
+    uncalled = {name for name in _entry_points()
+                if name not in used and name.rsplit(".", 1)[1] not in used}
+    assert sorted(uncalled) == []

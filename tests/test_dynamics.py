@@ -225,7 +225,7 @@ def test_sequence_roundtrip(tmp_path):
 
 def test_sequence_roundtrip_general_kernel(tmp_path):
     b0 = np.array([[1.0, 0.25], [0.25, 0.5]])
-    model = ConnectivityModel.from_kernel(2, 0.4, b0)
+    model = ConnectivityModel(2, 0.4, b0)
     cfg = DeterministicDsbmConfig(n=12, model=model, t_len=2, s=1, n_min=3, n_max=9,
                                   seed=2)
     seq = gen_deterministic_sequence(cfg)
@@ -250,7 +250,7 @@ def _fixture_sequence(name):
             n=12, model=model, t_len=3, s=2, n_min=3, n_max=5, seed=7))
         seed = 7
     else:
-        model = ConnectivityModel.from_kernel(2, 0.6, B0)
+        model = ConnectivityModel(2, 0.6, B0)
         seq = gen_markov_sequence(MarkovDsbmConfig(n=11, model=model, t_len=2, epsilon=0.2,
                                                    seed=8))
         seed = 8

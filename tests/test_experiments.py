@@ -8,7 +8,7 @@ import scipy.sparse
 
 import dynsc
 from dynsc import experiments
-from conftest import kmeans_oracle, random_labels
+from conftest import kmeans_oracle, random_labels, read_records_csv
 from dynsc import ExperimentConfig, Exponential, InvalidInputError, run_sweep, summarize, weights_of
 from dynsc.smoothing import tuning_profile
 from dynsc.experiments import (
@@ -17,7 +17,6 @@ from dynsc.experiments import (
     membership_sequence,
     median_by_grid,
     plot_data_by_grid,
-    read_records_csv,
     records_to_csv,
     reference_matrices,
     write_records_csv,
@@ -307,7 +306,7 @@ def test_record_recomputable_from_sequence_and_seed(small_records):
 # reference factors: P_t and L(P_t) as U C U^T, never built on the sweep path
 # ---------------------------------------------------------------------------
 
-KERNEL3 = dynsc.ConnectivityModel.from_kernel(
+KERNEL3 = dynsc.ConnectivityModel(
     3, 0.3, np.array([[1.0, 0.2, 0.05], [0.2, 0.7, 0.4], [0.05, 0.4, 0.9]]))
 
 
@@ -336,7 +335,7 @@ def test_reference_matrices_reject_a_k_mismatch():
 
 def test_laplacian_factors_reject_zero_degree():
     b0 = np.array([[1.0, 0.0], [0.0, 0.0]])  # community 1 has no possible edges
-    model = dynsc.ConnectivityModel.from_kernel(2, 0.5, b0)
+    model = dynsc.ConnectivityModel(2, 0.5, b0)
     truth = dynsc.CommunityLabels([0, 0, 1, 1], 2)
     reference_matrices(truth, model, ("adjacency",))  # no degrees needed
     with pytest.raises(dynsc.ZeroDegreeError):

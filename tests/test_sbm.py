@@ -20,7 +20,6 @@ from dynsc import (
     InvalidInputError,
     ZeroDegreeError,
     build_probability_matrix,
-    degrees,
     effective_sizes,
     expected_degrees,
     load_snapshot,
@@ -63,9 +62,9 @@ def test_model_validation():
     with pytest.raises(InvalidInputError):
         ConnectivityModel.planted_partition(2, 0.5, 1.0)
     with pytest.raises(InvalidInputError):
-        ConnectivityModel.from_kernel(2, 0.5, np.array([[1.0, 0.2], [0.3, 1.0]]))
+        ConnectivityModel(2, 0.5, np.array([[1.0, 0.2], [0.3, 1.0]]))
     with pytest.raises(InvalidInputError):
-        ConnectivityModel.from_kernel(2, 0.5, np.array([[1.2, 0.2], [0.2, 1.0]]))
+        ConnectivityModel(2, 0.5, np.array([[1.2, 0.2], [0.2, 1.0]]))
     m = ConnectivityModel.planted_partition(3, 0.4, 0.25)
     assert m.b0[0, 0] == 1.0 and m.b0[0, 1] == 0.25
     assert m.gamma == 0.75
@@ -73,7 +72,7 @@ def test_model_validation():
 
 def test_model_gamma_general_kernel():
     b0 = np.array([[1.0, 0.2], [0.2, 0.6]])
-    m = ConnectivityModel.from_kernel(2, 0.5, b0)
+    m = ConnectivityModel(2, 0.5, b0)
     assert np.isclose(m.gamma, np.linalg.eigvalsh(b0)[0])
 
 
@@ -86,7 +85,7 @@ def test_snapshot_validation():
     dense = snap.to_dense()
     assert np.array_equal(dense, dense.T)
     assert np.all(np.diag(dense) == 0)
-    assert AdjacencySnapshot.from_dense(dense).edge_count == 2
+    assert np.array_equal(np.nonzero(np.triu(dense, 1)), (snap.rows, snap.cols))
 
 
 def test_snapshot_rejects_duplicate_edge_in_unsorted_input():
@@ -110,7 +109,7 @@ def test_sorted_edges_are_validated_without_a_sort(monkeypatch):
     real_sort = np.sort
     monkeypatch.setattr(np, "sort", lambda *a, **kw: sorts.append(1) or real_sort(*a, **kw))
     AdjacencySnapshot(5, np.array([0, 1, 2]), np.array([1, 4, 3]))
-    AdjacencySnapshot.from_dense(np.ones((4, 4)) - np.eye(4))
+    AdjacencySnapshot(4, *np.nonzero(np.triu(np.ones((4, 4)), 1)))  # row-major
     assert sorts == []
     AdjacencySnapshot(5, np.array([1, 0]), np.array([4, 1]))  # valid, but out of order
     assert sorts == [1]
@@ -151,7 +150,7 @@ def test_snapshot_rejects_n_whose_edge_keys_overflow_int64(tmp_path):
         load_snapshot(path)
 
 
-@pytest.mark.parametrize("source", ["sample_sbm", "load_snapshot", "from_dense", "int64_lists"])
+@pytest.mark.parametrize("source", ["sample_sbm", "load_snapshot", "int64_lists"])
 def test_snapshot_stores_4_bytes_per_edge(tmp_path, source):
     lab = random_labels(1000, 3, np.random.default_rng(35))
     sampled = sample_sbm(lab, ConnectivityModel.planted_partition(3, 0.02, 0.4), 9)
@@ -159,7 +158,6 @@ def test_snapshot_stores_4_bytes_per_edge(tmp_path, source):
     snap = {
         "sample_sbm": lambda: sampled,
         "load_snapshot": lambda: load_snapshot(tmp_path / "snap.txt"),
-        "from_dense": lambda: AdjacencySnapshot.from_dense(sampled.to_dense()),
         "int64_lists": lambda: AdjacencySnapshot(sampled.n, sampled.rows.astype(np.int64).tolist(),
                                                  sampled.cols.astype(np.int64).tolist()),
     }[source]()
@@ -189,7 +187,7 @@ def test_probability_matrix_planted_example():
 
 def test_probability_matrix_general_kernel_example():
     lab = CommunityLabels([0, 1], 2)
-    model = ConnectivityModel.from_kernel(2, 0.1, np.array([[1.0, 0.3], [0.3, 0.8]]))
+    model = ConnectivityModel(2, 0.1, np.array([[1.0, 0.3], [0.3, 0.8]]))
     p = build_probability_matrix(lab, model)
     assert np.allclose(p, [[0.1, 0.03], [0.03, 0.08]])
 
@@ -204,7 +202,7 @@ def test_probability_matrix_matches_loop_oracle():
     rng = np.random.default_rng(3)
     lab = random_labels(17, 3, rng)
     b0 = np.array([[1.0, 0.3, 0.1], [0.3, 0.9, 0.2], [0.1, 0.2, 0.7]])
-    model = ConnectivityModel.from_kernel(3, 0.4, b0)
+    model = ConnectivityModel(3, 0.4, b0)
     assert np.array_equal(build_probability_matrix(lab, model),
                           dense_probability_oracle(lab, model))
 
@@ -396,7 +394,7 @@ def test_sampling_unbiasedness():
 # ---------------------------------------------------------------------------
 
 # non-planted k=3 kernel with alpha=1: block (0, 0) at p=1, block (0, 2) at p=0
-KERNEL3 = ConnectivityModel.from_kernel(
+KERNEL3 = ConnectivityModel(
     3, 1.0, np.array([[1.0, 0.3, 0.0], [0.3, 0.5, 0.2], [0.0, 0.2, 0.6]]))
 
 
@@ -445,7 +443,7 @@ def test_triu_decode_matches_triu_indices(size):
 def test_sample_sbm_zero_one_kernel_is_exact(labels, k):
     # with 0/1 probabilities the graph is determined: the strict upper triangle of P
     b0 = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0]])[:k, :k]
-    model = ConnectivityModel.from_kernel(k, 1.0, b0)
+    model = ConnectivityModel(k, 1.0, b0)
     lab = CommunityLabels(labels, k)
     snap = sample_sbm(lab, model, 0)
     rows, cols = np.nonzero(np.triu(build_probability_matrix(lab, model), k=1))
@@ -489,22 +487,16 @@ def test_sample_sbm_memory_is_linear_in_edges():
 # ---------------------------------------------------------------------------
 
 def test_degrees_zero_and_complete():
-    assert degrees(np.zeros((4, 4))).tolist() == [0, 0, 0, 0]
-    complete = AdjacencySnapshot.from_dense(np.ones((4, 4)) - np.eye(4))
-    assert degrees(complete).tolist() == [3, 3, 3, 3]
-
-
-def test_degrees_matches_rowsum_oracle():
-    rng = np.random.default_rng(11)
-    m = random_symmetric(13, rng)
-    oracle = np.array([sum(m[i][j] for j in range(13)) for i in range(13)])
-    assert np.allclose(degrees(m), oracle, atol=1e-12)
+    assert AdjacencySnapshot(4, [], []).degrees().tolist() == [0, 0, 0, 0]
+    complete = AdjacencySnapshot(4, *np.nonzero(np.triu(np.ones((4, 4)), 1)))
+    assert complete.degrees().tolist() == [3, 3, 3, 3]
 
 
 def test_degrees_integer_valued_for_snapshots():
     snap = sample_adjacency(np.full((20, 20), 0.4), 3)
-    d = degrees(snap)
+    d = snap.degrees()
     assert np.array_equal(d, np.round(d))
+    assert np.array_equal(d, snap.to_dense().sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +636,7 @@ def test_effective_sizes_tau_near_one_approaches_n():
 
 
 def test_effective_sizes_identity_kernel_example():
-    model = ConnectivityModel.from_kernel(2, 0.5, np.eye(2))
+    model = ConnectivityModel(2, 0.5, np.eye(2))
     prof = effective_sizes(model, 10, 4, 6)
     assert prof.nbar_max == 6.0 and prof.nbar_min == 4.0
 
@@ -660,7 +652,7 @@ def test_effective_sizes_matches_enumeration_oracle():
         n_max = n // k + 2
         if k * n_min > n or k * n_max < n:
             continue
-        model = ConnectivityModel.from_kernel(k, 0.5, b0)
+        model = ConnectivityModel(k, 0.5, b0)
         prof = effective_sizes(model, n, n_min, n_max)
         lo, hi = enumerate_effective_sizes(b0, n, n_min, n_max)
         assert np.isclose(prof.nbar_max, hi)
@@ -767,11 +759,9 @@ def _write_snapshot(tmp_path, text):
     (lambda tmp: check_symmetric(np.zeros((2, 3))), "must be square"),
     (lambda tmp: CommunityLabels(np.zeros((2, 2), dtype=int), 2), "1-d"),
     (lambda tmp: CommunityLabels([0, 0], 0), "k must be >= 1"),
-    (lambda tmp: ConnectivityModel.from_kernel(0, 0.5, np.zeros((0, 0))), "k must be >= 1"),
-    (lambda tmp: ConnectivityModel.from_kernel(2, 0.5, np.eye(3)), "b0 must be 2x2"),
+    (lambda tmp: ConnectivityModel(0, 0.5, np.zeros((0, 0))), "k must be >= 1"),
+    (lambda tmp: ConnectivityModel(2, 0.5, np.eye(3)), "b0 must be 2x2"),
     (lambda tmp: AdjacencySnapshot(4, [0, 1], [2]), "equal length"),
-    (lambda tmp: AdjacencySnapshot.from_dense(np.eye(3)), "zero diagonal"),
-    (lambda tmp: AdjacencySnapshot.from_dense(np.full((3, 3), 0.5) - 0.5 * np.eye(3)), "0 or 1"),
     (lambda tmp: expected_degrees(CommunityLabels([0, 1], 2),
                                   ConnectivityModel.planted_partition(3, 0.5, 0.2)),
      "labels declare k=2"),
@@ -782,9 +772,8 @@ def _write_snapshot(tmp_path, text):
     (lambda tmp: load_snapshot(_write_snapshot(tmp, "0 1\n")), "missing 'n=<n>' header"),
     (lambda tmp: load_snapshot(_write_snapshot(tmp, "n=four\n0 1\n")), "bad header"),
 ], ids=["check_symmetric_not_square", "labels_2d", "labels_k0", "model_k0", "b0_shape",
-        "rows_cols_unequal", "from_dense_diagonal", "from_dense_not_01",
-        "expected_degrees_k", "sizes_negative_n_min", "sizes_n_max_below_n_min",
-        "snapshot_no_header", "snapshot_bad_header"])
+        "rows_cols_unequal", "expected_degrees_k", "sizes_negative_n_min",
+        "sizes_n_max_below_n_min", "snapshot_no_header", "snapshot_bad_header"])
 def test_sbm_input_checks(tmp_path, call, match):
     with pytest.raises(InvalidInputError, match=match):
         call(tmp_path)
