@@ -125,10 +125,6 @@ class MembershipSequence:
         return self.thetas[0].n
 
     @property
-    def k(self) -> int:
-        return self.thetas[0].k
-
-    @property
     def t_len(self) -> int:
         return len(self.thetas) - 1
 

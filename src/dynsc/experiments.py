@@ -35,12 +35,13 @@ from .dynamics import (
     gen_markov_sequence,
     sample_snapshot_sequence,
 )
-from .errors import InvalidInputError, ZeroDegreeError
+from .errors import InvalidInputError
 from .metrics import adjusted_rand_index, misclassification_error
 from .sbm import (
     CommunityLabels,
     ConnectivityModel,
     SizeProfile,
+    _inverse_sqrt_degrees,
     _trusted,
     effective_sizes,
     normalized_laplacian,
@@ -254,10 +255,8 @@ def reference_matrices(truth: CommunityLabels, model: ConnectivityModel,
     c = model.alpha * model.b0
     refs = {"adjacency": (z, c)}
     if "laplacian" in kinds:
-        d = (c @ truth.sizes())[truth.labels]
-        if np.any(d <= 0.0):
-            raise ZeroDegreeError("expected probability matrix has a non-positive row sum")
-        refs["laplacian"] = (z * (1.0 / np.sqrt(d))[:, None], c)
+        inv = _inverse_sqrt_degrees((c @ truth.sizes())[truth.labels], "error")
+        refs["laplacian"] = (z * inv[:, None], c)
     return refs
 
 

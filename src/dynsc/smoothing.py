@@ -105,10 +105,6 @@ class SmoothingWeights:
         if abs(betas.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise InvalidInputError(f"weights must sum to 1, got {betas.sum()!r}")
 
-    @property
-    def t_len(self) -> int:
-        return self.betas.size - 1
-
 
 def weights_of(kind: SmootherKind, t: int) -> SmoothingWeights:
     """Exact weight sequence of a smoother after a history of length ``t``.

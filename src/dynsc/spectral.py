@@ -267,22 +267,15 @@ def _distances(x: np.ndarray, centers: np.ndarray, offset: np.ndarray) -> np.nda
     return ((x - np.take(centers.reshape(-1, x.shape[1]), offset, axis=0)) ** 2).sum(axis=-1)
 
 
-def _assign(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-centroid labels and squared distances: ``(n,)``, or ``(b, n)`` for ``b`` runs."""
-    runs = centers.reshape((-1,) + centers.shape[-2:])
-    labels, offset = _nearest(x, runs)
-    shape = centers.shape[:-2] + (x.shape[0],)
-    return labels.reshape(shape), _distances(x, runs, offset).reshape(shape)
+def _lloyd_round(x: np.ndarray, k: int, rngs: list) -> list:
+    """Seeded Lloyd runs, one per generator, iterated together.
 
-
-def _lloyd_round(x: np.ndarray, weights: np.ndarray, k: int, rngs: list) -> list:
-    """Seeded Lloyd runs, one per generator, iterated together; ``weights`` is ``x.T`` tiled.
-
-    One ``bincount`` per coordinate over all runs' offset labels takes the sequential sums of
-    ``x[labels == j].mean(axis=0)``, and a run is frozen once its centroids move less than
-    ``_KMEANS_TOL``. Returns ``(labels, centers, cost, degenerate)`` per run.
+    One ``bincount`` per coordinate of ``x.T``, tiled over all runs' offset labels, takes the
+    sequential sums of ``x[labels == j].mean(axis=0)``, and a run is frozen once its centroids
+    move less than ``_KMEANS_TOL``. Returns ``(labels, centers, cost, degenerate)`` per run.
     """
     n, d = x.shape
+    weights = np.tile(x.T, len(rngs))
     centers = _seed_centroids(x, k, rngs)
     active = np.arange(len(rngs))
     for _ in range(_KMEANS_MAX_ITER):
@@ -307,8 +300,8 @@ def _lloyd_round(x: np.ndarray, weights: np.ndarray, k: int, rngs: list) -> list
         movement = np.sqrt(((new - old) ** 2).sum(axis=2)).max(axis=1)
         centers[active] = new
         active = active[~(movement < _KMEANS_TOL)]
-    labels, dist = _assign(x, centers)
-    costs = [float(run.sum()) for run in dist]
+    labels, offset = _nearest(x, centers)
+    costs = [float(run.sum()) for run in _distances(x, centers, offset)]
     degenerate = [bool((np.bincount(run, minlength=k) == 0).any()) for run in labels]
     return [(labels[r], centers[r], costs[r], degenerate[r]) for r in range(len(rngs))]
 
@@ -333,14 +326,13 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 20, seed: int = 0) -> KMe
         raise InvalidInputError(f"need 1 <= k <= n, got k={k}, n={x.shape[0]}")
     if restarts < 1:
         raise InvalidInputError("restarts must be >= 1")
-    weights = np.tile(x.T, min(restarts, _KMEANS_REPEATS))
     best, costs, repeats = None, [], 0
     while True:
         # seed the restarts that could still end the search: a new best adds one repeat at most
         size = min(_KMEANS_REPEATS - repeats, restarts - len(costs))
         rngs = [np.random.default_rng(subseed(seed, _KMEANS_TAG, ridx))
                 for ridx in range(len(costs), len(costs) + size)]
-        for run in _lloyd_round(x, weights, k, rngs):
+        for run in _lloyd_round(x, k, rngs):
             costs.append(run[2])
             if best is None or run[2] < best[2]:
                 best = run

@@ -455,6 +455,20 @@ def test_verify_bias_draws_config_sequences_at_its_own_seeds(capsys, monkeypatch
     assert seeds == [subseed(3, 31, trial) for trial in range(3)]
 
 
+def test_verify_bias_fails_on_a_frobenius_violation(capsys, monkeypatch):
+    from dataclasses import replace
+
+    from dynsc import bounds
+
+    check = bounds.smoothing_bias_check
+    monkeypatch.setattr(bounds, "smoothing_bias_check",
+                        lambda *a: replace(check(*a), frobenius_ok=False))
+    assert main(["verify", "bias", *TINY, "--sequences", "2"]) == EXIT_VERIFICATION
+    captured = capsys.readouterr()
+    assert "frobenius_violations=2" in captured.out and "status=FAIL" in captured.out
+    assert "verification failed: bias" in captured.err
+
+
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_verify_bias_rejects_sequence_count_below_one(capsys, monkeypatch, count):
     from dynsc import experiments

@@ -641,6 +641,12 @@ def test_effective_sizes_identity_kernel_example():
     assert prof.nbar_max == 6.0 and prof.nbar_min == 4.0
 
 
+def test_effective_sizes_one_community_has_no_second_largest():
+    prof = effective_sizes(ConnectivityModel(1, 0.5, np.ones((1, 1))), 50, 50, 50)
+    assert prof.n_prime_max == 0
+    assert prof.nbar_max == prof.nbar_min == 50
+
+
 def test_effective_sizes_matches_enumeration_oracle():
     rng = np.random.default_rng(17)
     for _ in range(15):

@@ -26,7 +26,7 @@ from dynsc import (
 from dynsc.experiments import ExperimentConfig, generate_trial_sequence, smoothed_matrix
 from dynsc.sbm import normalized_laplacian_csr
 from dynsc.smoothing import Exponential
-from dynsc.spectral import _assign, _lloyd_round, _seed_centroids
+from dynsc.spectral import _distances, _lloyd_round, _nearest, _seed_centroids
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +256,7 @@ def test_kmeans_cost_monotone_descent(monkeypatch):
     for max_iter in range(1, 40):
         monkeypatch.setattr(dynsc.spectral, "_KMEANS_MAX_ITER", max_iter)
         rngs = [np.random.default_rng(ridx) for ridx in range(5)]
-        costs.append([run[2] for run in _lloyd_round(x, np.tile(x.T, len(rngs)), 5, rngs)])
+        costs.append([run[2] for run in _lloyd_round(x, 5, rngs)])
     costs = np.array(costs)
     assert (np.diff(costs, axis=0) <= 1e-9).all()
     assert (costs[-1] < costs[0]).all()  # every run descends
@@ -297,7 +297,7 @@ def _scripted_costs(monkeypatch, costs):
     """Make each Lloyd run return the next of ``costs``, with labels naming the run."""
     runs = iter(range(len(costs)))
 
-    def lloyd_round(x, weights, k, rngs):
+    def lloyd_round(x, k, rngs):
         return [(np.full(x.shape[0], i), np.zeros((k, x.shape[1])), costs[i], False)
                 for _, i in zip(rngs, runs)]
 
@@ -402,7 +402,8 @@ def test_assign_matches_broadcast_oracle(n, d, k, offset):
     x = rng.normal(size=(n, d)) + offset
     centers = x[rng.choice(n, k, replace=False)] + 0.1 * rng.normal(size=(k, d))
     d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels, dist = _assign(x, centers)
+    (labels,), offsets = _nearest(x, centers[None])
+    (dist,) = _distances(x, centers[None], offsets)
     assert np.array_equal(labels, d2.argmin(axis=1))
     assert np.array_equal(dist, d2[np.arange(n), labels])
 

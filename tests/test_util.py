@@ -1,10 +1,12 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynsc import InvalidInputError
-from dynsc.util import format_ints, parse_kv
+from dynsc import InvalidInputError, util
+from dynsc.util import available_memory, format_ints, parse_kv
 
 
 @settings(max_examples=60, deadline=None)
@@ -33,3 +35,22 @@ def test_parse_kv_rejects_a_line_without_equals():
     assert parse_kv("# header\n\na = 1\n") == {"a": "1"}
     with pytest.raises(InvalidInputError, match="line 2: expected key=value"):
         parse_kv("a=1\nb\n")
+
+
+def _fake_open(text):
+    def fake_open(path, *args, **kwargs):
+        if text is None:
+            raise FileNotFoundError(path)
+        return io.StringIO(text)
+    return fake_open
+
+
+@pytest.mark.parametrize("text,want", [
+    ("MemTotal:  2048 kB\nMemAvailable:  1024 kB\n", 1024 * 1024),
+    (None, None),  # no /proc/meminfo
+    ("MemTotal:  2048 kB\nMemFree:  512 kB\n", None),  # a kernel without MemAvailable
+    ("MemAvailable:\n", None),
+])
+def test_available_memory_reads_mem_available_or_none(monkeypatch, text, want):
+    monkeypatch.setattr(util, "open", _fake_open(text), raising=False)
+    assert available_memory() == want
