@@ -13,12 +13,13 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
 
 from .dynamics import MembershipSequence, SnapshotSequence
 from .errors import InvalidInputError
 from .metrics import confusion_matrix
-from .sbm import CommunityLabels, ConnectivityModel, SizeProfile, effective_sizes
+from .sbm import (CommunityLabels, ConnectivityModel, SizeProfile, effective_sizes,
+                  expectation_factors)
 from .smoothing import SmoothingWeights, tuning_profile, weighted_history
 from .spectral import spectral_norm
 
@@ -193,14 +194,14 @@ def smoothing_bias_check(seq: MembershipSequence, model: ConnectivityModel,
                          weights: SmoothingWeights) -> SmoothingBiasCheck:
     """Compare ``|P_smooth - P_t|`` and the per-step Frobenius chain with their bounds.
 
-    ``P_smooth = sum_k beta_k P_{t-k}``. The bias costs O(n g^2) label counts
-    and the norm of a gK-by-gK matrix, g the number of distinct labelings among
-    the weighted steps and t (at most T + 1); nothing n-by-n is built.
+    With ``P_smooth = sum_k beta_k P_{t-k}``, ``P_smooth - P_t`` is the ``U B Uᵀ`` of
+    :func:`expectation_factors` (``U`` stores n * g ones, g <= T + 1 distinct labelings),
+    normed factored by :func:`spectral_norm`. A static sequence gives ``B = 0``, bias 0.0.
     """
     if seq.mode != "deterministic":
         raise InvalidInputError("bias check requires a deterministic-mode sequence")
-    live = weighted_history(seq.thetas, weights.betas)
-    n, s, k = seq.n, seq.s, model.k
+    history = weighted_history(seq.thetas, weights.betas) + [(-1.0, seq.thetas[-1])]
+    n, s = seq.n, seq.s
     prof = effective_sizes(model, n, seq.n_min, seq.n_max)
     alpha, eps = model.alpha, seq.epsilon
 
@@ -209,27 +210,8 @@ def smoothing_bias_check(seq: MembershipSequence, model: ConnectivityModel,
     frob_bound = 8.0 * alpha ** 2 * prof.nbar_max * np.minimum(n, ks * s)
     frobenius_ok = bool((frob_sq <= frob_bound + 1e-9).all())
 
-    # P_smooth - P_t = U B Uᵀ: U the n-by-gK one-hot labels of the distinct
-    # labelings, B block-diagonal in their summed weights times C = alpha * b0
-    # (-C at t). Its nonzero spectrum is that of G^(1/2) B G^(1/2), G = UᵀU the
-    # label co-occurrence counts between the labelings. Steps with the same
-    # labeling share one block, summed in the dense loop's order, so a static
-    # sequence gives exactly 0.
-    thetas = [theta for _, theta in live] + [seq.thetas[-1]]
-    keys = [theta.labels.tobytes() for theta in thetas]
-    # distinct: the first column of each labeling; group: each column's labeling
-    distinct, group = np.unique([keys.index(key) for key in keys], return_inverse=True)
-    c = alpha * model.b0
-    blocks = np.zeros((distinct.size, k, k))
-    for col, (beta, _) in enumerate(live):  # the order of a dense sum over P_{t-k}
-        blocks[group[col]] += beta * c
-    blocks[group[-1]] -= c
-    gram = np.block([[confusion_matrix(thetas[a], thetas[b]) for b in distinct]
-                     for a in distinct])
-    w, q = np.linalg.eigh(gram)
-    root = (q * np.sqrt(np.clip(w, 0.0, None))) @ q.T
-    core = root @ scipy.linalg.block_diag(*blocks) @ root
-    spectral_err = spectral_norm((core + core.T) / 2)
+    spectral_err = spectral_norm(scipy.sparse.csr_array((n, n)),
+                                 minus=expectation_factors(history, model))
     if eps > 0:
         spectral_bound = weights.c_beta_prime * alpha * math.sqrt(
             n * prof.nbar_max * eps / weights.beta_max)

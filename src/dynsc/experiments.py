@@ -44,6 +44,7 @@ from .sbm import (
     _inverse_sqrt_degrees,
     _trusted,
     effective_sizes,
+    expectation_factors,
     normalized_laplacian,
     normalized_laplacian_csr,
 )
@@ -244,15 +245,13 @@ def reference_matrices(truth: CommunityLabels, model: ConnectivityModel,
                        kinds) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """What each matrix kind is measured against, as rank-K factors ``(U, C)`` of ``U C Uᵀ``.
 
-    With ``Z`` the one-hot labels and ``C = alpha * b0``, the adjacency
-    reference ``P_t = Z C Zᵀ`` has ``U = Z``, and the Laplacian reference
-    ``L(P_t)`` has ``U = D^{-1/2} Z`` with ``d`` the row sums of ``P_t``,
-    diagonal included. ``P_t`` itself is never built.
+    The adjacency reference ``P_t`` has ``U = Z``, the one-hot labels as a dense
+    array, and ``C = alpha * b0``: the :func:`expectation_factors` of
+    ``[(1.0, truth)]``. The Laplacian reference ``L(P_t)`` has ``U = D^{-1/2} Z``
+    with ``d`` the row sums of ``P_t``, diagonal included. ``P_t`` itself is never built.
     """
-    if truth.k != model.k:
-        raise InvalidInputError(f"labels declare k={truth.k}, model has k={model.k}")
-    z = truth.one_hot()
-    c = model.alpha * model.b0
+    z, c = expectation_factors([(1.0, truth)], model)
+    z = z.toarray()
     refs = {"adjacency": (z, c)}
     if "laplacian" in kinds:
         inv = _inverse_sqrt_degrees((c @ truth.sizes())[truth.labels], "error")

@@ -1,10 +1,10 @@
 """Static SBM primitives.
 
-Community labels, block connectivity models, connection-probability matrices,
-Bernoulli adjacency sampling (from labels in O(n + edges), or from an arbitrary
-probability matrix), the normalized Laplacian ``D^{-1/2} A D^{-1/2}``
-(dense or CSR), and the extremal expected-degree scales used by the
-concentration rates.
+Community labels, block connectivity models, connection-probability matrices
+and the low-rank factors of their weighted sums, Bernoulli adjacency sampling
+(from labels in O(n + edges), or from an arbitrary probability matrix), the
+normalized Laplacian ``D^{-1/2} A D^{-1/2}`` (dense or CSR), and the extremal
+expected-degree scales used by the concentration rates.
 
 Dense symmetric matrices are plain ``numpy`` arrays; every constructor in this
 module mirrors values so that ``M[i, j] == M[j, i]`` holds exactly, not just up
@@ -119,12 +119,6 @@ class CommunityLabels:
     def sizes(self) -> np.ndarray:
         """Community sizes as a length-``k`` integer vector."""
         return np.bincount(self.labels, minlength=self.k)
-
-    def one_hot(self) -> np.ndarray:
-        """The n-by-k 0/1 membership matrix."""
-        out = np.zeros((self.n, self.k))
-        out[np.arange(self.n), self.labels] = 1.0
-        return out
 
 
 @dataclass(frozen=True)
@@ -374,6 +368,31 @@ def expected_degrees(labels: CommunityLabels, model: ConnectivityModel) -> np.nd
     row_by_comm = model.b0 @ labels.sizes().astype(float)
     lab = labels.labels
     return model.alpha * (row_by_comm[lab] - np.diag(model.b0)[lab])
+
+
+def expectation_factors(history, model: ConnectivityModel) -> tuple:
+    """Factors ``(U, B)`` of ``sum beta * P(theta)`` over a non-empty list of ``(beta, theta)``.
+
+    ``U`` is a CSR array of n * g stored ones: the one-hot columns of each of the g
+    distinct labelings, in order of first appearance. ``B`` is block-diagonal: a
+    labeling's weights times ``alpha * b0``, added in history order, so a
+    one-labeling history gives a dense sum's values exactly.
+    """
+    n, k, c = history[0][1].n, model.k, model.alpha * model.b0
+    blocks = {}  # labeling -> (labels, summed weights times c), in order of first appearance
+    for beta, theta in history:
+        if theta.k != k:
+            raise InvalidInputError(f"labels declare k={theta.k}, model has k={k}")
+        _, block = blocks.setdefault(theta.labels.tobytes(), (theta.labels, np.zeros((k, k))))
+        block += beta * c
+    g = len(blocks)
+    idx = np.int32 if n * g < 2 ** 31 else np.int64  # scipy keeps the index dtype it is given
+    indices, b = np.empty((n, g), dtype=idx), np.zeros((k * g, k * g))
+    for j, (labels, block) in enumerate(blocks.values()):
+        indices[:, j] = labels + k * j
+        b[k * j:k * (j + 1), k * j:k * (j + 1)] = block
+    indptr = np.arange(0, n * g + 1, g, dtype=idx)
+    return scipy.sparse.csr_array((np.ones(n * g), indices.ravel(), indptr), shape=(n, k * g)), b
 
 
 # ---------------------------------------------------------------------------

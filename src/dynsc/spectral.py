@@ -95,13 +95,13 @@ def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def _as_low_rank(minus, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Factors ``(U, C)`` of ``U C Uᵀ``: ``U`` finite n-by-r, ``C`` symmetric r-by-r."""
+    """Factors ``(U, C)`` of ``U C Uᵀ``: ``U`` finite n-by-r (ndarray or CSR), ``C`` symmetric."""
     u, c = minus
-    u = np.asarray(u, dtype=float)
+    u = u if scipy.sparse.issparse(u) else np.asarray(u, dtype=float)
     c = check_symmetric(c, "C")
     if u.shape != (n, c.shape[0]):
         raise InvalidInputError(f"U must be {n}x{c.shape[0]}, got shape {u.shape}")
-    if not np.isfinite(u).all():
+    if not np.isfinite(u.data if scipy.sparse.issparse(u) else u).all():
         raise InvalidInputError("U contains non-finite entries")
     return u, c
 
@@ -146,7 +146,7 @@ class _Operand(scipy.sparse.linalg.LinearOperator):
         """Whether ``m`` has no nonzero entry and ``U`` or ``C`` is zero."""
         if (self.m.data if self.fortran is None else self.m).any():
             return False
-        return self.minus is None or not (self.minus[0].any() and self.minus[1].any())
+        return self.minus is None or not (abs(self.minus[0]).sum() and self.minus[1].any())
 
 
 def _leading_eigs(m, k: int, vectors: bool, tol: float, minus=None, draw: int = 0):
@@ -358,10 +358,10 @@ def spectral_norm(m, minus=None) -> float:
     """Operator 2-norm (largest absolute eigenvalue) of ``m``, or of ``m - U C Uᵀ``.
 
     ``m`` is a symmetric ndarray or ``scipy.sparse`` matrix; ``minus``, when
-    given, is the pair ``(U, C)`` of a low-rank term, ``U`` n-by-r and ``C``
-    symmetric r-by-r, applied in factored form. A Lanczos iteration stops at
-    relative tolerance ``NORM_TOL``; a zero operand has norm 0.0. See
-    :func:`_leading_eigs`.
+    given, is the pair ``(U, C)`` of a low-rank term, ``U`` an n-by-r ndarray or
+    CSR array and ``C`` symmetric r-by-r, applied in factored form. A Lanczos
+    iteration stops at relative tolerance ``NORM_TOL``; a zero operand has norm
+    0.0. See :func:`_leading_eigs`.
     """
     m = check_symmetric(m)
     if minus is not None:

@@ -158,6 +158,13 @@ def enumerate_effective_sizes(b0: np.ndarray, n: int, n_min: int, n_max: int):
     return best_min, best_max
 
 
+def one_hot(labels: CommunityLabels) -> np.ndarray:
+    """The n-by-k 0/1 membership matrix of ``labels``."""
+    out = np.zeros((labels.n, labels.k))
+    out[np.arange(labels.n), labels.labels] = 1.0
+    return out
+
+
 def random_labels(n: int, k: int, rng: np.random.Generator) -> CommunityLabels:
     return CommunityLabels(rng.integers(0, k, size=n), k)
 

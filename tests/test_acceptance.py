@@ -29,14 +29,16 @@ from dynsc import (
     gen_deterministic_sequence,
     misclassification_error,
     normalized_laplacian,
+    normalized_laplacian_csr,
     run_sweep,
     sample_adjacency,
+    sample_sbm,
     sample_snapshot_sequence,
     smoothing_bias_check,
     spectral_cluster,
     spectral_norm,
     t_min_weights,
-    tuning_profile,
+    weighted_smooth_csr,
     weights_of,
 )
 from dynsc.experiments import median_by_grid, reference_matrices, smoothed_matrix
@@ -133,8 +135,8 @@ def test_c04_smoothing_improves_concentration():
     alpha = 3 * math.log(n) / n
     model = ConnectivityModel.planted_partition(k, alpha, tau)
     n_min, n_max = int(0.8 * n / k), math.ceil(1.2 * n / k)
-    prof = effective_sizes(model, n, n_min, n_max)
-    lam = tuning_profile(n, alpha, eps, prof.nbar_max).optimal_lambda
+    lam = ExperimentConfig(n=n, k=k, tau=tau, alpha_log_scale=3.0, epsilon=eps, t_len=t_len,
+                           n_min=n_min, n_max=n_max).tuning().optimal_lambda
     smoothed, static = [], []
     for trial in range(trials):
         cfg = DeterministicDsbmConfig.from_epsilon(
@@ -308,8 +310,9 @@ def test_c12_sparse_regime_payoff():
     eps = 1.0 / math.log(n) ** 2
     model = ConnectivityModel.planted_partition(k, alpha, tau)
     n_min, n_max = int(0.4 * n), int(0.6 * n)
-    prof = effective_sizes(model, n, n_min, n_max)
-    lam = tuning_profile(n, alpha, eps, prof.nbar_max).optimal_lambda
+    lam = ExperimentConfig(n=n, k=k, tau=tau, alpha_log_scale=None, alpha_inv_scale=8.0,
+                           epsilon=eps, t_len=t_len, n_min=n_min,
+                           n_max=n_max).tuning().optimal_lambda
     ari_smooth, ari_static = [], []
     for trial in range(trials):
         cfg = DeterministicDsbmConfig.from_epsilon(
@@ -329,4 +332,32 @@ def test_c12_sparse_regime_payoff():
     ok = med_s >= med_0 + 0.2
     _report(12, "sparse regime payoff (alpha = 8/n)", ok,
             f"median ARI smoothed {med_s:.3f} vs static {med_0:.3f} + 0.2")
+    assert ok
+
+
+def _static_laplacian_deviation(n: int, d: float, seed: int) -> float:
+    """``|L(A) - L(P)|`` of one ``sample_sbm`` snapshot: K = 2, tau = 0.3, balanced labels,
+    expected degree about ``d`` (``alpha n (1 + tau) / 2 = d``)."""
+    k, tau = 2, 0.3
+    model = ConnectivityModel.planted_partition(k, 2.0 * d / (n * (1.0 + tau)), tau)
+    truth = _balanced(n, k)
+    a = weighted_smooth_csr([sample_sbm(truth, model, seed)], np.ones(1))
+    ref = reference_matrices(truth, model, ("adjacency", "laplacian"))["laplacian"]
+    return spectral_norm(normalized_laplacian_csr(a, zero_degree="zero-row"), minus=ref)
+
+
+def test_c14_static_laplacian_deviation_has_no_log_n():
+    # at fixed mean degree d, |L(A) - L(P)| * sqrt(d) must stay within a factor 1.1 as n
+    # grows 16-fold, from 2000 to 32000. A sqrt(log(n) / d) rate would grow it by
+    # sqrt(log 32000 / log 2000) = 1.17, outside the factor. Seeds subseed(1014, n, draw)
+    # and the factor were fixed before the first run
+    d, draws, factor = 20.0, 3, 1.1
+    const = {n: float(np.median([_static_laplacian_deviation(n, d, subseed(1014, n, draw))
+                                 for draw in range(draws)])) * math.sqrt(d)
+             for n in (2000, 32000)}
+    ratio = const[32000] / const[2000]
+    ok = 1.0 / factor <= ratio <= factor
+    _report(14, "static |L(A)-L(P)| ~ 1/sqrt(d), no log n", ok,
+            f"d={d:g}: |L(A)-L(P)| sqrt(d) n=2000: {const[2000]:.3f}, "
+            f"n=32000: {const[32000]:.3f}, ratio {ratio:.3f} within {factor}")
     assert ok

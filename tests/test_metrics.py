@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import misclassification_error_bruteforce, random_labels, relabeled
+from conftest import misclassification_error_bruteforce, one_hot, random_labels, relabeled
 from dynsc import (
     CommunityLabels,
     ConnectivityModel,
@@ -73,8 +73,8 @@ def test_e_value_counts_one_hot_entries():
     pred = CommunityLabels([0, 1, 1, 2, 2, 0], 3)
     rep = misclassification_error(pred, truth)
     q = rep.best_permutation
-    theta_hat = pred.one_hot()[:, np.argsort(q)]  # apply Q: column p -> column q[p]
-    nonzero = np.count_nonzero(theta_hat - truth.one_hot())
+    theta_hat = one_hot(pred)[:, np.argsort(q)]  # apply Q: column p -> column q[p]
+    nonzero = np.count_nonzero(theta_hat - one_hot(truth))
     assert np.isclose(rep.e_value, nonzero / truth.n)
 
 

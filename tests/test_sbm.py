@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     dense_probability_oracle,
     enumerate_effective_sizes,
+    one_hot,
     random_labels,
     random_symmetric,
     save_snapshot_oracle,
@@ -29,7 +30,8 @@ from dynsc import (
     sample_sbm,
     save_snapshot,
 )
-from dynsc.sbm import _SYMMETRY_BLOCK, _triu_decode, _trusted, check_symmetric
+from dynsc.sbm import (_SYMMETRY_BLOCK, _triu_decode, _trusted, check_symmetric,
+                       expectation_factors)
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +55,6 @@ def test_labels_validation():
     lab = CommunityLabels([0, 0, 1], 2)
     assert lab.n == 3
     assert lab.sizes().tolist() == [2, 1]
-    assert lab.one_hot().tolist() == [[1, 0], [1, 0], [0, 1]]
 
 
 def test_model_validation():
@@ -230,6 +231,53 @@ def test_probability_matrix_permutation_equivariant(seed, k, n):
     pi = rng.permutation(n)
     permuted = CommunityLabels(lab.labels[pi], k)
     assert np.array_equal(build_probability_matrix(permuted, model), p[np.ix_(pi, pi)])
+
+
+# ---------------------------------------------------------------------------
+# expectation_factors
+# ---------------------------------------------------------------------------
+
+_FACTOR_MODEL = ConnectivityModel(
+    3, 0.3, np.array([[1.0, 0.2, 0.05], [0.2, 0.7, 0.4], [0.05, 0.4, 0.9]]))
+
+
+def test_expectation_factors_of_one_labeling_are_one_hot_and_kernel():
+    lab = random_labels(40, 3, np.random.default_rng(31))
+    u, b = expectation_factors([(1.0, lab)], _FACTOR_MODEL)
+    assert u.toarray().tobytes() == one_hot(lab).tobytes()
+    assert b.tobytes() == (_FACTOR_MODEL.alpha * _FACTOR_MODEL.b0).tobytes()
+    u, _ = expectation_factors([(1.0, CommunityLabels([0, 0, 1], 2))],
+                               ConnectivityModel.planted_partition(2, 0.5, 0.2))
+    assert u.toarray().tolist() == [[1, 0], [1, 0], [0, 1]]
+
+
+def test_expectation_factors_share_a_block_per_repeated_labeling():
+    rng = np.random.default_rng(32)
+    a, other = random_labels(60, 3, rng), random_labels(60, 3, rng)
+    history = [(0.5, a), (0.3, other), (0.2, a)]
+    u, b = expectation_factors(history, _FACTOR_MODEL)
+    c = _FACTOR_MODEL.alpha * _FACTOR_MODEL.b0
+    assert u.shape == (60, 6) and b.shape == (6, 6)
+    assert u.nnz == 60 * 2  # one stored one per node and labeling
+    assert np.array_equal(u.toarray(), np.hstack([one_hot(a), one_hot(other)]))
+    assert np.array_equal(b[:3, :3], 0.5 * c + 0.2 * c)  # added in history order
+    assert np.array_equal(b[3:, 3:], 0.3 * c)
+    assert not b[:3, 3:].any() and not b[3:, :3].any()
+    dense = sum(beta * build_probability_matrix(theta, _FACTOR_MODEL) for beta, theta in history)
+    u = u.toarray()
+    assert np.abs(u @ b @ u.T - dense).max() <= 1e-14 * np.abs(dense).max()
+
+
+def test_expectation_factors_cancel_to_an_exact_zero_block():
+    lab = random_labels(30, 3, np.random.default_rng(33))
+    _, b = expectation_factors([(0.5, lab), (0.5, lab), (-1.0, lab)], _FACTOR_MODEL)
+    assert not b.any()
+
+
+def test_expectation_factors_reject_a_labeling_of_another_k():
+    history = [(1.0, CommunityLabels([0, 1, 2], 3)), (1.0, CommunityLabels([0, 1, 1], 2))]
+    with pytest.raises(InvalidInputError, match="labels declare k=2, model has k=3"):
+        expectation_factors(history, _FACTOR_MODEL)
 
 
 # ---------------------------------------------------------------------------
