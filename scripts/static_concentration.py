@@ -24,8 +24,8 @@ from dynsc.experiments import reference_matrices
 from dynsc.util import subseed
 
 K, TAU = 2, 0.3
-DEGREES = (10, 20, 40)
-SIZES = (2000, 8000, 32000)
+DEGREES = (2, 4, 10, 20, 40, 80)
+SIZES = (2000, 8000, 32000, 128000)
 DRAWS, SEED = 3, 2014
 
 

@@ -50,7 +50,8 @@ _FLAG_HELP = {
     "mode": "deterministic or markov",
     "alpha_log_scale": "alpha = c * log(n) / n",
     "alpha_inv_scale": "alpha = c / n",
-    "lambda_grid": "comma-separated forgetting factors",
+    "lambda_grid": "comma-separated forgetting factors; 'star' is the tuned optimal_lambda, "
+                   "exactly (rates prints it to 12 digits only)",
     "r_grid": "comma-separated window sizes",
     "matrix": "adjacency, laplacian or both",
     "seed": "root seed",

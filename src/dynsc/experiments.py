@@ -63,7 +63,8 @@ DEFAULT_LAMBDA_GRID = tuple(float(x) for x in np.geomspace(0.04, 1.0, 12))
 
 # text parsers by field annotation (annotations are strings in this module)
 _CASTS = {"int": int, "float": float, "str": str}
-_GRID_CASTS = {"lambda_grid": float, "r_grid": int}
+_GRID_CASTS = {"lambda_grid": lambda v: "star" if v.strip() == "star" else float(v),
+               "r_grid": int}
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,8 @@ class ExperimentConfig:
 
     Exactly one of ``alpha`` (absolute), ``alpha_log_scale``
     (``alpha = c * log(n) / n``) or ``alpha_inv_scale`` (``alpha = c / n``)
-    must be set.
+    must be set. A ``lambda_grid`` entry may be the token ``"star"``, which
+    resolves once, to ``tuning().optimal_lambda``.
     """
 
     mode: str = "deterministic"
@@ -113,11 +115,12 @@ class ExperimentConfig:
                 raise InvalidInputError(f"{name} must be >= 1, got {getattr(self, name)}")
         if any(r > self.t_len + 1 for r in self.r_grid):
             raise InvalidInputError("window sizes must not exceed t_len + 1")
-        object.__setattr__(self, "lambda_grid", tuple(float(v) for v in self.lambda_grid))
+        self.size_profile()  # rejects infeasible size bounds and a smallest expected degree of 0
+        object.__setattr__(self, "lambda_grid", tuple(
+            self.tuning().optimal_lambda if v == "star" else float(v) for v in self.lambda_grid))
         object.__setattr__(self, "r_grid", tuple(int(v) for v in self.r_grid))
         for point in self.grid():
             _grid_smoother(*point)  # rejects a bad grid value before any trial runs
-        self.size_profile()  # rejects infeasible size bounds and a smallest expected degree of 0
 
     @property
     def resolved_alpha(self) -> float:

@@ -187,7 +187,8 @@ def top_k_eigenpairs(m, k: int) -> EigenBasis:
     start vector of its own so that it finds further copies of a repeated
     eigenvalue; after a dense decomposition it is read from the spectrum that
     decomposition already holds. The gap is flagged degenerate when it is at
-    most ``NORM_TOL`` times ``max(1, |value_1|)``.
+    most ``NORM_TOL ** 2`` times ``max(1, |value_1|)``, the error of a Ritz
+    value from a ``NORM_TOL`` solve.
     """
     m = check_symmetric(m)
     n = m.shape[0]
@@ -207,7 +208,7 @@ def top_k_eigenpairs(m, k: int) -> EigenBasis:
             discarded = np.abs(_leading_eigs(m, 1, vectors=False, tol=NORM_TOL,
                                              minus=(vectors, np.diag(values)), draw=1)).max()
         gap = float(keys[top[-1]] - discarded)
-        degenerate = gap <= NORM_TOL * max(1.0, float(keys.max()))
+        degenerate = gap <= NORM_TOL ** 2 * max(1.0, float(keys.max()))
         if degenerate:
             warnings.warn(f"eigengap {gap:.3e} is numerically degenerate", RuntimeWarning,
                           stacklevel=2)

@@ -1,3 +1,4 @@
+import math
 import shlex
 from dataclasses import fields
 from pathlib import Path
@@ -39,6 +40,7 @@ def test_unparsable_config_value_is_usage_error(tmp_path, capsys):
     bad_n.write_text("n=abc\n")
     bad_r.write_text("r_grid=2.5\n")
     for argv, key in ((["--lambda-grid", "0.5,abc"], "lambda_grid"),
+                      (["--lambda-grid", "star,stars"], "lambda_grid"),
                       (["--config", str(bad_n)], "n"), (["--config", str(bad_r)], "r_grid"),
                       (["--n", "abc"], "n"), (["--tau", "x"], "tau"), (["--seed", "1.5"], "seed")):
         assert main(["sweep", *argv, "--out", str(tmp_path)]) == EXIT_USAGE
@@ -404,6 +406,50 @@ def test_shipped_preset_config_parses():
         500, 3, 0.3, 0.01, 60, 20)
     assert len(cfg.lambda_grid) == 12 and len(cfg.r_grid) == 12
     assert max(cfg.r_grid) <= cfg.t_len + 1
+
+
+@pytest.mark.parametrize("path", sorted(
+    (Path(__file__).resolve().parent.parent / "configs").glob("*.cfg")), ids=lambda p: p.name)
+def test_shipped_config_loads_and_resolves_star(path):
+    from dynsc.util import parse_kv
+
+    cfg = load_config(build_parser().parse_args(["sweep", "--config", str(path)]))
+    tokens = [v.strip() for v in parse_kv(path.read_text()).get("lambda_grid", "").split(",")
+              if v.strip()]
+    assert len(tokens) == len(cfg.lambda_grid)
+    stars = [lam for token, lam in zip(tokens, cfg.lambda_grid) if token == "star"]
+    assert all(lam == cfg.tuning().optimal_lambda for lam in stars)
+    assert stars or not path.name.startswith("bounded_")
+
+
+# c12's regime at a short horizon: lambda* = 0.29769382146936163
+SPARSE2K_STAR = ["--n", "2000", "--k", "2", "--tau", "0.1", "--alpha-inv-scale", "8",
+                 "--epsilon", repr(1 / math.log(2000) ** 2), "--n-min", "800", "--n-max", "1200",
+                 "--t-len", "3", "--trials", "1", "--seed", "5", "--restarts", "2",
+                 "--matrix", "adjacency"]
+
+
+def test_sweep_star_grid_equals_the_resolved_float(tmp_path):
+    star, exact = tmp_path / "star", tmp_path / "exact"
+    assert main(["sweep", *SPARSE2K_STAR, "--lambda-grid", "star,1", "--out", str(star)]) == EXIT_OK
+    assert main(["sweep", *SPARSE2K_STAR, "--lambda-grid", "0.29769382146936163,1",
+                 "--out", str(exact)]) == EXIT_OK
+    strip = lambda p: [ln.rsplit(",", 1)[0] for ln in (p / "sweep.csv").read_text().splitlines()]
+    assert strip(star) == strip(exact) and len(strip(star)) == 4
+    assert (star / "config.txt").read_text() == (exact / "config.txt").read_text()
+    assert "lambda_grid=0.29769382146936163,1.0\n" in (star / "config.txt").read_text()
+
+
+def test_star_without_a_tuning_exits_before_any_trial(tmp_path, capsys, monkeypatch):
+    import dynsc.experiments
+
+    monkeypatch.setattr(dynsc.experiments, "generate_trial_sequence",
+                        lambda *args: pytest.fail("a trial ran"))
+    argv = ["sweep", *TINY, "--epsilon", "0", "--lambda-grid", "star,1", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "invalid input" in err and "epsilon" in err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_config_file_with_flag_override(tmp_path):

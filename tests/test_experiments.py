@@ -73,6 +73,18 @@ def test_saved_config_text_reproduces_config(cfg):
     assert ExperimentConfig.from_kv(parse_kv(dump_kv(cfg.to_kv()))) == cfg
 
 
+def test_star_resolves_to_the_tuned_lambda():
+    # c12's regime: lambda* = min(1, sqrt(nbar_max * alpha * epsilon)), the float tuning() returns
+    cfg = ExperimentConfig(n=2000, k=2, tau=0.1, alpha_log_scale=None, alpha_inv_scale=8.0,
+                           epsilon=1 / math.log(2000) ** 2, t_len=30, n_min=800, n_max=1200,
+                           lambda_grid=("star", 1.0))
+    assert cfg.lambda_grid == (0.29769382146936163, 1.0)
+    assert cfg.lambda_grid[0] == cfg.tuning().optimal_lambda
+    assert ExperimentConfig.from_kv(cfg.to_kv()).lambda_grid == cfg.lambda_grid
+    kv = {**{key: str(value) for key, value in cfg.to_kv().items()}, "lambda_grid": " star ,1"}
+    assert ExperimentConfig.from_kv(kv) == cfg
+
+
 def test_sweep_produces_full_grid(small_records):
     # 3 trials x (2 lambdas + 1 r) x 2 matrix kinds
     assert len(small_records) == 3 * 3 * 2

@@ -165,6 +165,22 @@ def test_degenerate_gap_warns_on_lanczos_path(eigsh_operators):
     assert eigsh_operators == ["dsymv", "operator"]
 
 
+def test_resolved_small_gap_is_not_flagged_on_lanczos_path(eigsh_operators):
+    # eigenvalues 6, 3, 3 - 6e-5 above a bulk in [-1, 1]: a gap of 1e-5 relative, far above
+    # the NORM_TOL ** 2 error of the deflated solve's Ritz value
+    n = 300
+    rng = np.random.default_rng(16)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    m = (q * np.concatenate([[6.0, 3.0, 3.0 - 6e-5], rng.uniform(-1.0, 1.0, n - 3)])) @ q.T
+    m = np.triu(m) + np.triu(m, 1).T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        basis = top_k_eigenpairs(m, 2)
+    assert not basis.gap_degenerate
+    assert abs(basis.gap - 6e-5) <= dynsc.spectral.NORM_TOL ** 2 * 6.0
+    assert eigsh_operators == ["dsymv", "operator"]
+
+
 def _static_sparse_laplacian():
     """The static (lambda = 1) Laplacian of trial 2 of a sparse2k-regime sweep at seed 3.
 
