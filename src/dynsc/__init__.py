@@ -10,6 +10,7 @@ from .bounds import (
     DegreeDeviationStats,
     RateCard,
     SmoothingBiasCheck,
+    bound_terms,
     degree_deviation_stats,
     frobenius_diff_sq,
     frobenius_trajectory,

@@ -17,9 +17,8 @@ import scipy.sparse
 
 from .dynamics import MembershipSequence, SnapshotSequence
 from .errors import InvalidInputError
-from .metrics import confusion_matrix
 from .sbm import (CommunityLabels, ConnectivityModel, SizeProfile, effective_sizes,
-                  expectation_factors)
+                  expectation_factors, expected_degrees)
 from .smoothing import SmoothingWeights, tuning_profile, weighted_history
 from .spectral import spectral_norm
 
@@ -82,18 +81,19 @@ def rate_card(sizes: SizeProfile, alpha: float, epsilon: float, delta: float = 0
             n * alpha ** 2 * sizes.n_min ** 2 * sizes.gamma ** 2)
         recovery_lap = (1.0 + delta) * sizes.n_prime_max * sizes.k * sizes.nbar_max ** 2 / (
             n * sizes.n_min ** 2 * sizes.gamma ** 2)
-    adj_static = math.sqrt(n * alpha)
-    lap_static = sizes.mu_b * math.sqrt(n) / (sizes.nbar_min * math.sqrt(alpha))
+
+    def variance(beta_max: float, kind: str = "adjacency") -> float:  # static rates: at 1
+        return bound_terms(sizes, alpha, epsilon, beta_max, kind)[0]
+
     return RateCard(
         rho_n=rho_n,
         rho_coarse=rho_coarse,
-        adj_static_rate=adj_static,
+        adj_static_rate=variance(1.0),
         adj_static_improved_rate=math.sqrt(sizes.nbar_max * alpha),
-        lap_static_rate=lap_static,
-        # written as static * sqrt(rho) so the rho = 1 reduction is exact
-        adj_dyn_rate=adj_static * math.sqrt(rho_n),
-        adj_dyn_markov_rate=adj_static * math.sqrt(rho_coarse),
-        lap_dyn_rate=lap_static * math.sqrt(rho_n),
+        lap_static_rate=variance(1.0, "laplacian"),
+        adj_dyn_rate=variance(rho_n),
+        adj_dyn_markov_rate=variance(rho_coarse),
+        lap_dyn_rate=variance(rho_n, "laplacian"),
         recovery_adj_coeff=recovery_adj,
         recovery_lap_coeff=recovery_lap,
         recovery_available=available,
@@ -103,6 +103,22 @@ def rate_card(sizes: SizeProfile, alpha: float, epsilon: float, delta: float = 0
         cond_lap_static=alpha / (sizes.mu_b * logn / sizes.nbar_min),
         cond_adj_static_improved=alpha / (logn / sizes.nbar_min),
     )
+
+
+def bound_terms(sizes: SizeProfile, alpha: float, epsilon: float, beta_max: float,
+                kind: str = "adjacency") -> tuple[float, float]:
+    """The bound on ``|estimator - target|`` as its two terms ``(variance, bias)``, unit constants.
+
+    For the adjacency the variance is ``sqrt(n alpha beta_max)`` and the smoothing bias
+    ``alpha sqrt(n nbar_max epsilon / beta_max)``, exactly 0.0 at ``epsilon = 0``; the
+    Laplacian kind scales both by ``mu_B / (nbar_min alpha)``. They balance at
+    ``beta_max = sqrt(nbar_max alpha epsilon)``, the tuned ``optimal_lambda`` below its cap.
+    """
+    if kind not in ("adjacency", "laplacian"):
+        raise InvalidInputError(f"unknown matrix kind {kind!r}")
+    scale = sizes.mu_b / (sizes.nbar_min * alpha) if kind == "laplacian" else 1.0
+    return (scale * math.sqrt(sizes.n * alpha * beta_max),
+            scale * alpha * math.sqrt(sizes.n * sizes.nbar_max * epsilon / beta_max))
 
 
 # ---------------------------------------------------------------------------
@@ -118,28 +134,27 @@ class DegreeDeviationStats:
     c_nbar_alpha: float       # deviation / (nbar_min * alpha)
 
 
-def degree_deviation_stats(seq: SnapshotSequence, weights: SmoothingWeights,
-                           expected_degrees: np.ndarray, alpha: float,
-                           nbar_min: float) -> DegreeDeviationStats:
-    """Deviation of ``sum_k beta_k d_{i,t-k}`` from its expectation.
+def degree_deviation_stats(snaps: SnapshotSequence, thetas, model: ConnectivityModel,
+                           weights: SmoothingWeights, nbar_min: float) -> DegreeDeviationStats:
+    """Deviation of ``sum_k beta_k d_{i,t-k}`` from its expectation under ``model``.
 
-    ``expected_degrees[j]`` must hold the expected sampled degrees (diagonal
-    excluded) under the labeling of snapshot ``j``.
+    ``thetas[j]`` is the labeling snapshot ``j`` was sampled from; the expectation
+    weighs each labeling's :func:`expected_degrees` as its snapshot is weighed.
     """
-    expected_degrees = np.asarray(expected_degrees, dtype=float)
-    if expected_degrees.shape != (len(seq.snapshots), seq.n):
-        raise InvalidInputError("expected_degrees must be (t+1, n)")
-    smoothed = np.zeros(seq.n)
-    expected = np.zeros(seq.n)
-    steps = list(zip(seq.snapshots, expected_degrees))
-    for beta, (snap, expected_row) in weighted_history(steps, weights.betas):
+    if len(thetas) != len(snaps.snapshots) or any(theta.n != snaps.n for theta in thetas):
+        raise InvalidInputError(f"need one labeling of n={snaps.n} per snapshot, got "
+                                f"{len(thetas)} labelings for {len(snaps.snapshots)} snapshots")
+    smoothed = np.zeros(snaps.n)
+    expected = np.zeros(snaps.n)
+    for beta, (snap, theta) in weighted_history(list(zip(snaps.snapshots, thetas)),
+                                                weights.betas):
         smoothed += beta * snap.degrees()
-        expected += beta * expected_row
+        expected += beta * expected_degrees(theta, model)
     dev = float(np.abs(smoothed - expected).max())
     return DegreeDeviationStats(
         max_abs_deviation=dev,
-        c_n_alpha=dev / (seq.n * alpha),
-        c_nbar_alpha=dev / (nbar_min * alpha),
+        c_n_alpha=dev / (snaps.n * model.alpha),
+        c_nbar_alpha=dev / (nbar_min * model.alpha),
     )
 
 
@@ -151,17 +166,16 @@ def frobenius_diff_sq(a: CommunityLabels, b: CommunityLabels,
                       model: ConnectivityModel) -> float:
     """Exact squared Frobenius norm of ``P(a) - P(b)`` via joint-label counts.
 
-    Nodes are grouped by their label pair; the n-by-n sum collapses to a
-    K^2-by-K^2 sum over pair counts, avoiding the dense matrices.
+    Nodes are grouped by the m label pairs ``(x, y)`` that occur, ``w`` nodes each; with
+    ``D[p, q] = b0[x_p, x_q] - b0[y_p, y_q]`` the n-by-n sum is ``alpha^2 wᵀ (D∘D) w``,
+    nonnegative terms only, and exactly 0.0 for equal labelings.
     """
     if a.n != b.n or a.k != b.k or a.k != model.k:
         raise InvalidInputError("label shapes must match the model")
-    joint = confusion_matrix(a, b).astype(float)
-    # diff[(x, y), (u, v)] = b0[x, u] - b0[y, v] over joint classes
-    b0 = model.b0
-    diff = b0[:, None, :, None] - b0[None, :, None, :]
-    weight = joint[:, :, None, None] * joint[None, None, :, :]
-    return float(model.alpha ** 2 * (weight * diff ** 2).sum())
+    codes, w = np.unique(a.labels.astype(np.int64) * a.k + b.labels, return_counts=True)
+    x, y = np.divmod(codes, a.k)
+    d = model.b0[np.ix_(x, x)] - model.b0[np.ix_(y, y)]
+    return float(model.alpha ** 2 * (w @ (d * d) @ w))
 
 
 def frobenius_trajectory(seq: MembershipSequence, model: ConnectivityModel) -> np.ndarray:
@@ -178,7 +192,7 @@ class SmoothingBiasCheck:
     ``frob_sq[k]`` is the exact ``|P_{t-k} - P_t|_F^2`` and ``frob_sq_bound[k]``
     the instance-wise bound ``8 alpha^2 nbar_max min(n, k s)``;
     ``frobenius_ok`` asserts the whole chain. The spectral bound is
-    ``c_beta_prime * alpha * sqrt(n * nbar_max * eps / beta_max)``.
+    ``c_beta_prime`` times the bias term of :func:`bound_terms`.
     """
 
     spectral_err: float
@@ -212,11 +226,7 @@ def smoothing_bias_check(seq: MembershipSequence, model: ConnectivityModel,
 
     spectral_err = spectral_norm(scipy.sparse.csr_array((n, n)),
                                  minus=expectation_factors(history, model))
-    if eps > 0:
-        spectral_bound = weights.c_beta_prime * alpha * math.sqrt(
-            n * prof.nbar_max * eps / weights.beta_max)
-    else:
-        spectral_bound = 0.0
+    spectral_bound = weights.c_beta_prime * bound_terms(prof, alpha, eps, weights.beta_max)[1]
     return SmoothingBiasCheck(
         spectral_err=spectral_err,
         spectral_bound=spectral_bound,

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bounds, dynamics, experiments, sbm, smoothing
+from . import bounds, dynamics, experiments, smoothing
 from .errors import DynscError, InvalidInputError
 from .util import dump_kv, format_ints, parse_kv, subseed
 
@@ -194,15 +194,13 @@ def cmd_rates(args) -> int:
 
 def _verify_degrees(args) -> dict:
     cfg = load_config(args)
-    model = cfg.model()
     r = min(cfg.tuning().optimal_r, cfg.t_len + 1)
     nbar_min = cfg.size_profile().nbar_min
+    w = smoothing.weights_of(smoothing.Uniform(r), cfg.t_len)
     cs = []
     for trial in range(cfg.trials):
         seq, snaps = experiments.generate_trial_sequence(cfg, trial)
-        w = smoothing.weights_of(smoothing.Uniform(r), seq.t_len)
-        expected = np.stack([sbm.expected_degrees(th, model) for th in seq.thetas])
-        stats = bounds.degree_deviation_stats(snaps, w, expected, cfg.resolved_alpha, nbar_min)
+        stats = bounds.degree_deviation_stats(snaps, seq.thetas, cfg.model(), w, nbar_min)
         cs.append(stats.c_n_alpha)
     cs = np.sort(np.asarray(cs))
     q95 = float(np.quantile(cs, 0.95))

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bounds import bound_terms
 from .dynamics import (
     DeterministicDsbmConfig,
     MarkovDsbmConfig,
@@ -53,7 +54,7 @@ from .smoothing import (Exponential, SmootherKind, TuningProfile, Uniform, smoot
 from .spectral import spectral_cluster, spectral_norm
 from .util import subseed
 
-CSV_SCHEMA_VERSION = "dynsc-sweep-csv v1"
+CSV_SCHEMA_VERSION = "dynsc-sweep-csv v2"
 
 _TAG_TRIAL_MEMBERSHIP = 11
 _TAG_TRIAL_SNAPSHOTS = 12
@@ -366,31 +367,20 @@ def _fit_rate_constant(med_err: dict[float, float], cfg: ExperimentConfig,
                        prof: SizeProfile, matrix_kind: str) -> float:
     """Least-squares constant c in ``median_err ~ c * shape(beta_max)``.
 
-    The shape is the two-term bound with unit constants:
-    ``sqrt(n a b) + a sqrt(n nbar eps / b)`` for the adjacency, scaled by
-    ``mu_B / (nbar_min a)`` for the Laplacian, with ``nbar``, ``mu_B`` and
-    ``nbar_min`` from ``prof``, the config's :meth:`~ExperimentConfig.size_profile`.
+    The shape is the sum of :func:`dynsc.bounds.bound_terms` at ``prof``, the
+    config's :meth:`~ExperimentConfig.size_profile`.
     """
-    alpha = cfg.resolved_alpha
-    xs, ys = [], []
-    for beta_max, err in med_err.items():
-        shape = math.sqrt(cfg.n * alpha * beta_max)
-        if cfg.epsilon > 0:
-            shape += alpha * math.sqrt(cfg.n * prof.nbar_max * cfg.epsilon / beta_max)
-        if matrix_kind == "laplacian":
-            shape *= prof.mu_b / (prof.nbar_min * alpha)
-        xs.append(shape)
-        ys.append(err)
-    xs = np.asarray(xs)
-    ys = np.asarray(ys)
+    xs = np.asarray([sum(bound_terms(prof, cfg.resolved_alpha, cfg.epsilon, beta_max,
+                                     matrix_kind)) for beta_max in med_err])
+    ys = np.asarray(list(med_err.values()))
     denom = float((xs * xs).sum())
     return float((xs * ys).sum() / denom) if denom > 0 else float("nan")
 
 
 def _grid_medians(records: list[RunRecord], cfg: ExperimentConfig) -> tuple[float | None, list]:
-    """``sqrt(alpha n epsilon)`` (None when ``epsilon = 0``) and, per matrix kind and smoother
+    """``cfg.tuning().optimal_lambda`` (None at ``epsilon = 0``) and, per matrix kind and smoother
     family with records, ``(kind, gkind, median spec_err, median ARI)`` keyed by grid value."""
-    norm = math.sqrt(cfg.resolved_alpha * cfg.n * cfg.epsilon) if cfg.epsilon > 0 else None
+    norm = cfg.tuning().optimal_lambda if cfg.epsilon > 0 else None
     families = [(kind, gkind, median_by_grid(records, kind, gkind, "spec_err"),
                  median_by_grid(records, kind, gkind, "ari"))
                 for kind in cfg.matrix_kinds() for gkind in ("lambda", "r")]
@@ -454,8 +444,8 @@ def plot_data_by_grid(records: list[RunRecord], cfg: ExperimentConfig) -> str:
     """Figure-style CSV: per grid point and matrix kind, the median error and ARI.
 
     ``normalized_value`` rescales the smoothing intensity (``lambda``, or
-    ``1/r`` for windows) by ``sqrt(alpha n epsilon)``, the scale on which the
-    optimum is predicted to sit; empty when ``epsilon = 0``.
+    ``1/r`` for windows) by the tuned lambda*, ``cfg.tuning().optimal_lambda``,
+    so 1.0 is the ``star`` grid point; empty when ``epsilon = 0``.
     """
     buf = io.StringIO()
     buf.write(f"# {CSV_SCHEMA_VERSION} plot-data\n")

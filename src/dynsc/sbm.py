@@ -389,7 +389,7 @@ def expectation_factors(history, model: ConnectivityModel) -> tuple:
     idx = np.int32 if n * g < 2 ** 31 else np.int64  # scipy keeps the index dtype it is given
     indices, b = np.empty((n, g), dtype=idx), np.zeros((k * g, k * g))
     for j, (labels, block) in enumerate(blocks.values()):
-        indices[:, j] = labels + k * j
+        indices[:, j] = labels.astype(idx) + k * j  # widened first: a uint8 sum would wrap
         b[k * j:k * (j + 1), k * j:k * (j + 1)] = block
     indptr = np.arange(0, n * g + 1, g, dtype=idx)
     return scipy.sparse.csr_array((np.ones(n * g), indices.ravel(), indptr), shape=(n, k * g)), b

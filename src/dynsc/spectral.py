@@ -8,8 +8,9 @@ all cases.
 Eigenpairs and norms are computed only as accurately as the theory needs:
 at every size a Lanczos solver stops at relative tolerance ``EIGENPAIR_TOL``
 (eigenvectors; by Davis-Kahan their error is at most ``tol * |lambda_1| / gap``,
-far below the statistical error) or ``NORM_TOL`` (spectral norms, whose Ritz
-values err roughly by the square of that). The eigengap's first discarded
+far below the statistical error) or ``NORM_TOL`` (spectral norms: a Ritz value is at most
+the norm and within ``NORM_TOL`` relative of an eigenvalue, about ``NORM_TOL ** 2`` of an
+isolated one, but not in a cluster tighter than ``NORM_TOL``). The eigengap's first discarded
 magnitude is such a norm, of the matrix with the selected pairs deflated. Every
 solve multiplies by one operand: a dense matrix through BLAS ``dsymv``, a CSR
 one as CSR, less a low-rank term in factored form. A dense decomposition is
@@ -188,7 +189,7 @@ def top_k_eigenpairs(m, k: int) -> EigenBasis:
     eigenvalue; after a dense decomposition it is read from the spectrum that
     decomposition already holds. The gap is flagged degenerate when it is at
     most ``NORM_TOL ** 2`` times ``max(1, |value_1|)``, the error of a Ritz
-    value from a ``NORM_TOL`` solve.
+    value from a ``NORM_TOL`` solve at an isolated eigenvalue (see the module docstring).
     """
     m = check_symmetric(m)
     n = m.shape[0]

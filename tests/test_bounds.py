@@ -17,6 +17,7 @@ from dynsc import (
     InvalidInputError,
     SizeProfile,
     Uniform,
+    bound_terms,
     build_probability_matrix,
     degree_deviation_stats,
     effective_sizes,
@@ -35,13 +36,16 @@ from dynsc import (
 from dynsc.smoothing import Exponential
 
 
-def _card(**kw):
-    """``rate_card`` of a SizeProfile built from ``kw``, at ``kw``'s alpha, epsilon, delta."""
-    base = dict(n=1000, k=4, alpha=0.05, epsilon=0.001, delta=0.0, n_min=250, n_max=250,
-                n_prime_max=250, nbar_min=400.0, nbar_max=500.0, mu_b=1.25, gamma=0.7)
-    base.update(kw)
-    alpha, epsilon, delta = (base.pop(name) for name in ("alpha", "epsilon", "delta"))
-    return rate_card(SizeProfile(**base), alpha, epsilon, delta)
+def _sizes(**kw) -> SizeProfile:
+    """The SizeProfile of the worked example, with ``kw`` replaced."""
+    base = dict(n=1000, k=4, n_min=250, n_max=250, n_prime_max=250, nbar_min=400.0,
+                nbar_max=500.0, mu_b=1.25, gamma=0.7)
+    return SizeProfile(**{**base, **kw})
+
+
+def _card(alpha=0.05, epsilon=0.001, delta=0.0, **kw):
+    """``rate_card`` of ``_sizes(**kw)`` at ``alpha``, ``epsilon`` and ``delta``."""
+    return rate_card(_sizes(**kw), alpha, epsilon, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -156,20 +160,46 @@ def test_perturbation_rejects_bad_input():
 
 
 # ---------------------------------------------------------------------------
+# bound_terms
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["adjacency", "laplacian"])
+def test_bound_terms_balance_at_the_tuned_lambda(kind):
+    # the paper's balance: below its cap, lambda* = sqrt(nbar_max alpha eps) equalizes the terms
+    sizes = _sizes()
+    lam = tuning_profile(sizes.n, 0.05, 0.001, sizes.nbar_max).optimal_lambda
+    assert lam < 1.0
+    variance, bias = bound_terms(sizes, 0.05, 0.001, lam, kind)
+    assert np.isclose(variance, bias, rtol=1e-12, atol=0.0)
+
+
+def test_bound_terms_variance_is_the_rate_card_rate():
+    card = _card()
+    variance, _ = bound_terms(_sizes(), 0.05, 0.001, card.rho_n)
+    assert np.isclose(variance, card.adj_dyn_rate, rtol=1e-14, atol=0.0)
+    variance, _ = bound_terms(_sizes(), 0.05, 0.001, card.rho_n, "laplacian")
+    assert np.isclose(variance, card.lap_dyn_rate, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["adjacency", "laplacian"])
+def test_bound_terms_static_regime_has_no_bias(kind):
+    variance, bias = bound_terms(_sizes(), 0.05, 0.0, 0.3, kind)
+    assert bias == 0.0 and variance > 0.0
+
+
+# ---------------------------------------------------------------------------
 # degree deviations
 # ---------------------------------------------------------------------------
 
 def test_degree_deviation_zero_for_complete_graphs():
     n = 12
-    lab = CommunityLabels(np.zeros(n, dtype=int), 1)
     model = ConnectivityModel.planted_partition(1, 1.0, 0.0)
     cfg = DeterministicDsbmConfig(n=n, model=model, t_len=4, s=0, n_min=n, n_max=n,
                                   seed=0)
     seq = gen_deterministic_sequence(cfg)
     snaps = sample_snapshot_sequence(seq, model, 1)
     w = weights_of(Uniform(3), 4)
-    expected = np.stack([expected_degrees(lab, model)] * 5)
-    stats = degree_deviation_stats(snaps, w, expected, alpha=1.0, nbar_min=float(n))
+    stats = degree_deviation_stats(snaps, seq.thetas, model, w, nbar_min=float(n))
     assert stats.max_abs_deviation == 0.0
 
 
@@ -190,8 +220,7 @@ def test_degree_deviation_monte_carlo_quantile():
         seq = gen_deterministic_sequence(cfg)
         snaps = sample_snapshot_sequence(seq, model, 1000 + trial)
         w = weights_of(Uniform(r), t_len)
-        expected = np.stack([expected_degrees(th, model) for th in seq.thetas])
-        stats = degree_deviation_stats(snaps, w, expected, alpha, prof.nbar_min)
+        stats = degree_deviation_stats(snaps, seq.thetas, model, w, prof.nbar_min)
         cs.append(stats.c_n_alpha)
     assert np.mean(np.asarray(cs) < 1.0) >= 0.95
 
@@ -203,9 +232,9 @@ def test_degree_deviation_single_snapshot_reduction():
     seq = gen_deterministic_sequence(cfg)
     snaps = sample_snapshot_sequence(seq, model, 5)
     w = weights_of(Uniform(1), 0)
-    expected = np.stack([expected_degrees(seq.thetas[0], model)])
-    stats = degree_deviation_stats(snaps, w, expected, alpha=0.4, nbar_min=20.0)
-    static_dev = np.abs(snaps.snapshots[0].degrees() - expected[0]).max()
+    stats = degree_deviation_stats(snaps, seq.thetas, model, w, nbar_min=20.0)
+    static_dev = np.abs(snaps.snapshots[0].degrees()
+                        - expected_degrees(seq.thetas[0], model)).max()
     assert np.isclose(stats.max_abs_deviation, static_dev)
     assert np.isclose(stats.c_n_alpha, static_dev / (40 * 0.4))
     assert np.isclose(stats.c_nbar_alpha, static_dev / (20 * 0.4))
@@ -247,6 +276,25 @@ def test_frobenius_single_changed_node_hand_formula():
     after = CommunityLabels(after_labels, 2)
     expected = 2 * (n - 1) * alpha ** 2
     assert np.isclose(frobenius_diff_sq(before, after, model), expected, rtol=1e-12)
+
+
+def test_frobenius_single_changed_node_keeps_precision_at_large_n():
+    # node 0 moves x -> y at n = 20000: entries (0, j) and (j, 0) move by
+    # alpha (b0[x, l_j] - b0[y, l_j]) and (0, 0) by alpha (b0[x, x] - b0[y, y]).
+    # The closed form sums K terms, so the n-by-n sum must match it to rounding.
+    n, k = 20000, 3
+    model = ConnectivityModel(k, 0.3, np.array([[1.0, 0.2, 0.05], [0.2, 0.7, 0.4],
+                                                [0.05, 0.4, 0.9]]))
+    before = CommunityLabels(np.arange(n) % k, k)
+    after_labels = before.labels.copy()
+    x, y = 0, 2
+    after_labels[0] = y
+    others = np.bincount(before.labels[1:], minlength=k)
+    row = model.b0[x] - model.b0[y]
+    expected = model.alpha ** 2 * (2 * (others * row ** 2).sum()
+                                   + (model.b0[x, x] - model.b0[y, y]) ** 2)
+    value = frobenius_diff_sq(before, CommunityLabels(after_labels, k), model)
+    assert np.isclose(value, expected, rtol=1e-14, atol=0.0)
 
 
 def test_bias_zero_when_static():
@@ -358,12 +406,11 @@ def test_markov_frobenius_trajectory_exposed():
 
 
 def _short_history():
-    """A 4-step deterministic sequence: its model, labelings, snapshots and expected degrees."""
+    """A 4-step deterministic sequence: its model, labelings and snapshots."""
     model = ConnectivityModel.planted_partition(2, 0.3, 0.2)
     seq = gen_deterministic_sequence(DeterministicDsbmConfig(n=20, model=model, t_len=3, s=1,
                                                              n_min=8, n_max=12, seed=0))
-    expected = np.stack([expected_degrees(th, model) for th in seq.thetas])
-    return model, seq, sample_snapshot_sequence(seq, model, 1), expected
+    return model, seq, sample_snapshot_sequence(seq, model, 1)
 
 
 @pytest.mark.parametrize("call, match", [
@@ -372,16 +419,23 @@ def _short_history():
     (lambda: frobenius_diff_sq(CommunityLabels([0, 1], 2), CommunityLabels([0, 1, 1], 2),
                                ConnectivityModel.planted_partition(2, 0.3, 0.2)),
      "label shapes must match"),
-    (lambda: degree_deviation_stats(_short_history()[2], weights_of(Uniform(2), 4),
-                                    _short_history()[3], alpha=0.3, nbar_min=8.0),
+    (lambda: degree_deviation_stats(_short_history()[2], _short_history()[1].thetas,
+                                    _short_history()[0], weights_of(Uniform(2), 4), 8.0),
      "5 weights but only 4 steps"),
-    (lambda: degree_deviation_stats(_short_history()[2], weights_of(Uniform(2), 3),
-                                    _short_history()[3][1:], alpha=0.3, nbar_min=8.0),
-     "expected_degrees must be"),
+    (lambda: degree_deviation_stats(_short_history()[2], _short_history()[1].thetas[1:],
+                                    _short_history()[0], weights_of(Uniform(2), 3), 8.0),
+     "need one labeling of n=20 per snapshot, got 3 labelings for 4 snapshots"),
+    (lambda: degree_deviation_stats(_short_history()[2],
+                                    [CommunityLabels(np.arange(21) % 2, 2)] * 4,
+                                    _short_history()[0], weights_of(Uniform(2), 3), 8.0),
+     "need one labeling of n=20 per snapshot"),
+    (lambda: bound_terms(_sizes(), 0.05, 0.001, 0.1, kind="both"),
+     "unknown matrix kind 'both'"),
     (lambda: smoothing_bias_check(_short_history()[1], _short_history()[0],
                                   weights_of(Uniform(2), 4)), "5 weights but only 4 steps"),
 ], ids=["rate_card_nbar_min", "perturbation_shapes", "frobenius_shapes",
-        "degrees_more_weights", "degrees_expected_shape", "bias_more_weights"])
+        "degrees_more_weights", "degrees_labeling_count", "degrees_labeling_n",
+        "bound_terms_kind", "bias_more_weights"])
 def test_bounds_input_checks(call, match):
     with pytest.raises(InvalidInputError, match=match):
         call()

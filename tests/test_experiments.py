@@ -1,6 +1,7 @@
 import contextlib
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from dynsc.experiments import (
 from dynsc.sbm import effective_sizes
 from dynsc.util import dump_kv, parse_kv, subseed
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SMALL = ExperimentConfig(n=60, k=2, tau=0.2, alpha_log_scale=4.0, epsilon=0.05,
                          t_len=10, trials=3, seed=123, lambda_grid=(0.3, 1.0),
                          r_grid=(2,), matrix="both", restarts=5)
@@ -152,7 +154,7 @@ def test_csv_roundtrip(tmp_path, small_records):
     path = tmp_path / "sweep.csv"
     write_records_csv(small_records, path)
     text = path.read_text()
-    assert text.startswith("# dynsc-sweep-csv v1\n")
+    assert text.startswith("# dynsc-sweep-csv v2\n")
     back = read_records_csv(path)
     assert len(back) == len(small_records)
     for a, b in zip(back, small_records):
@@ -173,14 +175,14 @@ def test_summary_and_plot_data(small_records):
     assert set(med) == {0.3, 1.0}
     star = summary["adjacency.lambda.star_err"]
     assert med[star] == min(med.values())
-    norm = np.sqrt(SMALL.resolved_alpha * SMALL.n * SMALL.epsilon)
-    assert np.isclose(summary["adjacency.lambda.star_err_normalized"], star / norm)
+    norm = SMALL.tuning().optimal_lambda
+    assert summary["adjacency.lambda.star_err_normalized"] == star / norm
     assert "laplacian.r.best_median_ari" in summary
     plot = plot_data_by_grid(small_records, SMALL)
     assert "median_spec_err" in plot.splitlines()[1]
     assert len(plot.splitlines()) == 2 + 2 * 3  # header comment + header + 2 kinds x 3 pts
     first = plot.splitlines()[2].split(",")
-    assert np.isclose(float(first[2]), float(first[1]) / norm)  # lambda / sqrt(alpha n eps)
+    assert np.isclose(float(first[2]), float(first[1]) / norm)  # lambda / lambda*
 
 
 def test_smoothing_reduces_spectral_error(small_records):
@@ -270,6 +272,19 @@ def test_static_sweep_summarizes():
     assert np.isclose(summary["adjacency.lambda.fitted_rate_constant"], expected,
                       rtol=1e-12, atol=0.0)
     assert "adjacency.lambda.star_err_normalized" not in summary
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("bounded_*.cfg")), ids=lambda p: p.stem)
+def test_star_argmin_normalizes_to_one(path):
+    # the normalizer is the tuned lambda*, so an optimum at the star cell reads exactly 1
+    cfg = ExperimentConfig.from_kv(parse_kv(path.read_text()))
+    star, one = cfg.lambda_grid
+    assert star == cfg.tuning().optimal_lambda < one
+    records = _lambda_records("adjacency", {star: 0.5, one: 0.9})
+    assert summarize(records, cfg)["adjacency.lambda.star_err_normalized"] == 1.0
+    normalized = [float(line.split(",")[2])
+                  for line in plot_data_by_grid(records, cfg).splitlines()[2:]]
+    assert normalized[0] == 1.0 and np.isclose(normalized[1], one / star, rtol=1e-11)
 
 
 @pytest.mark.parametrize("mode", ["deterministic", "markov"])

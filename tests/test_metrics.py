@@ -141,16 +141,17 @@ def _int64_copy(lab: CommunityLabels) -> CommunityLabels:
 
 
 def test_pair_codes_do_not_wrap_in_narrow_labels():
-    # at K = 20 the pair codes a * 20 + b reach 399, past uint8's 255
+    # the pair codes a * K + b pass uint8's 255 from K = 17 on; at K = 200 the labels
+    # themselves still fit uint8
     rng = np.random.default_rng(41)
-    k = 20
-    a, b = random_labels(400, k, rng), random_labels(400, k, rng)
-    assert a.labels.dtype == b.labels.dtype == np.uint8
-    wa, wb = _int64_copy(a), _int64_copy(b)
-    assert np.array_equal(confusion_matrix(a, b), confusion_matrix(wa, wb))
-    assert adjusted_rand_index(a, b) == adjusted_rand_index(wa, wb)
-    model = ConnectivityModel.planted_partition(k, 0.5, 0.3)
-    assert frobenius_diff_sq(a, b, model) == frobenius_diff_sq(wa, wb, model)
+    for k in (20, 200):
+        a, b = random_labels(400, k, rng), random_labels(400, k, rng)
+        assert a.labels.dtype == b.labels.dtype == np.uint8
+        wa, wb = _int64_copy(a), _int64_copy(b)
+        assert np.array_equal(confusion_matrix(a, b), confusion_matrix(wa, wb))
+        assert adjusted_rand_index(a, b) == adjusted_rand_index(wa, wb)
+        model = ConnectivityModel.planted_partition(k, 0.5, 0.3)
+        assert frobenius_diff_sq(a, b, model) == frobenius_diff_sq(wa, wb, model)
 
 
 @settings(max_examples=50, deadline=None)

@@ -268,6 +268,16 @@ def test_expectation_factors_share_a_block_per_repeated_labeling():
     assert np.abs(u @ b @ u.T - dense).max() <= 1e-14 * np.abs(dense).max()
 
 
+@pytest.mark.parametrize("k,g", [(200, 2), (20, 14)])
+def test_expectation_factors_columns_do_not_wrap_in_narrow_labels(k, g):
+    # column k * j + label passes uint8's 255 at the last labeling, k * (g - 1) + k > 256
+    rng = np.random.default_rng(34)
+    history = [(1.0, random_labels(50, k, rng)) for _ in range(g)]
+    assert history[0][1].labels.dtype == np.uint8
+    u, _ = expectation_factors(history, ConnectivityModel.planted_partition(k, 0.5, 0.2))
+    assert np.array_equal(u.toarray(), np.hstack([one_hot(theta) for _, theta in history]))
+
+
 def test_expectation_factors_cancel_to_an_exact_zero_block():
     lab = random_labels(30, 3, np.random.default_rng(33))
     _, b = expectation_factors([(0.5, lab), (0.5, lab), (-1.0, lab)], _FACTOR_MODEL)
