@@ -150,7 +150,7 @@ def cmd_cluster(args) -> int:
         model = cfg.model()
     kinds = cfg.matrix_kinds()
 
-    smoothed = smoothing.smoothed_matrix(snaps, smoother)
+    smoothed = smoothing.smoothed_matrix(snaps, smoother, model.k)
     truth = seq.thetas[-1]
     refs = experiments.reference_matrices(truth, model, kinds)
     report: dict = {"t": seq.t_len, "smoother": args.smoother}

@@ -229,6 +229,7 @@ def sample_snapshot_sequence(seq: MembershipSequence, model: ConnectivityModel,
 # ---------------------------------------------------------------------------
 
 _MANIFEST_NAME = "manifest.txt"
+_FORMAT_TAG = "dynsc-sequence-v1"  # the manifest's format; no other is read
 _LABELS_NAME = "labels.csv"
 
 
@@ -255,7 +256,7 @@ def save_sequence(directory, seq: MembershipSequence, snaps: SnapshotSequence,
     for t, snap in enumerate(snaps.snapshots):
         save_snapshot(snap, directory / f"snapshot_{t:04d}.txt")
     manifest = {
-        "format": "dynsc-sequence-v1",
+        "format": _FORMAT_TAG,
         "mode": seq.mode,
         "n": seq.n,
         "t_len": seq.t_len,
@@ -277,8 +278,9 @@ def save_sequence(directory, seq: MembershipSequence, snaps: SnapshotSequence,
 def load_sequence(directory):
     """Load a persisted sequence; returns ``(membership, snapshots, model, manifest)``.
 
-    Labels and snapshots must match the manifest's ``n`` and ``t_len``: one
-    label row of ``n`` entries and one ``n``-node snapshot per step.
+    The manifest's ``format`` must be the one :func:`save_sequence` writes, and
+    labels and snapshots must match its ``n`` and ``t_len``: one label row of
+    ``n`` entries and one ``n``-node snapshot per step.
     """
     directory = Path(directory)
     path = directory / _MANIFEST_NAME
@@ -292,6 +294,8 @@ def load_sequence(directory):
         except ValueError:
             raise InvalidInputError(f"{path}: cannot parse {key}={manifest[key]!r}") from None
 
+    if value("format") != _FORMAT_TAG:
+        raise InvalidInputError(f"{path}: format {manifest['format']!r} is not {_FORMAT_TAG!r}")
     k, alpha = value("k", int), value("alpha", float)
     if "tau" in manifest:
         model = ConnectivityModel.planted_partition(k, alpha, value("tau", float))

@@ -306,7 +306,7 @@ def evaluate_smoothed(cfg: ExperimentConfig, trial: int, seq: MembershipSequence
     refs = reference_matrices(truth, cfg.model(), kinds)
     records = []
     for gidx, (gkind, gvalue) in enumerate(cfg.grid()):
-        smoothed = smoothed_matrix(snaps, _grid_smoother(gkind, gvalue))
+        smoothed = smoothed_matrix(snaps, _grid_smoother(gkind, gvalue), cfg.k)
         for kidx, kind in enumerate(kinds):
             cseed = subseed(cfg.seed, _TAG_CLUSTER, trial, gidx, kidx)
             start = time.perf_counter()

@@ -6,10 +6,10 @@ communities, the count of nonzero entries of the one-hot difference divided by
 lies in ``[0, 2]`` and equals twice the misclassified-node fraction. The
 minimum is taken exactly, via an optimal assignment on the confusion matrix
 (greedy matching can be off by a community swap). The assignment is solved by
-``scipy.sparse.csgraph.min_weight_full_bipartite_matching``, the LAPJV
-algorithm of Jonker & Volgenant (Computing 38, 1987), which comes with the
-``scipy.sparse`` stack the other layers already load; ``scipy.optimize`` is
-never imported.
+``scipy.sparse.csgraph.min_weight_full_bipartite_matching`` on the CSR array
+of the shifted confusion matrix, the LAPJV algorithm of Jonker & Volgenant
+(Computing 38, 1987), which comes with the ``scipy.sparse`` stack the other
+layers already load; ``scipy.optimize`` is never imported.
 """
 
 from __future__ import annotations
@@ -70,15 +70,10 @@ def misclassification_error(pred: CommunityLabels, truth: CommunityLabels) -> Er
     confusion rows; the assignment stays well-posed. The matching runs on
     ``conf + 1``: every one of the K^2 pairs stays an edge (a sparse matrix
     drops zeros), and every full matching gains exactly K, so the optimum is
-    that of ``conf``. The all-pairs CSR is built from its ``(data, indices,
-    indptr)`` arrays, a third of the cost of converting the dense ``conf + 1``.
+    that of ``conf``.
     """
     conf = confusion_matrix(pred, truth)
-    k = conf.shape[0]
-    pattern = ((conf + 1.0).ravel(), np.arange(k * k, dtype=np.int32) % k,
-               np.arange(0, k * k + 1, k, dtype=np.int32))
-    rows, cols = min_weight_full_bipartite_matching(csr_array(pattern, shape=(k, k)),
-                                                    maximize=True)
+    rows, cols = min_weight_full_bipartite_matching(csr_array(conf + 1.0), maximize=True)
     matched = int(conf[rows, cols].sum())
     n = pred.n
     perm = np.empty(pred.k, dtype=np.int64)

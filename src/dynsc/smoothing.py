@@ -42,9 +42,10 @@ DENSE_WORKSPACE_MATRICES = 4
 # all distinct; the sweep cell, which checks nothing, peaks at 65 per edge. The
 # Lanczos vectors and k-means arrays add 270-375 per node at K = 2 and 340 at
 # K = 4 (smoothed_matrix plus both evaluate_cell kinds, one snapshot,
-# n = 200-20000), and about 70 more per community above that
+# n = 200-20000), and about 70 more per community above that (691 at K = 8, n = 2000)
 CSR_BYTES_PER_EDGE = 104
 CSR_BYTES_PER_NODE = 400
+CSR_BYTES_PER_COMMUNITY = 100
 _MIRROR_BLOCK = 64  # rows per block of weighted_smooth's in-place mirror
 # The one form rule, at every n: a smoothed matrix at most this share nonzero is
 # built and multiplied as CSR, and a denser one as a dense array multiplied by
@@ -201,23 +202,25 @@ def weighted_smooth_csr(snapshots: Sequence[AdjacencySnapshot],
     return upper + upper.T
 
 
-def smoothed_matrix(snaps: SnapshotSequence, smoother: SmootherKind):
+def smoothed_matrix(snaps: SnapshotSequence, smoother: SmootherKind, k: int):
     """The final-step estimate of ``smoother`` over ``snaps``, in the form every later layer keeps.
 
     Form and memory follow from the edge count of the weighted snapshots, before
     anything is built. When twice that count (a bound on the nonzeros) is at
     most ``SPARSE_OPERATOR_SHARE`` of the entries, the matrix is a CSR array
-    (:func:`weighted_smooth_csr`) needing ``CSR_BYTES_PER_EDGE`` per edge plus
-    ``CSR_BYTES_PER_NODE`` per node, at every n; else a dense one
+    (:func:`weighted_smooth_csr`) needing ``CSR_BYTES_PER_EDGE`` per edge plus, per node,
+    ``CSR_BYTES_PER_NODE`` or, if more, ``CSR_BYTES_PER_COMMUNITY`` times the ``k``
+    communities clustered later, at every n; else a dense one
     (:func:`weighted_smooth`) needing ``DENSE_WORKSPACE_MATRICES`` n x n float64
     arrays. A need above free memory raises :class:`MemoryBudgetError`; the
     check is skipped where free memory cannot be read.
     """
     n, betas = snaps.n, weights_of(smoother, snaps.t_len).betas
     edges = sum(snap.edge_count for _, snap in weighted_history(snaps.snapshots, betas))
+    per_node = max(CSR_BYTES_PER_NODE, CSR_BYTES_PER_COMMUNITY * k)
     if 2 * edges <= SPARSE_OPERATOR_SHARE * n * n:
         form, build = "CSR", weighted_smooth_csr
-        need = CSR_BYTES_PER_EDGE * edges + CSR_BYTES_PER_NODE * n
+        need = CSR_BYTES_PER_EDGE * edges + per_node * n
     else:
         form, need, build = "dense", DENSE_WORKSPACE_MATRICES * 8 * n * n, weighted_smooth
     free = available_memory()
@@ -225,7 +228,7 @@ def smoothed_matrix(snaps: SnapshotSequence, smoother: SmootherKind):
         raise MemoryBudgetError(
             f"{form} smoothing at n={n} with {edges} weighted edges needs {need} bytes but "
             f"{free} are available; the sparse (CSR) form, {CSR_BYTES_PER_EDGE} bytes per "
-            f"edge and {CSR_BYTES_PER_NODE} per node, is used while twice the edges fill at "
+            f"edge and {per_node} per node, is used while twice the edges fill at "
             f"most {SPARSE_OPERATOR_SHARE:.0%} of the entries; reduce n, alpha or the "
             f"smoothing window")
     return build(snaps.snapshots, betas)

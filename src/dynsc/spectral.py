@@ -32,11 +32,14 @@ import numpy as np
 import scipy.sparse.linalg
 from scipy.linalg import blas
 
-from .errors import EigenSolverError, InvalidInputError
+from .errors import EigenSolverError, InvalidInputError, MemoryBudgetError
 from .sbm import CommunityLabels, check_symmetric
-from .util import subseed
+from .util import available_memory, subseed
 
 DENSE_FALLBACK_LIMIT = 4096  # largest n decomposed densely when Lanczos fails
+# n x n float64 arrays the dense fallback may hold at once: the peak RSS rise of eigh on
+# a densified CSR operand was 5.2 of them at n = 2500, of which tracemalloc sees 2
+DENSE_FALLBACK_MATRICES = 6
 EIGENPAIR_TOL = 1e-8  # Lanczos relative tolerance of top_k_eigenpairs
 NORM_TOL = 1e-4  # Lanczos relative tolerance of spectral_norm and the eigengap
 _V0_SEED = 0x5EED
@@ -159,8 +162,9 @@ def _leading_eigs(m, k: int, vectors: bool, tol: float, minus=None, draw: int = 
     tolerance ``tol``. For larger ``k``, and when the solver fails on an
     operand of size up to ``DENSE_FALLBACK_LIMIT``, the operand is decomposed
     densely and all ``n`` pairs are returned; a failure above that size raises
-    :class:`EigenSolverError`. ARPACK fails on a zero operand, which then gets
-    ``k`` zero eigenvalues with the first ``k`` unit vectors, as ``eigh`` orders
+    :class:`EigenSolverError`, and one whose ``DENSE_FALLBACK_MATRICES`` n x n arrays
+    exceed free memory :class:`MemoryBudgetError`. ARPACK fails on a zero operand, which
+    then gets ``k`` zero eigenvalues with the first ``k`` unit vectors, as ``eigh`` orders
     them. Returns ``eigh``'s ``(values, vectors)`` or ``eigvalsh``'s ``values``.
     """
     n = m.shape[0]
@@ -174,9 +178,14 @@ def _leading_eigs(m, k: int, vectors: bool, tol: float, minus=None, draw: int = 
     except scipy.sparse.linalg.ArpackError as exc:
         if op.is_zero():
             return (np.zeros(k), np.eye(n, k)) if vectors else np.zeros(k)
-        if n <= DENSE_FALLBACK_LIMIT:
-            return op.eigh(vectors)
-        raise EigenSolverError(f"eigensolver failed at n={n}: {exc}") from exc
+        if n > DENSE_FALLBACK_LIMIT:
+            raise EigenSolverError(f"eigensolver failed at n={n}: {exc}") from exc
+        need, free = DENSE_FALLBACK_MATRICES * 8 * n * n, available_memory()
+        if free is not None and need > free:
+            raise MemoryBudgetError(
+                f"eigensolver failed at n={n} ({exc}), and its dense fallback needs {need} "
+                f"bytes but {free} are available") from exc
+        return op.eigh(vectors)
 
 
 def top_k_eigenpairs(m, k: int) -> EigenBasis:
@@ -220,22 +229,16 @@ def top_k_eigenpairs(m, k: int) -> EigenBasis:
 def _seed_centroids(x: np.ndarray, k: int, rngs: list) -> np.ndarray:
     """Distance-squared-weighted seeding, ``(len(rngs), k, d)``; duplicate locations get zero mass.
 
-    Each run draws what ``rng.choice(n, p=d2 / total)`` would, without its argument checks.
+    Each later centroid is ``rng.choice(n, p=d2 / total)``, or ``rng.integers(n)`` once
+    every point sits on a centroid (fewer than ``k`` distinct points).
     """
     n = x.shape[0]
     centers = np.empty((len(rngs), k, x.shape[1]))
     centers[:, 0] = x[[rng.integers(n) for rng in rngs]]
     d2 = ((x - centers[:, :1]) ** 2).sum(axis=2)
     for j in range(1, k):
-        picks = []
-        for rng, row, total in zip(rngs, d2, d2.sum(axis=1)):
-            if total <= 0.0:
-                picks.append(rng.integers(n))  # fewer than k distinct points
-            else:
-                cdf = (row / total).cumsum()
-                cdf /= cdf[-1]
-                picks.append(cdf.searchsorted(rng.random(), side="right"))
-        centers[:, j] = x[picks]
+        centers[:, j] = x[[rng.choice(n, p=row / total) if total > 0.0 else rng.integers(n)
+                           for rng, row, total in zip(rngs, d2, d2.sum(axis=1))]]
         d2 = np.minimum(d2, ((x - centers[:, j, None]) ** 2).sum(axis=2))
     return centers
 
@@ -243,21 +246,14 @@ def _seed_centroids(x: np.ndarray, k: int, rngs: list) -> np.ndarray:
 def _nearest(x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest centroids of ``x`` among each of ``b`` runs' centroids (b, k, d), in one product.
 
-    The argmin over ``|c|^2 - 2 x c^T``, ties to the lowest index, is taken by k - 1 strict
-    compares of whole columns; ``argmin`` itself where a NaN needs its first-NaN rule. Returns
-    the labels and the labels offset by ``k`` per run, both (b, n).
+    The labels are the ``argmin`` over ``|c|^2 - 2 x c^T``: ties go to the lowest index, and
+    a NaN to the first NaN. Returns the labels and the labels offset by ``k`` per run, both
+    (b, n).
     """
     n, (b, k, d) = x.shape[0], centers.shape
     flat = centers.reshape(-1, d)
     d2 = ((flat ** 2).sum(axis=1) - 2.0 * (x @ flat.T)).reshape(n, b, k)
-    if np.isfinite(d2).all():
-        labels, best = np.zeros((n, b), dtype=np.intp), d2[:, :, 0]
-        for j in range(1, k):
-            np.putmask(labels, d2[:, :, j] < best, j)
-            best = np.minimum(best, d2[:, :, j])
-    else:
-        labels = d2.argmin(axis=2)
-    labels = np.ascontiguousarray(labels.T)
+    labels = np.ascontiguousarray(d2.argmin(axis=2).T)
     return labels, labels + np.arange(0, b * k, k)[:, None]
 
 

@@ -146,8 +146,8 @@ def test_c04_smoothing_improves_concentration():
         snaps = sample_snapshot_sequence(seq, model, subseed(1004, 2, trial))
         # the sweep's data path: its smoothed matrix against rank-K factors of P_t
         ref = reference_matrices(seq.thetas[-1], model, ("adjacency",))["adjacency"]
-        smoothed.append(spectral_norm(smoothed_matrix(snaps, Exponential(lam)), minus=ref))
-        static.append(spectral_norm(smoothed_matrix(snaps, Exponential(1.0)), minus=ref))
+        smoothed.append(spectral_norm(smoothed_matrix(snaps, Exponential(lam), k), minus=ref))
+        static.append(spectral_norm(smoothed_matrix(snaps, Exponential(1.0), k), minus=ref))
     med_s, med_0 = float(np.median(smoothed)), float(np.median(static))
     ok = med_s < 0.8 * med_0
     _report(4, "smoothing improves concentration", ok,
@@ -175,7 +175,7 @@ def test_c05_optimal_lambda_scaling():
                 ref = reference_matrices(seq.thetas[-1], model, ("adjacency",))["adjacency"]
                 for lam in lam_grid:
                     errs[lam].append(
-                        spectral_norm(smoothed_matrix(snaps, Exponential(lam)), minus=ref))
+                        spectral_norm(smoothed_matrix(snaps, Exponential(lam), k), minus=ref))
             med = {lam: float(np.median(v)) for lam, v in errs.items()}
             star = min(med, key=med.get)
             cells[(c_alpha, eps)] = star / math.sqrt(alpha * n * eps)
@@ -322,9 +322,9 @@ def test_c12_sparse_regime_payoff():
         snaps = sample_snapshot_sequence(seq, model, subseed(1012, 2, trial))
         truth = seq.thetas[-1]
         # the sweep's own smoothed input; lambda = 1 weights only the last snapshot
-        res_s = spectral_cluster(smoothed_matrix(snaps, Exponential(lam)), k,
+        res_s = spectral_cluster(smoothed_matrix(snaps, Exponential(lam), k), k,
                                  seed=subseed(1012, 3, trial))
-        res_0 = spectral_cluster(smoothed_matrix(snaps, Exponential(1.0)), k,
+        res_0 = spectral_cluster(smoothed_matrix(snaps, Exponential(1.0), k), k,
                                  seed=subseed(1012, 4, trial))
         ari_smooth.append(adjusted_rand_index(res_s.labels, truth))
         ari_static.append(adjusted_rand_index(res_0.labels, truth))

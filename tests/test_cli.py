@@ -177,6 +177,15 @@ def _manifest_mode_foo(directory):
                             for line in lines))
 
 
+def _manifest_format(replacement):
+    def corrupt(directory):
+        path = directory / "manifest.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(replacement if line.startswith("format=") else line
+                                for line in lines))
+    return corrupt
+
+
 def _first_label_of_row_1(value):
     def corrupt(directory):
         path = directory / "labels.csv"
@@ -189,11 +198,13 @@ def _first_label_of_row_1(value):
 @pytest.mark.parametrize("corrupt", [_drop_last_label_row, _manifest_n_999, _snapshots_n_41,
                                      _ragged_label_row, _bad_edge_line, _manifest_missing_t_len,
                                      _manifest_alpha_abc, _manifest_mode_foo,
-                                     _first_label_of_row_1(-1), _first_label_of_row_1(300),
-                                     _first_label_of_row_1(2)],
+                                     _manifest_format("format=dynsc-sequence-v2\n"),
+                                     _manifest_format(""), _first_label_of_row_1(-1),
+                                     _first_label_of_row_1(300), _first_label_of_row_1(2)],
                          ids=["labels_rows", "manifest_n", "snapshot_n", "labels_ragged",
                               "edge_line", "manifest_missing_key", "manifest_bad_value",
-                              "manifest_bad_mode", "label_negative", "label_300", "label_k"])
+                              "manifest_bad_mode", "manifest_format", "manifest_no_format",
+                              "label_negative", "label_300", "label_k"])
 def test_corrupt_sequence_is_rejected(tmp_path, capsys, corrupt):
     out = tmp_path / "seq"
     assert main(["generate", *TINY, "--out", str(out)]) == EXIT_OK

@@ -406,7 +406,7 @@ def test_smoothed_matrix_form(monkeypatch, n, p, csr):
     monkeypatch.setattr(dynsc.smoothing, "weighted_smooth_csr",
                         lambda *a: built.append(1) or dynsc.weighted_smooth_csr(*a))
     snaps = _snapshot_sequence(n, p, 6, seed=n)
-    got = experiments.smoothed_matrix(snaps, Exponential(0.3))
+    got = experiments.smoothed_matrix(snaps, Exponential(0.3), 2)
     dense = dynsc.weighted_smooth(snaps.snapshots, weights_of(Exponential(0.3), 6).betas)
     assert isinstance(got, scipy.sparse.csr_array) == csr
     assert built == ([1] if csr else [])
@@ -418,11 +418,11 @@ def test_csr_path_matches_forced_dense_run(monkeypatch):
                            epsilon=0.02, t_len=6, n_min=240, n_max=360, lambda_grid=(0.3, 1.0),
                            r_grid=(3,), seed=5, restarts=5)
     seq, snaps = generate_trial_sequence(cfg, 0)
-    assert isinstance(experiments.smoothed_matrix(snaps, Exponential(0.3)),
+    assert isinstance(experiments.smoothed_matrix(snaps, Exponential(0.3), cfg.k),
                       scipy.sparse.csr_array)
     got = experiments.evaluate_smoothed(cfg, 0, seq, snaps)
     monkeypatch.setattr(dynsc.smoothing, "SPARSE_OPERATOR_SHARE", -1.0)
-    assert isinstance(experiments.smoothed_matrix(snaps, Exponential(0.3)), np.ndarray)
+    assert isinstance(experiments.smoothed_matrix(snaps, Exponential(0.3), cfg.k), np.ndarray)
     want = experiments.evaluate_smoothed(cfg, 0, seq, snaps)
     assert len(got) == len(want) == 6
     for a, b in zip(got, want):
@@ -455,7 +455,7 @@ def test_sweep_cell_runs_no_full_symmetry_check(checked_form, symmetric_checks):
     seq, snaps = generate_trial_sequence(_CHECKED, 0)
     truth = seq.thetas[-1]
     refs = reference_matrices(truth, _CHECKED.model(), _CHECKED.matrix_kinds())
-    smoothed = experiments.smoothed_matrix(snaps, Exponential(0.3))
+    smoothed = experiments.smoothed_matrix(snaps, Exponential(0.3), _CHECKED.k)
     assert isinstance(smoothed, checked_form)
     symmetric_checks.clear()
     for kind in _CHECKED.matrix_kinds():
@@ -493,7 +493,7 @@ def test_dense_evaluation_peak_is_about_two_matrices():
     cfg = ExperimentConfig(n=n, k=2, tau=0.2, alpha=0.3, alpha_log_scale=None, epsilon=0.01,
                            t_len=3, lambda_grid=(1.0, 0.5), trials=1, seed=3, restarts=2)
     seq, snaps = generate_trial_sequence(cfg, 0)
-    assert isinstance(experiments.smoothed_matrix(snaps, Exponential(1.0)), np.ndarray)
+    assert isinstance(experiments.smoothed_matrix(snaps, Exponential(1.0), cfg.k), np.ndarray)
     tracemalloc.start()
     try:
         records = experiments.evaluate_smoothed(cfg, 0, seq, snaps)

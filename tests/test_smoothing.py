@@ -268,12 +268,12 @@ def test_smoothed_matrix_memory_guard(monkeypatch, form):
             rf"^{form} smoothing at n={n} with {edges} weighted edges needs {need} bytes but "
             rf"{need - 1} are available; the sparse \(CSR\) form, 104 bytes per edge and 400 "
             r"per node, is used while twice the edges fill at most 10% of the entries; ")):
-        smoothed_matrix(snaps, Exponential(0.3))
+        smoothed_matrix(snaps, Exponential(0.3), 2)
     assert built == []
     kind = np.ndarray if form == "dense" else scipy.sparse.csr_array
     for free in (need, None):  # None: free memory unreadable, check skipped
         monkeypatch.setattr(dynsc.smoothing, "available_memory", lambda: free)
-        assert isinstance(smoothed_matrix(snaps, Exponential(0.3)), kind)
+        assert isinstance(smoothed_matrix(snaps, Exponential(0.3), 2), kind)
     assert built == [1, 1]
     # the builders themselves check nothing
     monkeypatch.setattr(dynsc.smoothing, "available_memory", lambda: 0)
@@ -302,32 +302,35 @@ def test_weighted_smooth_csr_memory_is_linear_in_edges():
     assert peak < 128 * 2**20
 
 
-def test_csr_need_covers_a_cell_with_few_edges_per_node():
-    # lambda = 1 at n = 20000 in the sparse2k regime: about 2 edges per node, where
-    # the Lanczos vectors and k-means arrays outweigh the edges (225 bytes per edge)
+@pytest.mark.parametrize("n,k,seed", [(20000, 2, 7), (2000, 8, 31), (4000, 12, 37)])
+def test_csr_need_covers_a_cell_with_few_edges_per_node(n, k, seed):
+    # lambda = 1 in the sparse2k regime: a few edges per node, where the Lanczos vectors
+    # and k-means arrays outweigh the edges (225 bytes per edge at n = 20000, K = 2).
+    # Above K = 4 those O(n K) arrays outgrow 400 bytes per node; the need prices the
+    # node term at 100 bytes per community there
     import tracemalloc
 
     import dynsc.smoothing
     from dynsc.experiments import evaluate_cell, reference_matrices
 
-    n = 20000
-    truth = CommunityLabels(np.arange(n) % 2, 2)
-    model = ConnectivityModel.planted_partition(2, 8.0 / n, 0.1)
-    snaps = SnapshotSequence((sample_sbm(truth, model, 7),))
+    truth = CommunityLabels(np.arange(n) % k, k)
+    model = ConnectivityModel.planted_partition(k, 8.0 / n, 0.1)
+    snaps = SnapshotSequence((sample_sbm(truth, model, seed),))
     refs = reference_matrices(truth, model, ("adjacency", "laplacian"))
     edges = snaps.snapshots[0].edge_count
     tracemalloc.start()
     try:
-        smoothed = smoothed_matrix(snaps, Exponential(1.0))
+        smoothed = smoothed_matrix(snaps, Exponential(1.0), k)
         # one sparse snapshot has many small components, which tie at the top of the spectrum
         with pytest.warns(RuntimeWarning, match="eigengap"):
             for kind in ("adjacency", "laplacian"):
-                evaluate_cell(smoothed, kind, refs[kind], truth, 2, seed=1, restarts=20)
+                evaluate_cell(smoothed, kind, refs[kind], truth, k, seed=1, restarts=20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert isinstance(smoothed, scipy.sparse.csr_array)
-    need = dynsc.smoothing.CSR_BYTES_PER_EDGE * edges + dynsc.smoothing.CSR_BYTES_PER_NODE * n
+    per_node = max(dynsc.smoothing.CSR_BYTES_PER_NODE, dynsc.smoothing.CSR_BYTES_PER_COMMUNITY * k)
+    need = dynsc.smoothing.CSR_BYTES_PER_EDGE * edges + per_node * n
     assert dynsc.smoothing.CSR_BYTES_PER_EDGE * edges < peak < need
 
 

@@ -14,6 +14,7 @@ from dynsc import (
     ConnectivityModel,
     EigenSolverError,
     InvalidInputError,
+    MemoryBudgetError,
     build_probability_matrix,
     kmeans,
     misclassification_error,
@@ -213,7 +214,7 @@ def _static_sparse_laplacian():
                            n_min=800, n_max=1200, lambda_grid=(1.0,), matrix="laplacian",
                            seed=3)
     _, snaps = generate_trial_sequence(cfg, 2)
-    return normalized_laplacian_csr(smoothed_matrix(snaps, Exponential(1.0)),
+    return normalized_laplacian_csr(smoothed_matrix(snaps, Exponential(1.0), cfg.k),
                                     zero_degree="zero-row")
 
 
@@ -870,24 +871,51 @@ def test_fallback_with_low_rank_term_matches_dense_oracle(arpack_fails, form):
     assert len(arpack_fails) == 1
 
 
-def test_gap_solve_non_convergence_falls_back_to_dense(monkeypatch):
+@pytest.fixture
+def gap_solve_fails(monkeypatch):
+    """Make each 1-pair ``eigsh`` call, the deflated gap solve, fail; records every call's ``k``."""
     import scipy.sparse.linalg
 
     real = scipy.sparse.linalg.eigsh
     calls = []
 
-    def gap_solve_fails(op, *args, **kwargs):
+    def fails(op, *args, **kwargs):
         calls.append(kwargs["k"])
         if kwargs["k"] == 1:
             raise scipy.sparse.linalg.ArpackNoConvergence("forced", np.array([]), np.array([]))
         return real(op, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", gap_solve_fails)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fails)
+    return calls
+
+
+def test_gap_solve_non_convergence_falls_back_to_dense(gap_solve_fails):
     m = _sparse_sbm_adjacency(600)
     gap, lead = _eigvalsh_gap(m, 3)
     basis = top_k_eigenpairs(m, 3)
-    assert calls == [3, 1]
+    assert gap_solve_fails == [3, 1]
     assert abs(basis.gap - gap) <= 1e-6 * lead
+
+
+def test_dense_fallback_is_refused_beyond_free_memory(gap_solve_fails, monkeypatch):
+    # a CSR operand's dense fallback runs only within free memory, and then as before
+    n = 600
+    m = scipy.sparse.csr_array(_sparse_sbm_adjacency(n))
+    need = dynsc.spectral.DENSE_FALLBACK_MATRICES * 8 * n * n
+    monkeypatch.setattr(dynsc.spectral, "available_memory", lambda: need - 1)
+    with pytest.raises(MemoryBudgetError, match=rf"dense fallback needs {need} bytes but "
+                                                rf"{need - 1} are available"):
+        top_k_eigenpairs(m, 3)
+    bases = []
+    for free in (need, None):  # None: free memory unreadable, the fallback runs as before
+        monkeypatch.setattr(dynsc.spectral, "available_memory", lambda: free)
+        bases.append(top_k_eigenpairs(m, 3))
+    fits, unread = bases
+    assert fits.values.tobytes() == unread.values.tobytes()
+    assert fits.vectors.tobytes() == unread.vectors.tobytes()
+    assert fits.gap == unread.gap
+    gap, lead = _eigvalsh_gap(m.toarray(), 3)
+    assert abs(fits.gap - gap) <= 1e-6 * lead
 
 
 def test_fallback_above_limit_raises(arpack_fails, monkeypatch):
